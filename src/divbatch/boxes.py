@@ -1,4 +1,4 @@
-"""Axis-aligned box search domains."""
+"""Axis-aligned box search domains and the Euclidean distance kernel."""
 
 from __future__ import annotations
 
@@ -6,7 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box"]
+__all__ = ["Box", "distances"]
+
+
+def distances(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each row of ``xs`` to ``y`` (broadcasting).
+
+    This is the one distance kernel of the package: the cascade's tabu
+    filter, its initial means and every selector compare its result with
+    ``d_min`` by the closed inequality ``>=``.  A 1-D ``xs`` gives a 0-d
+    result; any row gives the same bits whether it is passed alone or
+    inside a larger array.
+    """
+    diff = xs - y
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -27,7 +40,7 @@ class Box:
     @property
     def diameter(self) -> float:
         """Length of the longest diagonal."""
-        return float(np.linalg.norm(self.upper - self.lower))
+        return float(distances(self.upper, self.lower))
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))

@@ -13,6 +13,10 @@ When an instance meets a stopping criterion its region freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
 has stopped with budget left, the cascade restarts from a fresh set of
 mutually distant means; the old regions are deactivated.
+
+All distances are Euclidean, computed by ``boxes.distances`` and compared
+with the closed inequality: a point exactly ``d_min`` from a center or an
+earlier mean is admitted.  Custom metrics are not supported.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, distances
 from .cma import CmaParams, ask_one, init_cma, tell
 from .trajectory import EvaluatedPoint, Trajectory
 
@@ -59,10 +62,6 @@ class NoPopulation(ValueError):
     """Center update requested from an empty population."""
 
 
-def _euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(x - y))
-
-
 @dataclass
 class TabuRegion:
     """Ball of radius ``radius`` around ``center``, owned by one instance."""
@@ -91,7 +90,6 @@ class DsConfig:
     init_rejection_cap: int = 100_000
     candidate_rejection_cap: int | None = None
     seed: int = 0
-    distance: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def snapshot(self) -> dict:
         return {
@@ -161,27 +159,28 @@ class CascadeLog:
         return found
 
 
-def _clear_of(
-    x: np.ndarray,
-    regions: list[TabuRegion],
-    distance: Callable[[np.ndarray, np.ndarray], float] | None,
-) -> bool:
-    dist = distance or _euclidean
-    return all(dist(x, r.center) >= r.radius for r in regions if r.active)
+def _tabu_arrays(regions: list[TabuRegion], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centers, as an (m, dim) array, and radii of the active regions."""
+    active = [r for r in regions if r.active]
+    centers = np.array([r.center for r in active], dtype=float).reshape(len(active), dim)
+    return centers, np.array([r.radius for r in active], dtype=float)
 
 
-def is_valid_candidate(
-    x: np.ndarray,
-    instance_index: int,
-    regions: list[TabuRegion],
-    distance: Callable[[np.ndarray, np.ndarray], float] | None = None,
-) -> bool:
+def _clear_of(x: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> bool:
+    """True iff ``x`` is at least ``radii[j]`` from every ``centers[j]``."""
+    if not len(radii):
+        return True
+    return bool((distances(centers, x) >= radii).all())
+
+
+def is_valid_candidate(x: np.ndarray, instance_index: int, regions: list[TabuRegion]) -> bool:
     """True iff ``x`` avoids every active region owned by an earlier instance.
 
     Boundary points count as valid: distance exactly ``radius`` passes.
     Instance 0 is never constrained.
     """
-    return _clear_of(x, [r for r in regions if r.owner < instance_index], distance)
+    earlier = [r for r in regions if r.owner < instance_index]
+    return _clear_of(x, *_tabu_arrays(earlier, len(x)))
 
 
 def init_diverse_means(
@@ -190,7 +189,6 @@ def init_diverse_means(
     d_min: float,
     rng: np.random.Generator,
     rejection_cap: int = 100_000,
-    distance: Callable[[np.ndarray, np.ndarray], float] | None = None,
 ) -> list[np.ndarray]:
     """Sample k uniform points pairwise at least ``d_min`` apart.
 
@@ -202,12 +200,12 @@ def init_diverse_means(
         raise InfeasibleInitialization(
             f"d_min={d_min} exceeds the box diameter {box.diameter:.6g}"
         )
-    dist = distance or _euclidean
     means: list[np.ndarray] = []
     for _ in range(k):
+        accepted = np.array(means).reshape(len(means), box.dimension)
         for draws in range(rejection_cap):
             x = box.sample_uniform(rng)
-            if all(dist(x, m) >= d_min for m in means):
+            if (distances(accepted, x) >= d_min).all():
                 means.append(x)
                 break
         else:
@@ -299,9 +297,7 @@ def run_ds(
     stop_counter = 0
 
     def spawn_epoch(epoch_index: int) -> list[CascadeInstance]:
-        means = init_diverse_means(
-            k, box, d_min, init_rng, config.init_rejection_cap, config.distance
-        )
+        means = init_diverse_means(k, box, d_min, init_rng, config.init_rejection_cap)
         log.epoch_starts.append((epoch_index, generation, [m.copy() for m in means]))
         fresh = []
         for i in range(k):
@@ -333,7 +329,8 @@ def run_ds(
             if evals >= budget:
                 break
             if not inst.stopped:
-                preceding = [order[q].region for q in range(pos)]
+                # earlier regions hold still while this instance samples
+                centers, radii = _tabu_arrays([order[q].region for q in range(pos)], dim)
                 accepted: list[EvaluatedPoint] = []
                 rejections = 0
                 out_of_budget = False
@@ -344,7 +341,7 @@ def run_ds(
                     if rejections >= cand_cap:
                         break
                     x = ask_one(inst.state, box)
-                    if _clear_of(x, preceding, config.distance):
+                    if _clear_of(x, centers, radii):
                         value = fn.evaluate(x)
                         point = EvaluatedPoint(
                             x=x, f=value, eval_index=evals, instance_id=inst.index

@@ -96,18 +96,17 @@ class ExperimentConfig:
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
-    """(leader_loss, batch_losses, cum_avg, ranked_losses) for a batch.
+    """(leader_loss, batch_losses, cum_avg) for a batch.
 
     ``batch_losses`` are sorted ascending; ``cum_avg[i]`` averages the
-    best i+1 of them; ``ranked_losses`` is the same sorted list, exposed
-    for rank-indexed reporting.
+    best i+1 of them.
     """
     if not batch.points:
         raise EmptyBatch("cannot compute metrics for an empty batch")
     losses = sorted(fn.loss(p.f) for p in batch.points)
     leader_loss = fn.loss(batch.points[0].f)
     cum_avg = [float(v) for v in np.cumsum(losses) / np.arange(1, len(losses) + 1)]
-    return leader_loss, losses, cum_avg, list(losses)
+    return leader_loss, losses, cum_avg
 
 
 def _generate(algorithm: str, fn: ObjectiveFunction, cfg: ExperimentConfig, seed: int) -> Trajectory:
@@ -164,7 +163,7 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
     batch = SELECTORS[cfg.method](trajectory, cfg.k, cfg.d_min)
     select_cpu_seconds = time.process_time() - start
 
-    leader_loss, batch_losses, cum_avg, _ = compute_metrics(batch, fn)
+    leader_loss, batch_losses, cum_avg = compute_metrics(batch, fn)
     record = RunRecord(
         **base,
         complete=batch.complete,

@@ -9,6 +9,10 @@ Three selectors with increasing cost: ``clearing_select`` (one greedy
 sweep), ``greedy_select`` (swap repair over an ascending distance
 schedule), and ``exact_select`` (branch and bound over fitness-sorted
 subsets, provably optimal within its caps).
+
+All distances are Euclidean, computed by ``boxes.distances``, so every
+selector and ``verify_batch`` agree on which pairs are feasible, down to
+the last bit at exactly ``d_min``.  Custom metrics are not supported.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .boxes import distances
 from .trajectory import EvaluatedPoint, Trajectory
 
 __all__ = [
@@ -33,8 +38,6 @@ __all__ = [
     "verify_batch",
     "write_batch",
 ]
-
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 
 
 class EmptyPortfolio(ValueError):
@@ -70,25 +73,7 @@ def _sorted_by_fitness(points: Sequence[EvaluatedPoint]) -> list[EvaluatedPoint]
     return sorted(points, key=lambda p: (p.f, p.eval_index))
 
 
-def _row_distances(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = xs - y
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
-def _distances_to(
-    xs: np.ndarray, y: np.ndarray, distance: DistanceFn | None
-) -> np.ndarray:
-    if distance is None:
-        return _row_distances(xs, y)
-    return np.asarray([distance(x, y) for x in xs])
-
-
-def clearing_select(
-    portfolio,
-    k: int,
-    d_min: float,
-    distance: DistanceFn | None = None,
-) -> Batch:
+def clearing_select(portfolio, k: int, d_min: float) -> Batch:
     """Pick the best point, clear everything strictly closer than d_min, repeat.
 
     Runs until k points are picked or the portfolio is exhausted; in the
@@ -101,8 +86,7 @@ def clearing_select(
     while len(picked) < k and alive.any():
         i = int(np.argmax(alive))
         picked.append(pts[i])
-        dists = _distances_to(xs[alive], xs[i], distance)
-        keep = dists >= d_min
+        keep = distances(xs[alive], xs[i]) >= d_min
         alive[np.flatnonzero(alive)] = keep
         alive[i] = False
     return Batch(
@@ -114,29 +98,15 @@ def clearing_select(
     )
 
 
-def _pair_distance(a: np.ndarray, b: np.ndarray, distance: DistanceFn | None) -> float:
-    if distance is None:
-        return float(np.linalg.norm(a - b))
-    return float(distance(a, b))
-
-
-def _drop_offenders(
-    pts: list[EvaluatedPoint],
-    members: list[int],
-    d_min: float,
-    distance: DistanceFn | None,
-) -> list[int]:
+def _drop_offenders(xs: np.ndarray, members: list[int], d_min: float) -> list[int]:
     """Remove non-leader members with the most d_min violations until feasible."""
     members = list(members)
     while True:
-        counts = {m: 0 for m in members}
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                if _pair_distance(pts[a].x, pts[b].x, distance) < d_min:
-                    counts[a] += 1
-                    counts[b] += 1
-        offenders = [m for m in members if counts[m] > 0 and m != members[0]]
+        sub = xs[members]
+        close = distances(sub[:, None], sub[None]) < d_min
+        np.fill_diagonal(close, False)
+        counts = dict(zip(members, close.sum(axis=1)))
+        offenders = [m for m in members[1:] if counts[m]]
         if not offenders:
             return members
         # most violations first; ties drop the worse point (higher index)
@@ -149,7 +119,6 @@ def greedy_select(
     k: int,
     d_min: float,
     schedule_steps: int = 10,
-    distance: DistanceFn | None = None,
 ) -> Batch:
     """Repair the k best points into a feasible batch by swapping.
 
@@ -161,6 +130,7 @@ def greedy_select(
     reduced to a feasible subset and returned incomplete.
     """
     pts = _sorted_by_fitness(_portfolio_points(portfolio))
+    xs = np.asarray([p.x for p in pts])
     n = len(pts)
 
     def build(members: list[int], complete: bool) -> Batch:
@@ -173,36 +143,34 @@ def greedy_select(
         )
 
     if n < k:
-        reduced = _drop_offenders(pts, list(range(n)), d_min, distance)
+        reduced = _drop_offenders(xs, list(range(n)), d_min)
         return build(reduced, False)
 
     members = list(range(k))
 
-    def dist(a: int, b: int) -> float:
-        return _pair_distance(pts[a].x, pts[b].x, distance)
-
     def replacement(kept: list[int], threshold: float) -> int | None:
-        used = set(kept)
-        for c in range(n):
-            if c in used:
-                continue
-            if all(dist(c, m) >= threshold for m in kept):
-                return c
-        return None
+        """Best unused point at least ``threshold`` from every kept member."""
+        fits = np.ones(n, dtype=bool)
+        for m in kept:
+            fits &= distances(xs, xs[m]) >= threshold
+        fits[kept] = False
+        return int(np.argmax(fits)) if fits.any() else None
 
     for step in range(1, schedule_steps + 1):
         threshold = d_min if step == schedule_steps else d_min * step / schedule_steps
         while True:
+            sub = xs[members]
+            dist = distances(sub[:, None], sub[None])
             violating = [
-                (dist(a, b), a, b)
+                (dist[i, j], min(a, b), max(a, b))
                 for i, a in enumerate(members)
-                for b in members[i + 1 :]
-                if dist(a, b) < threshold
+                for j, b in enumerate(members[i + 1 :], i + 1)
+                if dist[i, j] < threshold
             ]
             if not violating:
                 break
-            _, a, b = min(violating, key=lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2])))
-            better, worse = (a, b) if a < b else (b, a)
+            # the closest pair first; ties go to the pair with the fitter members
+            _, better, worse = min(violating)
             kept = [m for m in members if m != worse]
             swap_in = replacement(kept, threshold)
             if swap_in is not None:
@@ -215,22 +183,19 @@ def greedy_select(
                 if swap_in is not None:
                     members = kept + [swap_in]
                     continue
-            reduced = _drop_offenders(pts, sorted(members), d_min, distance)
+            reduced = _drop_offenders(xs, sorted(members), d_min)
             return build(reduced, False)
 
     # schedule ended at threshold == d_min, so members are feasible by now
-    feasible = _drop_offenders(pts, sorted(members), d_min, distance)
+    feasible = _drop_offenders(xs, sorted(members), d_min)
     return build(feasible, len(feasible) == k)
 
 
-def _compat_masks(
-    pts: list[EvaluatedPoint], d_min: float, distance: DistanceFn | None
-) -> list[int]:
-    n = len(pts)
+def _compat_masks(pts: list[EvaluatedPoint], d_min: float) -> list[int]:
     xs = np.asarray([p.x for p in pts])
     masks = []
-    for i in range(n):
-        ok = _distances_to(xs, xs[i], distance) >= d_min
+    for i, x in enumerate(xs):
+        ok = distances(xs, x) >= d_min
         ok[i] = False
         packed = np.packbits(ok.astype(np.uint8), bitorder="little").tobytes()
         masks.append(int.from_bytes(packed, "little"))
@@ -254,7 +219,6 @@ def exact_select(
     d_min: float,
     node_cap: int = 10_000_000,
     time_cap: float = 60.0,
-    distance: DistanceFn | None = None,
 ) -> Batch:
     """Optimal batch by branch and bound, subject to node and time caps.
 
@@ -268,10 +232,10 @@ def exact_select(
     pts = _sorted_by_fitness(_portfolio_points(portfolio))
     n = len(pts)
     fs = np.asarray([p.f for p in pts])
-    masks = _compat_masks(pts, d_min, distance)
+    masks = _compat_masks(pts, d_min)
     index_of = {p.eval_index: i for i, p in enumerate(pts)}
 
-    clearing = clearing_select(pts, k, d_min, distance)
+    clearing = clearing_select(pts, k, d_min)
     clearing_members = sorted(index_of[p.eval_index] for p in clearing.points)
 
     deadline = time.perf_counter() + time_cap
@@ -342,14 +306,14 @@ def exact_select(
     )
 
 
-def verify_batch(batch: Batch, d_min: float, portfolio=None, distance: DistanceFn | None = None) -> bool:
+def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
     """Check pairwise feasibility (closed inequality) and, given the source
     portfolio, the leader rule."""
     pts = batch.points
+    xs = np.asarray([p.x for p in pts])
     for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _pair_distance(pts[i].x, pts[j].x, distance) < d_min:
-                return False
+        if np.any(distances(xs[i + 1 :], xs[i]) < d_min):
+            return False
     if portfolio is not None and pts:
         source = _sorted_by_fitness(_portfolio_points(portfolio))
         if pts[0].eval_index != source[0].eval_index:

@@ -64,11 +64,10 @@ def record(function_id, algorithm, seed, batch_losses, complete=True):
 def test_metrics_hand_example():
     fn = make_function("sphere", 2, 0)
     batch = small_batch([fn.f_opt + 1, fn.f_opt + 2, fn.f_opt + 3])
-    leader, losses, cum_avg, ranked = compute_metrics(batch, fn)
+    leader, losses, cum_avg = compute_metrics(batch, fn)
     assert leader == pytest.approx(1.0)
     assert losses == pytest.approx([1.0, 2.0, 3.0])
     assert cum_avg == pytest.approx([1.0, 1.5, 2.0])
-    assert ranked == losses
 
 
 def test_metrics_leader_is_first_point_not_best():
@@ -76,14 +75,14 @@ def test_metrics_leader_is_first_point_not_best():
     # another member happens to score better
     fn = make_function("sphere", 2, 0)
     batch = small_batch([fn.f_opt + 5, fn.f_opt + 1], leader_index=0)
-    leader, losses, _, _ = compute_metrics(batch, fn)
+    leader, losses, _ = compute_metrics(batch, fn)
     assert leader == pytest.approx(5.0)
     assert losses == pytest.approx([1.0, 5.0])
 
 
 def test_metrics_single_point():
     fn = make_function("sphere", 2, 0)
-    leader, losses, cum_avg, _ = compute_metrics(small_batch([fn.f_opt + 4]), fn)
+    leader, losses, cum_avg = compute_metrics(small_batch([fn.f_opt + 4]), fn)
     assert (leader, losses, cum_avg) == (pytest.approx(4.0), pytest.approx([4.0]), pytest.approx([4.0]))
 
 
@@ -92,7 +91,7 @@ def test_metrics_cum_avg_is_nondecreasing():
     rng = np.random.default_rng(0)
     for _ in range(20):
         fs = fn.f_opt + rng.uniform(0, 50, size=rng.integers(1, 8))
-        _, _, cum_avg, _ = compute_metrics(small_batch(fs), fn)
+        _, _, cum_avg = compute_metrics(small_batch(fs), fn)
         assert all(a <= b + 1e-12 for a, b in zip(cum_avg, cum_avg[1:]))
 
 

@@ -10,13 +10,16 @@ import pytest
 from divbatch import (
     EmptyPortfolio,
     EvaluatedPoint,
+    TabuRegion,
     batch_to_dict,
     clearing_select,
     exact_select,
     greedy_select,
+    is_valid_candidate,
     verify_batch,
     write_batch,
 )
+from divbatch.boxes import distances
 from selection_checks import enumerate_best, random_instance
 
 
@@ -179,17 +182,31 @@ def test_verify_batch_checks_the_leader_against_the_portfolio():
     assert not verify_batch(batch, 1.0, points)
 
 
-def test_custom_distance_is_honored():
-    manhattan = lambda a, b: float(np.sum(np.abs(a - b)))
-    points = [
-        EvaluatedPoint(x=np.array([0.0, 0.0]), f=0.0, eval_index=0, instance_id=0),
-        EvaluatedPoint(x=np.array([0.6, 0.6]), f=1.0, eval_index=1, instance_id=0),
-        EvaluatedPoint(x=np.array([5.0, 5.0]), f=2.0, eval_index=2, instance_id=0),
-    ]
-    # euclidean distance of the second point is ~0.85 < 1, manhattan is 1.2
-    batch = clearing_select(points, 2, 1.0, distance=manhattan)
-    assert [p.eval_index for p in batch.points] == [0, 1]
-    assert verify_batch(batch, 1.0, points, distance=manhattan)
+def boundary_pairs(case):
+    """Pairs (a, b, d_min) whose distance is exactly d_min."""
+    if case == "worked":
+        # np.linalg.norm puts this pair one ulp below d_min
+        a = np.array([-2.013038671810774, 1.7199487795635937])
+        b = np.array([-3.004845560317867, 4.421131105064978])
+        return [(a, b, 2.877510531638623)]
+    rng = np.random.default_rng(case)
+    pairs = rng.uniform(-5, 5, size=(40, 2, case))
+    return [(a, b, float(distances(a, b))) for a, b in pairs]
+
+
+@pytest.mark.parametrize("case", ["worked", 2, 10])
+def test_selectors_verifier_and_filter_agree_at_exactly_d_min(case):
+    for a, b, d_min in boundary_pairs(case):
+        points = [
+            EvaluatedPoint(x=a, f=0.0, eval_index=0, instance_id=0),
+            EvaluatedPoint(x=b, f=1.0, eval_index=1, instance_id=0),
+        ]
+        for select in (clearing_select, greedy_select, exact_select):
+            batch = select(points, 2, d_min)
+            assert batch.complete, (select.__name__, a, b)
+            assert [p.eval_index for p in batch.points] == [0, 1]
+            assert verify_batch(batch, d_min, points), (select.__name__, a, b)
+        assert is_valid_candidate(b, 1, [TabuRegion(center=a, radius=d_min, owner=0)])
 
 
 def test_batch_json_layout(tmp_path):
