@@ -4,10 +4,12 @@
 # selection problem: keep the best point as the leader, then choose up to
 # k - 1 more points that are all pairwise at least d_min apart with the
 # smallest possible sum of objective values.  Three selectors trade
-# effort for quality:
+# effort for quality; greedy and exact are never worse than clearing:
 #
-#   clearing  - one greedy sweep in fitness order, cheap and cheerful
-#   greedy    - iterative repair that tightens the distance requirement
+#   clearing  - one best-first sweep in fitness order, cheap and cheerful
+#   greedy    - repairs the clearing batch: drop one member, worst first,
+#               re-sweep without it, keep the refill if it is larger or
+#               as large with a lower fitness sum, and start over
 #   exact     - branch and bound over subsets, optimal with a certificate
 
 import numpy as np

@@ -29,7 +29,7 @@ import numpy as np
 
 from .boxes import Box, distances
 from .cma import CmaParams, ask_one, init_cma, tell
-from .trajectory import EvaluatedPoint, Trajectory
+from .trajectory import EvaluatedPoint, Trajectory, fitness_key
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -77,18 +77,14 @@ class DsConfig:
     """Configuration for one diversity-search run.
 
     ``budget`` is the total number of objective evaluations; candidates
-    rejected by the cascade do not count against it.  When
-    ``candidate_rejection_cap`` is None it defaults to 100 * lambda draws
-    per instance per generation.
+    rejected by the cascade do not count against it.  An instance that
+    draws 100 * lambda rejected candidates in one generation stalls.
     """
 
     k: int
     d_min: float
     budget: int
     center_strategy: str = CENTER_POPULATION_BEST
-    reorder_on_convergence: bool = False
-    init_rejection_cap: int = 100_000
-    candidate_rejection_cap: int | None = None
     seed: int = 0
 
     def snapshot(self) -> dict:
@@ -97,9 +93,6 @@ class DsConfig:
             "d_min": self.d_min,
             "budget": self.budget,
             "center_strategy": self.center_strategy,
-            "reorder_on_convergence": self.reorder_on_convergence,
-            "init_rejection_cap": self.init_rejection_cap,
-            "candidate_rejection_cap": self.candidate_rejection_cap,
             "seed": self.seed,
         }
 
@@ -114,7 +107,6 @@ class CascadeInstance:
     best_point: EvaluatedPoint | None = None
     stopped: bool = False
     stop_cause: str | None = None
-    stopped_at: int | None = None
 
 
 @dataclass
@@ -230,30 +222,20 @@ def update_tabu_center(
     if strategy == CENTER_POPULATION_BEST:
         if not population:
             raise NoPopulation("population_best needs a non-empty population")
-        best = min(population, key=lambda p: (p.f, p.eval_index))
+        best = min(population, key=fitness_key)
         instance.region.center = best.x.copy()
     elif strategy == CENTER_BEST_SO_FAR:
         best = instance.best_point
         if best is None:
             if not population:
                 raise NoPopulation("instance has not evaluated any point yet")
-            best = min(population, key=lambda p: (p.f, p.eval_index))
+            best = min(population, key=fitness_key)
         instance.region.center = best.x.copy()
     elif strategy == CENTER_DISTRIBUTION_MEAN:
         instance.region.center = np.array(instance.state.mean, copy=True)
     else:
         raise ValueError(f"unknown center strategy {strategy!r}")
     return instance.region
-
-
-def _cascade_order(instances: list[CascadeInstance], reorder: bool) -> list[CascadeInstance]:
-    if not reorder:
-        return list(instances)
-    stopped = sorted(
-        (inst for inst in instances if inst.stopped), key=lambda inst: inst.stopped_at
-    )
-    running = [inst for inst in instances if not inst.stopped]
-    return stopped + running
 
 
 def run_ds(
@@ -274,9 +256,6 @@ def run_ds(
     params = CmaParams.defaults(dim)
     lam, mu = params.lambda_, params.mu
     k, d_min, budget = config.k, config.d_min, config.budget
-    cand_cap = config.candidate_rejection_cap
-    if cand_cap is None:
-        cand_cap = 100 * lam
     if budget < k * lam:
         warnings.warn(
             f"budget {budget} is below one full round (k*lambda = {k * lam}); "
@@ -294,10 +273,9 @@ def run_ds(
     evals = 0
     generation = 0
     epoch = 0
-    stop_counter = 0
 
     def spawn_epoch(epoch_index: int) -> list[CascadeInstance]:
-        means = init_diverse_means(k, box, d_min, init_rng, config.init_rejection_cap)
+        means = init_diverse_means(k, box, d_min, init_rng)
         log.epoch_starts.append((epoch_index, generation, [m.copy() for m in means]))
         fresh = []
         for i in range(k):
@@ -307,11 +285,8 @@ def run_ds(
         return fresh
 
     def freeze(inst: CascadeInstance, cause: str) -> None:
-        nonlocal stop_counter
         inst.stopped = True
         inst.stop_cause = cause
-        inst.stopped_at = stop_counter
-        stop_counter += 1
         if inst.best_point is not None:
             inst.region.center = inst.best_point.x.copy()
 
@@ -324,13 +299,12 @@ def run_ds(
                 inst.region.active = False
             epoch += 1
             instances = spawn_epoch(epoch)
-        order = _cascade_order(instances, config.reorder_on_convergence)
-        for pos, inst in enumerate(order):
+        for pos, inst in enumerate(instances):
             if evals >= budget:
                 break
             if not inst.stopped:
                 # earlier regions hold still while this instance samples
-                centers, radii = _tabu_arrays([order[q].region for q in range(pos)], dim)
+                centers, radii = _tabu_arrays([prev.region for prev in instances[:pos]], dim)
                 accepted: list[EvaluatedPoint] = []
                 rejections = 0
                 out_of_budget = False
@@ -338,7 +312,7 @@ def run_ds(
                     if evals >= budget:
                         out_of_budget = True
                         break
-                    if rejections >= cand_cap:
+                    if rejections >= 100 * lam:
                         break
                     x = ask_one(inst.state, box)
                     if _clear_of(x, centers, radii):
@@ -350,9 +324,8 @@ def run_ds(
                         points.append(point)
                         accepted.append(point)
                         log.point_generation[point.eval_index] = (epoch, generation)
-                        if inst.best_point is None or (point.f, point.eval_index) < (
-                            inst.best_point.f,
-                            inst.best_point.eval_index,
+                        if inst.best_point is None or fitness_key(point) < fitness_key(
+                            inst.best_point
                         ):
                             inst.best_point = point
                     else:

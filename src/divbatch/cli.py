@@ -55,7 +55,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     records = run_experiment(cfg)
     for r in records:
-        status = "complete" if r.complete else "FAILED"
+        status = "FAILED" if r.error else "complete" if r.complete else "incomplete"
         print(
             f"{r.function_id} {r.algorithm} seed={r.seed} {status} "
             f"leader_loss={r.leader_loss:.6g} batch_avg={r.batch_average():.6g}"

@@ -1,9 +1,11 @@
 """Experiment grid runner, metrics, and result tables.
 
 A cell of the grid is (function, algorithm, seed): generate a portfolio,
-select a batch, compute loss metrics, and record the outcome.  Failures
-(incomplete batches or errors) are recorded, never fatal.  Portfolio
-generation and batch selection are timed separately with process CPU time.
+select a batch, compute loss metrics, and record the outcome.  A cell
+whose generation raised is recorded with ``error`` set, never fatal; an
+incomplete batch is not an error and only has ``complete`` false.
+Portfolio generation and batch selection are timed separately with
+process CPU time.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class RunRecord:
     d_min: float
     method: str
     complete: bool
-    failure: bool
+    error: bool
     leader_loss: float
     batch_losses: list[float]
     cum_avg: list[float]
@@ -149,7 +151,7 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
         record = RunRecord(
             **base,
             complete=False,
-            failure=True,
+            error=True,
             leader_loss=float("nan"),
             batch_losses=[],
             cum_avg=[],
@@ -167,7 +169,7 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
     record = RunRecord(
         **base,
         complete=batch.complete,
-        failure=not batch.complete,
+        error=False,
         leader_loss=leader_loss,
         batch_losses=batch_losses,
         cum_avg=cum_avg,
@@ -283,7 +285,7 @@ _RECORD_COLUMNS = [
     "d_min",
     "method",
     "complete",
-    "failure",
+    "error",
     "leader_loss",
     "batch_losses",
     "cum_avg",

@@ -2,13 +2,17 @@
 
 Given every point an optimizer evaluated, pick k of them that are pairwise
 at least ``d_min`` apart with fitness values as low as possible.  The
-batch leader is always the portfolio's best point; feasibility uses the
-closed inequality, so a pair at exactly ``d_min`` is valid.
+batch leader is always the portfolio's best point; points are ranked by
+``trajectory.fitness_key``, so a NaN fitness ranks last and never leads.
+Feasibility uses the closed inequality, so a pair at exactly ``d_min`` is
+valid.
 
-Three selectors with increasing cost: ``clearing_select`` (one greedy
-sweep), ``greedy_select`` (swap repair over an ascending distance
-schedule), and ``exact_select`` (branch and bound over fitness-sorted
-subsets, provably optimal within its caps).
+Three selectors with increasing cost: ``clearing_select`` (one
+best-first sweep), ``greedy_select`` (repairs the clearing batch by
+dropping one member and re-sweeping; it is never smaller than the
+clearing batch and, at equal size, never has a higher fitness sum), and
+``exact_select`` (branch and bound over fitness-sorted subsets from the
+clearing incumbent, provably optimal within its caps).
 
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
@@ -19,14 +23,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .boxes import distances
-from .trajectory import EvaluatedPoint, Trajectory
+from .trajectory import EvaluatedPoint, Trajectory, fitness_key
 
 __all__ = [
     "Batch",
@@ -70,7 +74,44 @@ def _portfolio_points(portfolio) -> list[EvaluatedPoint]:
 
 
 def _sorted_by_fitness(points: Sequence[EvaluatedPoint]) -> list[EvaluatedPoint]:
-    return sorted(points, key=lambda p: (p.f, p.eval_index))
+    return sorted(points, key=fitness_key)
+
+
+def _sweep(
+    xs: np.ndarray, picked: list[int], k: int, d_min: float, banned: int | None = None
+) -> list[int]:
+    """Extend ``picked`` best-first to at most k feasible members.
+
+    ``xs`` holds the fitness-sorted points.  Everything strictly closer
+    than ``d_min`` to a picked point is cleared, as is ``banned``; the best
+    remaining point is picked next, until k are picked or none is left.
+    """
+    alive = np.ones(len(xs), dtype=bool)
+    for i in picked:
+        alive &= distances(xs, xs[i]) >= d_min
+    alive[picked] = False
+    if banned is not None:
+        alive[banned] = False
+    picked = list(picked)
+    while len(picked) < k and alive.any():
+        i = int(np.argmax(alive))
+        picked.append(i)
+        keep = distances(xs[alive], xs[i]) >= d_min
+        alive[np.flatnonzero(alive)] = keep
+        alive[i] = False
+    return picked
+
+
+def _batch(
+    pts: list[EvaluatedPoint], members: list[int], k: int, d_min: float, method: str
+) -> Batch:
+    return Batch(
+        points=[pts[i] for i in members],
+        k_requested=k,
+        d_min=d_min,
+        method=method,
+        complete=len(members) == k,
+    )
 
 
 def clearing_select(portfolio, k: int, d_min: float) -> Batch:
@@ -81,114 +122,38 @@ def clearing_select(portfolio, k: int, d_min: float) -> Batch:
     """
     pts = _sorted_by_fitness(_portfolio_points(portfolio))
     xs = np.asarray([p.x for p in pts])
-    alive = np.ones(len(pts), dtype=bool)
-    picked: list[EvaluatedPoint] = []
-    while len(picked) < k and alive.any():
-        i = int(np.argmax(alive))
-        picked.append(pts[i])
-        keep = distances(xs[alive], xs[i]) >= d_min
-        alive[np.flatnonzero(alive)] = keep
-        alive[i] = False
-    return Batch(
-        points=picked,
-        k_requested=k,
-        d_min=d_min,
-        method="clearing",
-        complete=len(picked) == k,
-    )
+    return _batch(pts, _sweep(xs, [], k, d_min), k, d_min, "clearing")
 
 
-def _drop_offenders(xs: np.ndarray, members: list[int], d_min: float) -> list[int]:
-    """Remove non-leader members with the most d_min violations until feasible."""
-    members = list(members)
-    while True:
-        sub = xs[members]
-        close = distances(sub[:, None], sub[None]) < d_min
-        np.fill_diagonal(close, False)
-        counts = dict(zip(members, close.sum(axis=1)))
-        offenders = [m for m in members[1:] if counts[m]]
-        if not offenders:
-            return members
-        # most violations first; ties drop the worse point (higher index)
-        worst = max(offenders, key=lambda m: (counts[m], m))
-        members.remove(worst)
+def greedy_select(portfolio, k: int, d_min: float) -> Batch:
+    """Repair the clearing batch by dropping one member and refilling.
 
-
-def greedy_select(
-    portfolio,
-    k: int,
-    d_min: float,
-    schedule_steps: int = 10,
-) -> Batch:
-    """Repair the k best points into a feasible batch by swapping.
-
-    The distance requirement is tightened over an ascending schedule of
-    thresholds ending exactly at ``d_min``.  At each threshold the closest
-    violating pair is resolved by replacing one of its members (preferring
-    to keep the fitter one; the leader is never evicted) with the best
-    unused point that fits.  If no repair exists, the current members are
-    reduced to a feasible subset and returned incomplete.
+    Starting from the clearing picks, each non-leader member is dropped in
+    turn, worst first, and the gap is refilled by a clearing sweep that
+    skips the dropped point.  The first refill that is larger, or as large
+    with a lower fitness sum, replaces the batch and the loop starts over.
+    The result is never smaller than the clearing batch and, at equal
+    size, never has a higher fitness sum.
     """
     pts = _sorted_by_fitness(_portfolio_points(portfolio))
     xs = np.asarray([p.x for p in pts])
-    n = len(pts)
+    # NaN counts as +inf, so a batch with a NaN member still compares
+    fs = [fitness_key(p)[0] for p in pts]
 
-    def build(members: list[int], complete: bool) -> Batch:
-        return Batch(
-            points=[pts[m] for m in sorted(members)],
-            k_requested=k,
-            d_min=d_min,
-            method="greedy",
-            complete=complete,
-        )
+    def rank(members: list[int]) -> tuple[int, float]:
+        return -len(members), sum(fs[i] for i in members)
 
-    if n < k:
-        reduced = _drop_offenders(xs, list(range(n)), d_min)
-        return build(reduced, False)
-
-    members = list(range(k))
-
-    def replacement(kept: list[int], threshold: float) -> int | None:
-        """Best unused point at least ``threshold`` from every kept member."""
-        fits = np.ones(n, dtype=bool)
-        for m in kept:
-            fits &= distances(xs, xs[m]) >= threshold
-        fits[kept] = False
-        return int(np.argmax(fits)) if fits.any() else None
-
-    for step in range(1, schedule_steps + 1):
-        threshold = d_min if step == schedule_steps else d_min * step / schedule_steps
-        while True:
-            sub = xs[members]
-            dist = distances(sub[:, None], sub[None])
-            violating = [
-                (dist[i, j], min(a, b), max(a, b))
-                for i, a in enumerate(members)
-                for j, b in enumerate(members[i + 1 :], i + 1)
-                if dist[i, j] < threshold
-            ]
-            if not violating:
+    members = _sweep(xs, [], k, d_min)
+    improved = True
+    while improved:
+        improved = False
+        for drop in reversed(members[1:]):
+            kept = [i for i in members if i != drop]
+            refill = sorted(_sweep(xs, kept, k, d_min, banned=drop))
+            if rank(refill) < rank(members):
+                members, improved = refill, True
                 break
-            # the closest pair first; ties go to the pair with the fitter members
-            _, better, worse = min(violating)
-            kept = [m for m in members if m != worse]
-            swap_in = replacement(kept, threshold)
-            if swap_in is not None:
-                members = kept + [swap_in]
-                continue
-            if better != members[0]:
-                # no point fits next to the better member; try evicting it instead
-                kept = [m for m in members if m != better]
-                swap_in = replacement(kept, threshold)
-                if swap_in is not None:
-                    members = kept + [swap_in]
-                    continue
-            reduced = _drop_offenders(xs, sorted(members), d_min)
-            return build(reduced, False)
-
-    # schedule ended at threshold == d_min, so members are feasible by now
-    feasible = _drop_offenders(xs, sorted(members), d_min)
-    return build(feasible, len(feasible) == k)
+    return _batch(pts, members, k, d_min, "greedy")
 
 
 def _compat_masks(pts: list[EvaluatedPoint], d_min: float) -> list[int]:
@@ -233,10 +198,7 @@ def exact_select(
     n = len(pts)
     fs = np.asarray([p.f for p in pts])
     masks = _compat_masks(pts, d_min)
-    index_of = {p.eval_index: i for i, p in enumerate(pts)}
-
-    clearing = clearing_select(pts, k, d_min)
-    clearing_members = sorted(index_of[p.eval_index] for p in clearing.points)
+    clearing_members = _sweep(np.asarray([p.x for p in pts]), [], k, d_min)
 
     deadline = time.perf_counter() + time_cap
     nodes = 0

@@ -10,6 +10,7 @@ round-trip form, so write/read is lossless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ __all__ = [
     "EvaluatedPoint",
     "ParseError",
     "Trajectory",
+    "fitness_key",
     "read_trajectory",
     "write_trajectory",
 ]
@@ -46,6 +48,11 @@ class EvaluatedPoint:
         )
 
 
+def fitness_key(p: EvaluatedPoint) -> tuple[float, int]:
+    """Total order on points: lower f first, NaN ranked as +inf, then eval_index."""
+    return (math.inf if math.isnan(p.f) else p.f, p.eval_index)
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Ordered evaluation history of a single run."""
@@ -70,10 +77,10 @@ class Trajectory:
         return np.asarray([p.f for p in self.points])
 
     def best(self) -> EvaluatedPoint:
-        """Lowest-f point; earliest eval_index wins ties."""
+        """Lowest-f point by ``fitness_key``: NaN ranks last, earliest eval_index wins ties."""
         if not self.points:
             raise ValueError("empty trajectory has no best point")
-        return min(self.points, key=lambda p: (p.f, p.eval_index))
+        return min(self.points, key=fitness_key)
 
 
 def _header(dimension: int) -> str:

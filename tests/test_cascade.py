@@ -283,15 +283,6 @@ def test_center_strategies_change_the_search():
     assert a != b
 
 
-def test_reorder_flag_still_spends_the_budget_deterministically():
-    fn_a, fn_b = FlatFunction(), FlatFunction()
-    cfg = DsConfig(k=3, d_min=1.0, budget=90, seed=7, reorder_on_convergence=True)
-    a = run_ds(cfg, fn_a)
-    b = run_ds(cfg, fn_b)
-    assert a == b
-    assert len(a) == 90
-
-
 def test_region_log_csv_layout(tmp_path):
     fn = make_function("sphere", 2, 0)
     _, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn, return_log=True)

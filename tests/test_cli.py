@@ -43,7 +43,7 @@ def test_run_writes_artifacts(tmp_path, capsys):
 def test_run_ds_smoke(tmp_path, capsys):
     argv = run_args(tmp_path / "out", **{"--algo": "ds", "--budget": "80", "--runs": "1"})
     assert main(argv) == 0
-    assert "complete" in capsys.readouterr().out
+    assert " complete " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -67,6 +67,16 @@ def test_run_with_failed_cell_still_exits_zero(tmp_path, capsys):
     with pytest.warns(UserWarning):
         assert main(argv) == 0
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_run_reports_a_short_batch_as_incomplete_not_failed(tmp_path, capsys):
+    # no three points of [-5, 5]^2 are pairwise 12 apart
+    argv = run_args(tmp_path / "out", **{"--k": "3", "--dmin": "12.0", "--runs": "1"})
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "incomplete" in out and "FAILED" not in out
+    record = json.loads((tmp_path / "out" / "records" / "sphere__random__s0.json").read_text())
+    assert record["complete"] is False and record["error"] is False
 
 
 def test_select_round_trip(tmp_path, capsys):

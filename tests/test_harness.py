@@ -52,7 +52,7 @@ def record(function_id, algorithm, seed, batch_losses, complete=True):
         d_min=1.0,
         method="clearing",
         complete=complete,
-        failure=not complete,
+        error=False,
         leader_loss=losses[0] if losses else float("nan"),
         batch_losses=losses,
         cum_avg=cum,
@@ -157,7 +157,7 @@ def test_grid_shape_and_record_stamps():
     assert len(cells) == 8
     for r in records:
         assert r.dimension == 2 and r.budget == 80 and r.k == 2
-        assert not r.failure
+        assert not r.error
         assert len(r.batch_losses) == 2 and len(r.cum_avg) == 2
         assert r.leader_loss >= 0 and r.cpu_seconds >= 0 and r.select_cpu_seconds >= 0
 
@@ -180,7 +180,7 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
     with pytest.warns(UserWarning, match="sphere/ds"):
         records = run_experiment(cfg)
     by_algo = {r.algorithm: r for r in records}
-    assert by_algo["ds"].failure and not by_algo["ds"].complete
+    assert by_algo["ds"].error and not by_algo["ds"].complete
     assert math.isnan(by_algo["ds"].leader_loss) and by_algo["ds"].batch_losses == []
     # the random cell still selects a (possibly incomplete) batch
     assert not math.isnan(by_algo["random"].leader_loss)
@@ -219,6 +219,8 @@ def test_records_csv_layout(tmp_path):
     row = lines[1].split(",")
     assert row[:3] == ["sphere", "ds", "0"]
     assert row[header.index("complete")] == "1"
+    assert row[header.index("error")] == "0"
+    assert "failure" not in header
     assert row[header.index("batch_losses")] == "1.0;2.5"
 
 

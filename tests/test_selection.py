@@ -11,6 +11,7 @@ from divbatch import (
     EmptyPortfolio,
     EvaluatedPoint,
     TabuRegion,
+    Trajectory,
     batch_to_dict,
     clearing_select,
     exact_select,
@@ -101,6 +102,16 @@ def test_leader_ties_break_by_eval_index():
         assert select(points, 2, 1.0).points[0].eval_index == 1
 
 
+def test_nan_fitness_never_leads():
+    # (f, eval_index) tuples holding NaN are no total order and would let point 0 lead
+    points = [pt(0.0, float("nan"), 0), pt(3.0, 2.0, 1), pt(6.0, 1.0, 2), pt(9.0, float("nan"), 3)]
+    assert Trajectory(points=points).best().eval_index == 2
+    for select in (clearing_select, greedy_select, exact_select):
+        batch = select(points, 3, 1.0)
+        assert [p.eval_index for p in batch.points][:2] == [2, 1], select.__name__
+        assert verify_batch(batch, 1.0, points)
+
+
 def clearing_oracle(points, k, d_min):
     pool = sorted(points, key=lambda p: (p.f, p.eval_index))
     picked = []
@@ -141,6 +152,11 @@ def test_exact_matches_enumeration_and_dominates(seed):
         assert verify_batch(batch, d_min, points)
         if batch.complete and exact.complete:
             assert batch.fitness_sum() >= exact.fitness_sum() - 1e-9
+
+    clearing, greedy = clearing_select(points, k, d_min), greedy_select(points, k, d_min)
+    assert len(greedy) >= len(clearing)
+    if len(greedy) == len(clearing):
+        assert greedy.fitness_sum() <= clearing.fitness_sum()
 
 
 def test_exact_returns_the_largest_feasible_size():
