@@ -3,14 +3,15 @@
 # The diversity search runs k CMA-ES instances at once.  Instance 0
 # optimizes freely; every later instance must keep its samples at least
 # d_min away from the tabu region centers of all earlier instances, and
-# each instance moves its own region to its best point after every
-# generation.  When the whole cascade has stopped before the budget is
-# spent, the finished regions are retired and a fresh epoch starts in the
-# still-uncovered space.
+# each instance moves its own center to its best point after every
+# generation.  Every region is a ball of radius d_min, so a center is all
+# an instance needs.  When the whole cascade has stopped before the budget
+# is spent, the finished instances are retired with their regions and a
+# fresh epoch starts in the still-uncovered space.
 
 import numpy as np
 
-from divbatch import DsConfig, export_plot_data, make_function, run_ds
+from divbatch import DsConfig, make_function, run_ds
 
 fn = make_function("gauss_peaks", dimension=2, seed=0)
 cfg = DsConfig(k=3, d_min=2.0, budget=600, seed=0)
@@ -26,6 +27,7 @@ print("  epochs      :", max(e for e, _, _ in log.epoch_starts) + 1)
 # The log snapshots every instance's region center after every
 # generation, which is what makes the distance discipline replayable.
 
+centers = {(s.generation, s.instance): s.center for s in log.snapshots}
 print("\nregion centers at a quarter and at three quarters of the budget:")
 for fraction in (0.25, 0.75):
     target = fraction * cfg.budget
@@ -35,9 +37,7 @@ for fraction in (0.25, 0.75):
             chosen = g
     print(f"  after ~{int(target)} evals (generation {chosen}):")
     for instance in range(cfg.k):
-        snap = log.center_at(chosen, instance)
-        if snap is not None:
-            print(f"    instance {instance}: center {np.round(snap.center, 3)}")
+        print(f"    instance {instance}: center {np.round(centers[chosen, instance], 3)}")
 
 # ## The distance discipline, checked by hand
 #
@@ -45,7 +45,6 @@ for fraction in (0.25, 0.75):
 # centers the earlier instances had in that generation.
 
 violations = 0
-centers = {(s.generation, s.instance): s.center for s in log.snapshots}
 for p in trajectory.points:
     if p.instance_id <= 0:
         continue
@@ -72,6 +71,7 @@ print("\nper-instance best losses:")
 for instance, p in sorted(by_instance.items()):
     print(f"  instance {instance}: loss {fn.loss(p.f):10.4g} at {np.round(p.x, 3)}")
 
-# the region log can also be exported as a plot-ready CSV
-export_plot_data(log, "cascade_regions.csv", fractions=(0.25, 0.75))
+# the region log can also be written as a plot-ready CSV, one row per
+# instance and generation
+log.write("cascade_regions.csv")
 print("\nregion snapshot table written to cascade_regions.csv")

@@ -23,9 +23,7 @@ from .cascade import (
     InfeasibleInitialization,
     NoPopulation,
     RegionSnapshot,
-    TabuRegion,
     init_diverse_means,
-    is_valid_candidate,
     run_ds,
     update_tabu_center,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "RegionSnapshot",
     "RunRecord",
     "SELECTORS",
-    "TabuRegion",
     "Trajectory",
     "UnknownFunction",
     "ask_one",
@@ -124,7 +121,6 @@ __all__ = [
     "greedy_select",
     "init_cma",
     "init_diverse_means",
-    "is_valid_candidate",
     "make_function",
     "normalize_losses",
     "read_records_dir",

@@ -1,18 +1,19 @@
 """Cascading CMA-ES diversity search.
 
 Runs k CMA-ES instances in synchronized rounds.  Each instance owns a tabu
-region, a ball of radius ``d_min`` around its current best point, and the
-cascade orders the instances: instance i discards any candidate that falls
-inside the region of an instance earlier in the cascade, so instance 0
-searches unconstrained while later instances are pushed away from the
+region, the ball of radius ``d_min`` around its center, and the cascade
+orders the instances: instance i discards any candidate closer than
+``d_min`` to the center of an instance earlier in the cascade, so instance
+0 searches unconstrained while later instances are pushed away from the
 territory already claimed.  Rejected candidates are never evaluated and
 cost no budget; the run always spends exactly the requested number of
 objective evaluations.
 
-When an instance meets a stopping criterion its region freezes at the best
+When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
 has stopped with budget left, the cascade restarts from a fresh set of
-mutually distant means; the old regions are deactivated.
+mutually distant means; the old instances, and their regions with them,
+are retired.
 
 All distances are Euclidean, computed by ``boxes.distances`` and compared
 with the closed inequality: a point exactly ``d_min`` from a center or an
@@ -39,9 +40,7 @@ __all__ = [
     "InfeasibleInitialization",
     "NoPopulation",
     "RegionSnapshot",
-    "TabuRegion",
     "init_diverse_means",
-    "is_valid_candidate",
     "run_ds",
     "update_tabu_center",
 ]
@@ -60,16 +59,6 @@ class InfeasibleInitialization(RuntimeError):
 
 class NoPopulation(ValueError):
     """Center update requested from an empty population."""
-
-
-@dataclass
-class TabuRegion:
-    """Ball of radius ``radius`` around ``center``, owned by one instance."""
-
-    center: np.ndarray
-    radius: float
-    owner: int
-    active: bool = True
 
 
 @dataclass
@@ -99,11 +88,14 @@ class DsConfig:
 
 @dataclass
 class CascadeInstance:
-    """One CMA-ES instance plus its region and bookkeeping."""
+    """One CMA-ES instance plus its tabu center and bookkeeping.
+
+    ``index`` is also the instance's place in the cascade.
+    """
 
     index: int
     state: object
-    region: TabuRegion
+    center: np.ndarray
     best_point: EvaluatedPoint | None = None
     stopped: bool = False
     stop_cause: str | None = None
@@ -115,14 +107,12 @@ class RegionSnapshot:
     epoch: int
     instance: int
     center: np.ndarray
-    active: bool
 
 
 @dataclass
 class CascadeLog:
     """Generation-stamped record of region movement, for replay and plots."""
 
-    budget: int
     dimension: int
     snapshots: list[RegionSnapshot] = field(default_factory=list)
     # eval_index -> (epoch, generation)
@@ -134,45 +124,22 @@ class CascadeLog:
 
     def write(self, path: str | Path) -> None:
         coords = ",".join(f"x{i}" for i in range(self.dimension))
-        lines = [f"generation,instance,{coords},active"]
+        lines = [f"generation,instance,{coords}"]
         for snap in self.snapshots:
             center = ",".join(repr(float(v)) for v in snap.center)
-            lines.append(f"{snap.generation},{snap.instance},{center},{int(snap.active)}")
+            lines.append(f"{snap.generation},{snap.instance},{center}")
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def center_at(self, generation: int, instance: int) -> RegionSnapshot | None:
-        """Latest snapshot of an instance's region at or before a generation."""
-        found = None
-        for snap in self.snapshots:
-            if snap.generation > generation:
-                break
-            if snap.instance == instance:
-                found = snap
-        return found
 
+def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:
+    """True iff ``x`` is at least ``d_min`` from every row of ``centers``.
 
-def _tabu_arrays(regions: list[TabuRegion], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centers, as an (m, dim) array, and radii of the active regions."""
-    active = [r for r in regions if r.active]
-    centers = np.array([r.center for r in active], dtype=float).reshape(len(active), dim)
-    return centers, np.array([r.radius for r in active], dtype=float)
-
-
-def _clear_of(x: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> bool:
-    """True iff ``x`` is at least ``radii[j]`` from every ``centers[j]``."""
-    if not len(radii):
-        return True
-    return bool((distances(centers, x) >= radii).all())
-
-
-def is_valid_candidate(x: np.ndarray, instance_index: int, regions: list[TabuRegion]) -> bool:
-    """True iff ``x`` avoids every active region owned by an earlier instance.
-
-    Boundary points count as valid: distance exactly ``radius`` passes.
-    Instance 0 is never constrained.
+    A point exactly ``d_min`` away passes; with no centers (instance 0)
+    every point does.
     """
-    earlier = [r for r in regions if r.owner < instance_index]
-    return _clear_of(x, *_tabu_arrays(earlier, len(x)))
+    if not len(centers):
+        return True
+    return bool((distances(centers, x) >= d_min).all())
 
 
 def init_diverse_means(
@@ -212,8 +179,8 @@ def update_tabu_center(
     instance: CascadeInstance,
     population: list[EvaluatedPoint],
     strategy: str = CENTER_POPULATION_BEST,
-) -> TabuRegion:
-    """Move the instance's region center according to the chosen strategy.
+) -> np.ndarray:
+    """Move the instance's tabu center according to the chosen strategy.
 
     population_best uses the best point of the current generation (ties by
     lowest eval_index), best_so_far the best point the instance has ever
@@ -223,19 +190,19 @@ def update_tabu_center(
         if not population:
             raise NoPopulation("population_best needs a non-empty population")
         best = min(population, key=fitness_key)
-        instance.region.center = best.x.copy()
+        instance.center = best.x.copy()
     elif strategy == CENTER_BEST_SO_FAR:
         best = instance.best_point
         if best is None:
             if not population:
                 raise NoPopulation("instance has not evaluated any point yet")
             best = min(population, key=fitness_key)
-        instance.region.center = best.x.copy()
+        instance.center = best.x.copy()
     elif strategy == CENTER_DISTRIBUTION_MEAN:
-        instance.region.center = np.array(instance.state.mean, copy=True)
+        instance.center = np.array(instance.state.mean, copy=True)
     else:
         raise ValueError(f"unknown center strategy {strategy!r}")
-    return instance.region
+    return instance.center
 
 
 def run_ds(
@@ -268,7 +235,7 @@ def run_ds(
     init_rng = np.random.default_rng(init_ss)
     seed_rng = np.random.default_rng(seed_ss)
 
-    log = CascadeLog(budget=budget, dimension=dim)
+    log = CascadeLog(dimension=dim)
     points: list[EvaluatedPoint] = []
     evals = 0
     generation = 0
@@ -280,31 +247,28 @@ def run_ds(
         fresh = []
         for i in range(k):
             state = init_cma(dim, means[i], params, int(seed_rng.integers(2**63)), box)
-            region = TabuRegion(center=means[i].copy(), radius=d_min, owner=i)
-            fresh.append(CascadeInstance(index=i, state=state, region=region))
+            fresh.append(CascadeInstance(index=i, state=state, center=means[i].copy()))
         return fresh
 
     def freeze(inst: CascadeInstance, cause: str) -> None:
         inst.stopped = True
         inst.stop_cause = cause
         if inst.best_point is not None:
-            inst.region.center = inst.best_point.x.copy()
+            inst.center = inst.best_point.x.copy()
 
     instances = spawn_epoch(epoch)
 
     while evals < budget:
         if all(inst.stopped for inst in instances):
-            # full restart: retire the old regions, draw fresh diverse means
-            for inst in instances:
-                inst.region.active = False
+            # full restart: fresh instances from fresh diverse means
             epoch += 1
             instances = spawn_epoch(epoch)
         for pos, inst in enumerate(instances):
             if evals >= budget:
                 break
             if not inst.stopped:
-                # earlier regions hold still while this instance samples
-                centers, radii = _tabu_arrays([prev.region for prev in instances[:pos]], dim)
+                # earlier centers hold still while this instance samples
+                centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
                 accepted: list[EvaluatedPoint] = []
                 rejections = 0
                 out_of_budget = False
@@ -315,7 +279,7 @@ def run_ds(
                     if rejections >= 100 * lam:
                         break
                     x = ask_one(inst.state, box)
-                    if _clear_of(x, centers, radii):
+                    if _clear_of(x, centers, d_min):
                         value = fn.evaluate(x)
                         point = EvaluatedPoint(
                             x=x, f=value, eval_index=evals, instance_id=inst.index
@@ -347,8 +311,7 @@ def run_ds(
                     generation=generation,
                     epoch=epoch,
                     instance=inst.index,
-                    center=inst.region.center.copy(),
-                    active=inst.region.active,
+                    center=inst.center.copy(),
                 )
             )
         log.evals_after_generation[generation] = evals

@@ -5,7 +5,8 @@ select a batch, compute loss metrics, and record the outcome.  A cell
 whose generation raised is recorded with ``error`` set, never fatal; an
 incomplete batch is not an error and only has ``complete`` false.
 Portfolio generation and batch selection are timed separately with
-process CPU time.
+process CPU time.  ``export_plot_data`` writes the seed-mean curves of a
+list of records; a cascade's region log is written by ``CascadeLog.write``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .cascade import CascadeLog, DsConfig, run_ds
+from .cascade import DsConfig, run_ds
 from .baselines import run_cma_indep, run_cma_single, run_random
 from .objectives import ObjectiveFunction, make_function
 from .selection import Batch, clearing_select, exact_select, greedy_select, write_batch
@@ -275,23 +276,7 @@ def normalize_losses(records: list[RunRecord]) -> list[dict]:
     return rows
 
 
-_RECORD_COLUMNS = [
-    "function_id",
-    "algorithm",
-    "seed",
-    "dimension",
-    "budget",
-    "k",
-    "d_min",
-    "method",
-    "complete",
-    "error",
-    "leader_loss",
-    "batch_losses",
-    "cum_avg",
-    "cpu_seconds",
-    "select_cpu_seconds",
-]
+_RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 def _format_cell(value) -> str:
@@ -320,20 +305,13 @@ def write_normalized_csv(rows: list[dict], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_plot_data(source, path: str | Path, fractions: tuple[float, ...] = (0.25, 0.75)) -> None:
-    """Write plot-ready CSV series.
-
-    For a list of RunRecord: one row per (function, algorithm) with the
+def export_plot_data(records: list[RunRecord], path: str | Path) -> None:
+    """Write plot-ready curves: one row per (function, algorithm) with the
     seed-mean cumulative-average curve and the count of complete seeds.
-    For a CascadeLog: region centers at the requested budget fractions.
+
+    Region centers of a cascade run are written by ``CascadeLog.write``.
     """
-    if isinstance(source, CascadeLog):
-        _export_region_snapshots(source, path, fractions)
-    else:
-        _export_curves(list(source), path)
-
-
-def _export_curves(records: list[RunRecord], path: str | Path) -> None:
+    records = list(records)
     k = max((r.k for r in records), default=0)
     pairs = sorted({(r.function_id, r.algorithm) for r in records})
     lines = ["function,algorithm,n_complete," + ",".join(f"avg_{i + 1}" for i in range(k))]
@@ -349,26 +327,3 @@ def _export_curves(records: list[RunRecord], path: str | Path) -> None:
         lines.append(f"{fid},{algo},{n_complete},{tail}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def _export_region_snapshots(
-    log: CascadeLog, path: str | Path, fractions: tuple[float, ...]
-) -> None:
-    coords = ",".join(f"x{i}" for i in range(log.dimension))
-    lines = [f"fraction,generation,instance,{coords},active"]
-    generations = sorted(log.evals_after_generation)
-    instances = sorted({s.instance for s in log.snapshots})
-    for fraction in fractions:
-        target = fraction * log.budget
-        chosen = generations[0] if generations else 0
-        for g in generations:
-            if log.evals_after_generation[g] <= target:
-                chosen = g
-            else:
-                break
-        for instance in instances:
-            snap = log.center_at(chosen, instance)
-            if snap is None:
-                continue
-            center = ",".join(repr(float(v)) for v in snap.center)
-            lines.append(f"{fraction},{chosen},{instance},{center},{int(snap.active)}")
-    Path(path).write_text("\n".join(lines) + "\n")

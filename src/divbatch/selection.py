@@ -156,8 +156,7 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
     return _batch(pts, members, k, d_min, "greedy")
 
 
-def _compat_masks(pts: list[EvaluatedPoint], d_min: float) -> list[int]:
-    xs = np.asarray([p.x for p in pts])
+def _compat_masks(xs: np.ndarray, d_min: float) -> list[int]:
     masks = []
     for i, x in enumerate(xs):
         ok = distances(xs, x) >= d_min
@@ -191,14 +190,17 @@ def exact_select(
     fitness-sum lower bound and on candidate-count infeasibility, with the
     clearing batch as the starting incumbent.  When no k-subset is
     feasible, smaller sizes are tried in turn, so the result is the best
-    feasible batch of maximum size.  ``proved_optimal`` reports whether
-    the search ran to completion within the caps.
+    feasible batch of maximum size.  A NaN fitness counts as +inf, so a
+    batch holding one is kept when no batch of that size has a finite
+    sum.  ``proved_optimal`` reports whether the search ran to completion
+    within the caps.
     """
     pts = _sorted_by_fitness(_portfolio_points(portfolio))
     n = len(pts)
-    fs = np.asarray([p.f for p in pts])
-    masks = _compat_masks(pts, d_min)
-    clearing_members = _sweep(np.asarray([p.x for p in pts]), [], k, d_min)
+    fs = np.asarray([fitness_key(p)[0] for p in pts])
+    xs = np.asarray([p.x for p in pts])
+    masks = _compat_masks(xs, d_min)
+    clearing_members = _sweep(xs, [], k, d_min)
 
     deadline = time.perf_counter() + time_cap
     nodes = 0
@@ -222,7 +224,7 @@ def exact_select(
                 aborted = True
                 return
             if count == size:
-                if cur_sum < best_sum:
+                if best_set is None or cur_sum < best_sum:
                     best_sum = cur_sum
                     best_set = chosen.copy()
                 return
@@ -231,7 +233,9 @@ def exact_select(
             while rem:
                 if rem.bit_count() < need:
                     return
-                if cur_sum + _smallest_fitness_sum(rem, need, fs) >= best_sum:
+                if best_set is not None and (
+                    cur_sum + _smallest_fitness_sum(rem, need, fs) >= best_sum
+                ):
                     return
                 b = (rem & -rem).bit_length() - 1
                 rem &= rem - 1
@@ -277,8 +281,8 @@ def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
         if np.any(distances(xs[i + 1 :], xs[i]) < d_min):
             return False
     if portfolio is not None and pts:
-        source = _sorted_by_fitness(_portfolio_points(portfolio))
-        if pts[0].eval_index != source[0].eval_index:
+        leader = min(_portfolio_points(portfolio), key=fitness_key)
+        if pts[0].eval_index != leader.eval_index:
             return False
     return True
 

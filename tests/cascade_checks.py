@@ -1,8 +1,23 @@
-"""Shared replay helpers for cascade runs with region logs."""
+"""Shared replay helpers for cascade runs with region logs, and a flat objective."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class FlatFunction:
+    """Constant objective; every CMA-ES instance stops after one tell."""
+
+    def __init__(self, dimension=2):
+        self.dimension = dimension
+        self.lower_bounds = np.full(dimension, -5.0)
+        self.upper_bounds = np.full(dimension, 5.0)
+        self.function_id = "flat"
+        self.eval_count = 0
+
+    def evaluate(self, x):
+        self.eval_count += 1
+        return 7.0
 
 
 def clearance_violations(trajectory, log, d_min):

@@ -12,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from cascade_checks import clearance_violations, epoch_mean_violations
+from cascade_checks import FlatFunction, clearance_violations, epoch_mean_violations
 from divbatch import (
     Box,
     CENTER_STRATEGIES,
@@ -21,27 +21,13 @@ from divbatch import (
     EvaluatedPoint,
     InfeasibleInitialization,
     NoPopulation,
-    TabuRegion,
     init_cma,
     init_diverse_means,
-    is_valid_candidate,
     make_function,
     run_ds,
     update_tabu_center,
 )
-
-
-class FlatFunction:
-    """Constant objective; every CMA-ES instance stops after one tell."""
-
-    def __init__(self, dimension=2):
-        self.dimension = dimension
-        self.lower_bounds = np.full(dimension, -5.0)
-        self.upper_bounds = np.full(dimension, 5.0)
-        self.function_id = "flat"
-
-    def evaluate(self, x):
-        return 7.0
+from divbatch.cascade import _clear_of
 
 
 def point(x, f, idx, inst=0):
@@ -78,53 +64,44 @@ def test_init_diverse_means_raises_when_the_cap_is_exhausted():
 
 
 def test_candidate_boundary_is_valid():
-    regions = [TabuRegion(center=np.zeros(2), radius=3.0, owner=0)]
-    assert is_valid_candidate(np.array([3.0, 0.0]), 1, regions)
-    assert not is_valid_candidate(np.array([2.999999, 0.0]), 1, regions)
-
-
-def test_candidate_ignores_later_and_inactive_regions():
-    regions = [
-        TabuRegion(center=np.zeros(2), radius=3.0, owner=2),
-        TabuRegion(center=np.zeros(2), radius=3.0, owner=0, active=False),
-    ]
-    # the only region owned by an earlier instance is inactive
-    assert is_valid_candidate(np.zeros(2), 1, regions)
-    assert not is_valid_candidate(np.zeros(2), 3, regions[:1])
+    centers = np.array([[0.0, 0.0], [10.0, 0.0]])
+    assert _clear_of(np.array([3.0, 0.0]), centers, 3.0)
+    assert not _clear_of(np.array([2.999999, 0.0]), centers, 3.0)
+    assert not _clear_of(np.array([7.5, 0.0]), centers, 3.0)
 
 
 def test_instance_zero_is_never_constrained():
-    regions = [TabuRegion(center=np.zeros(2), radius=100.0, owner=0)]
-    assert is_valid_candidate(np.zeros(2), 0, regions)
+    # instance 0 has no earlier centers
+    assert _clear_of(np.zeros(2), np.empty((0, 2)), 100.0)
 
 
 def make_instance(dim=2, mean=None):
     mean = np.zeros(dim) if mean is None else mean
     state = init_cma(dim, mean, seed=0)
-    region = TabuRegion(center=mean.copy(), radius=1.0, owner=0)
-    return CascadeInstance(index=0, state=state, region=region)
+    return CascadeInstance(index=0, state=state, center=mean.copy())
 
 
 def test_center_update_population_best_breaks_ties_by_eval_index():
     inst = make_instance()
     pop = [point([1, 1], 2.0, 5), point([2, 2], 1.0, 7), point([3, 3], 1.0, 9)]
-    update_tabu_center(inst, pop, "population_best")
-    assert np.array_equal(inst.region.center, [2.0, 2.0])
+    center = update_tabu_center(inst, pop, "population_best")
+    assert np.array_equal(inst.center, [2.0, 2.0])
+    assert center is inst.center
 
 
 def test_center_update_best_so_far_prefers_the_instance_record():
     inst = make_instance()
     inst.best_point = point([9, 9], -1.0, 1)
     update_tabu_center(inst, [point([1, 1], 5.0, 3)], "best_so_far")
-    assert np.array_equal(inst.region.center, [9.0, 9.0])
+    assert np.array_equal(inst.center, [9.0, 9.0])
 
 
 def test_center_update_distribution_mean_copies_the_mean():
     inst = make_instance(mean=np.array([0.5, -0.5]))
     update_tabu_center(inst, [], "distribution_mean")
-    assert np.array_equal(inst.region.center, [0.5, -0.5])
+    assert np.array_equal(inst.center, [0.5, -0.5])
     inst.state.mean[0] = 99.0
-    assert inst.region.center[0] == 0.5
+    assert inst.center[0] == 0.5
 
 
 def test_center_update_rejects_empty_population_and_bad_strategy():
@@ -289,20 +266,10 @@ def test_region_log_csv_layout(tmp_path):
     path = tmp_path / "regions.csv"
     log.write(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "generation,instance,x0,x1,active"
+    assert lines[0] == "generation,instance,x0,x1"
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] in {"0", "1"}
-    assert first[-1] in {"0", "1"}
+    assert [float(v) for v in first[2:]] == list(log.snapshots[0].center)
     assert len(lines) == 1 + len(log.snapshots)
 
-
-def test_center_at_returns_the_latest_snapshot():
-    fn = make_function("sphere", 2, 0)
-    _, log = run_ds(DsConfig(k=2, d_min=1.0, budget=120, seed=0), fn, return_log=True)
-    snap = log.center_at(3, 1)
-    assert snap is not None
-    assert snap.generation <= 3
-    assert snap.instance == 1
-    later = [s for s in log.snapshots if s.instance == 1 and s.generation <= 3]
-    assert np.array_equal(snap.center, later[-1].center)

@@ -21,12 +21,10 @@ from divbatch import (
     make_function,
     normalize_losses,
     read_records_dir,
-    run_ds,
     run_experiment,
     write_normalized_csv,
     write_records_csv,
 )
-from divbatch.cascade import DsConfig
 
 
 def small_batch(fs, leader_index=0):
@@ -257,25 +255,6 @@ def test_curve_export_counts_zero_complete(tmp_path):
     export_plot_data(records, path)
     line = path.read_text().splitlines()[1]
     assert line.startswith("sphere,random,0,")
-
-
-def test_region_snapshot_export(tmp_path):
-    fn = make_function("rastrigin_sep", 2, 0)
-    cfg = DsConfig(k=2, d_min=2.0, budget=200, seed=0)
-    log = run_ds(cfg, fn, return_log=True)[1]
-    path = tmp_path / "regions.csv"
-    export_plot_data(log, path, fractions=(0.25, 0.75))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "fraction,generation,instance,x0,x1,active"
-    fractions = {float(l.split(",")[0]) for l in lines[1:]}
-    assert fractions == {0.25, 0.75}
-    # within a fraction the quarter-budget generation precedes the
-    # three-quarter one, and both resolve all live instances
-    gen_at = {}
-    for l in lines[1:]:
-        parts = l.split(",")
-        gen_at.setdefault(float(parts[0]), set()).add(int(parts[1]))
-    assert max(gen_at[0.25]) <= max(gen_at[0.75])
 
 
 def test_selection_method_flows_into_batches(tmp_path):

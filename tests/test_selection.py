@@ -10,17 +10,16 @@ import pytest
 from divbatch import (
     EmptyPortfolio,
     EvaluatedPoint,
-    TabuRegion,
     Trajectory,
     batch_to_dict,
     clearing_select,
     exact_select,
     greedy_select,
-    is_valid_candidate,
     verify_batch,
     write_batch,
 )
 from divbatch.boxes import distances
+from divbatch.cascade import _clear_of
 from selection_checks import enumerate_best, random_instance
 
 
@@ -72,6 +71,19 @@ def test_exact_escapes_the_trap_and_proves_it():
     assert batch.proved_optimal
     assert sorted(xs_of(batch)) == [0.0, 1.0, 2.0]
     assert batch.fitness_sum() == pytest.approx(6.0)
+
+
+def test_exact_keeps_a_full_batch_that_holds_a_nan():
+    # with C's f unknown the only 3-point batch {A, B, C} has no finite
+    # sum; it still beats the 2-point {A, D}
+    points = ABCD[:2] + [pt(2.0, float("nan"), 2)] + ABCD[3:]
+    batch = exact_select(points, 3, 1.0)
+    assert batch.complete
+    assert batch.proved_optimal
+    assert sorted(xs_of(batch)) == [0.0, 1.0, 2.0]
+    assert [p.eval_index for p in batch.points] == [
+        p.eval_index for p in greedy_select(points, 3, 1.0).points
+    ]
 
 
 def test_greedy_returns_feasible_top_k_unchanged():
@@ -222,7 +234,7 @@ def test_selectors_verifier_and_filter_agree_at_exactly_d_min(case):
             assert batch.complete, (select.__name__, a, b)
             assert [p.eval_index for p in batch.points] == [0, 1]
             assert verify_batch(batch, d_min, points), (select.__name__, a, b)
-        assert is_valid_candidate(b, 1, [TabuRegion(center=a, radius=d_min, owner=0)])
+        assert _clear_of(b, a[None], d_min), (a, b)
 
 
 def test_batch_json_layout(tmp_path):
