@@ -4,7 +4,7 @@ The package provides, end to end:
 
 - a seeded benchmark suite of shifted objectives over ``[-5, 5]^D``
   (:mod:`divbatch.objectives`),
-- a CMA-ES core with a one-candidate ask interface (:mod:`divbatch.cma`),
+- a CMA-ES core with a block ask interface (:mod:`divbatch.cma`),
 - a cascading diversity search that runs k CMA-ES instances kept apart by
   tabu regions (:mod:`divbatch.cascade`),
 - batch subset selectors, from a cheap clearing sweep to an exact branch
@@ -33,6 +33,7 @@ from .cma import (
     CmaState,
     InsufficientPopulation,
     InvalidMean,
+    ask,
     ask_one,
     init_cma,
     should_stop,
@@ -110,6 +111,7 @@ __all__ = [
     "SELECTORS",
     "Trajectory",
     "UnknownFunction",
+    "ask",
     "ask_one",
     "batch_to_dict",
     "clearing_select",

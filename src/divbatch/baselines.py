@@ -1,7 +1,9 @@
 """Reference portfolio generators: random search and plain CMA-ES.
 
 All generators spend exactly the requested evaluation budget and produce
-the same trajectory for the same seed.
+the same trajectory for the same seed.  They evaluate in blocks, so the
+objective must provide ``evaluate_many`` (an (n, D) array in, n values
+out), as ``divbatch.objectives.ObjectiveFunction`` does.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import Box
-from .cma import CmaParams, ask_one, init_cma, tell
+# ask_one stays a module attribute: perfbench's traced pass wraps it by name
+from .cma import CmaParams, ask, ask_one, init_cma, tell  # noqa: F401
 from .trajectory import EvaluatedPoint, Trajectory
 
 __all__ = ["run_cma_indep", "run_cma_single", "run_random"]
@@ -60,19 +63,15 @@ def _cma_stream(
         mean = box.sample_uniform(rng)
         state = init_cma(fn.dimension, mean, params, int(rng.integers(2**63)), box)
         while len(points) < budget and state.stop_reason is None:
-            population: list[tuple[np.ndarray, float]] = []
-            while len(population) < params.lambda_ and len(points) < budget:
-                x = ask_one(state, box)
-                value = fn.evaluate(x)
-                points.append(
-                    EvaluatedPoint(
-                        x=x,
-                        f=value,
-                        eval_index=eval_offset + len(points),
-                        instance_id=instance_id,
-                    )
-                )
-                population.append((x, value))
+            # one generation: lambda candidates, fewer when the budget ends
+            xs = ask(state, box, min(params.lambda_, budget - len(points)))
+            fs = fn.evaluate_many(xs).tolist()
+            population = [(x.copy(), f) for x, f in zip(xs, fs)]
+            start = eval_offset + len(points)
+            points += [
+                EvaluatedPoint(x=x, f=f, eval_index=start + i, instance_id=instance_id)
+                for i, (x, f) in enumerate(population)
+            ]
             if len(population) >= params.mu:
                 tell(state, population)
             else:

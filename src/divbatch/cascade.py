@@ -9,6 +9,15 @@ territory already claimed.  Rejected candidates are never evaluated and
 cost no budget; the run always spends exactly the requested number of
 objective evaluations.
 
+Each instance takes one step per generation: it asks its CMA-ES state for
+a block of candidates, masks the block against the box and the earlier
+centers, evaluates the accepted rows with one ``fn.evaluate_many`` call
+and tells the state.  The objective must therefore provide
+``evaluate_many`` (an (n, D) array in, n values out).  Blocks are sized
+from the acceptance seen so far, and draws past the step's stop are
+handed back to the rng, so every run is bit-identical to filtering one
+candidate at a time.
+
 When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
 has stopped with budget left, the cascade restarts from a fresh set of
@@ -29,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import Box, distances
-from .cma import CmaParams, ask_one, init_cma, tell
+# ask_one stays a module attribute: perfbench's traced pass wraps it by name
+from .cma import CmaParams, CmaState, ask, ask_one, init_cma, tell  # noqa: F401
 from .trajectory import EvaluatedPoint, Trajectory, fitness_key
 
 __all__ = [
@@ -104,7 +114,6 @@ class CascadeInstance:
 @dataclass
 class RegionSnapshot:
     generation: int
-    epoch: int
     instance: int
     center: np.ndarray
 
@@ -131,15 +140,62 @@ class CascadeLog:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:
-    """True iff ``x`` is at least ``d_min`` from every row of ``centers``.
+def _clear_rows(xs: np.ndarray, centers: np.ndarray, d_min: float) -> np.ndarray:
+    """One bool per row of ``xs``: at least ``d_min`` from every row of ``centers``.
 
     A point exactly ``d_min`` away passes; with no centers (instance 0)
     every point does.
     """
-    if not len(centers):
-        return True
-    return bool((distances(centers, x) >= d_min).all())
+    return (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
+
+
+def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:
+    """True iff ``x`` is at least ``d_min`` from every row of ``centers``.
+
+    The one-point form of ``_clear_rows``, with the same bits.
+    """
+    return bool(_clear_rows(x[None, :], centers, d_min)[0])
+
+
+def _draw_clear(
+    state: CmaState, box: Box, centers: np.ndarray, d_min: float, room: int, cap: int
+) -> tuple[np.ndarray, int]:
+    """Sample until ``room`` candidates are clear of ``centers`` or ``cap`` are not.
+
+    Returns the clear candidates in draw order and the number rejected.
+    Candidates are asked for in blocks sized from the acceptance seen so
+    far; a block that runs past the stop is handed back by restoring the
+    rng and asking again for the candidates used, so the rng ends where a
+    one-candidate loop would leave it.
+    """
+    rng = state.rng
+    kept: list[np.ndarray] = []
+    n_kept = rejected = 0
+    while n_kept < room and rejected < cap:
+        need, allowed = room - n_kept, cap - rejected
+        # as many as the acceptance so far suggests; before any acceptance,
+        # one per candidate needed (first block), then twice the rejections
+        n = -(-need * (n_kept + rejected) // n_kept) if n_kept else max(need, 2 * rejected)
+        # the stop comes within need + allowed - 1 candidates
+        n = min(n, need + allowed - 1)
+        saved = rng.bit_generator.state
+        xs = ask(state, box, n)
+        clear = _clear_rows(xs, centers, d_min)
+        # the candidate after which a one-candidate loop would stop
+        hits, misses = clear.nonzero()[0], (~clear).nonzero()[0]
+        used = n
+        if len(hits) >= need:
+            used = hits[need - 1] + 1
+        if len(misses) >= allowed:
+            used = min(used, misses[allowed - 1] + 1)
+        if used < n:
+            rng.bit_generator.state = saved
+            ask(state, box, used)
+            xs, clear = xs[:used], clear[:used]
+        kept.append(xs[clear])
+        n_kept += len(kept[-1])
+        rejected += len(xs) - len(kept[-1])
+    return np.concatenate(kept), rejected
 
 
 def init_diverse_means(
@@ -269,32 +325,27 @@ def run_ds(
             if not inst.stopped:
                 # earlier centers hold still while this instance samples
                 centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
-                accepted: list[EvaluatedPoint] = []
-                rejections = 0
-                out_of_budget = False
-                while len(accepted) < lam:
-                    if evals >= budget:
-                        out_of_budget = True
-                        break
-                    if rejections >= 100 * lam:
-                        break
-                    x = ask_one(inst.state, box)
-                    if _clear_of(x, centers, d_min):
-                        value = fn.evaluate(x)
-                        point = EvaluatedPoint(
-                            x=x, f=value, eval_index=evals, instance_id=inst.index
-                        )
-                        evals += 1
-                        points.append(point)
-                        accepted.append(point)
-                        log.point_generation[point.eval_index] = (epoch, generation)
-                        if inst.best_point is None or fitness_key(point) < fitness_key(
-                            inst.best_point
-                        ):
-                            inst.best_point = point
-                    else:
-                        rejections += 1
+                xs, rejections = _draw_clear(
+                    inst.state, box, centers, d_min, min(lam, budget - evals), 100 * lam
+                )
                 log.total_rejections += rejections
+                fs = fn.evaluate_many(xs).tolist() if len(xs) else []
+                accepted = [
+                    EvaluatedPoint(x=x.copy(), f=f, eval_index=evals + i, instance_id=inst.index)
+                    for i, (x, f) in enumerate(zip(xs, fs))
+                ]
+                evals += len(accepted)
+                points.extend(accepted)
+                for point in accepted:
+                    log.point_generation[point.eval_index] = (epoch, generation)
+                if accepted:
+                    best = min(accepted, key=fitness_key)
+                    if inst.best_point is None or fitness_key(best) < fitness_key(
+                        inst.best_point
+                    ):
+                        inst.best_point = best
+                # the budget ran out before lambda clear candidates were found
+                out_of_budget = len(accepted) < lam and evals >= budget
                 if len(accepted) >= mu:
                     tell(inst.state, [(p.x, p.f) for p in accepted])
                     if inst.state.stop_reason is not None:
@@ -309,7 +360,6 @@ def run_ds(
             log.snapshots.append(
                 RegionSnapshot(
                     generation=generation,
-                    epoch=epoch,
                     instance=inst.index,
                     center=inst.center.copy(),
                 )

@@ -1,11 +1,15 @@
-"""CMA-ES core with a one-candidate ask interface.
+"""CMA-ES core with a block ask interface.
 
 Implements weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates, exposed as
-``init_cma`` / ``ask_one`` / ``tell`` / ``should_stop`` so a driver can
-interleave sampling with candidate filtering.  Candidates are sampled one
-at a time; ``tell`` accepts any population of size between mu and lambda,
-so drivers that drop candidates can still advance the distribution.
+``init_cma`` / ``ask`` / ``tell`` / ``should_stop`` so a driver can
+filter a block of candidates before it evaluates them.  ``ask(state, box,
+n)`` returns the n candidates that n one-candidate draws would, and leaves
+the rng where they would leave it; a driver that asked for more than it
+used restores ``state.rng.bit_generator.state`` and asks again for the
+number it used.  ``ask_one`` is ``ask`` with n = 1.  ``tell`` accepts any
+population of size between mu and lambda, so drivers that drop candidates
+can still advance the distribution.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "STOP_TOLFUNREL",
     "STOP_TOLSTAGNATION",
     "STOP_TOLX",
+    "ask",
     "ask_one",
     "init_cma",
     "should_stop",
@@ -47,6 +52,8 @@ STOP_DEGENERATE = "degenerate"
 
 # out-of-box candidates are redrawn this many times before clipping
 _RESAMPLE_TRIES = 100
+# rows one block of ``ask`` draws at most, to bound its memory
+_MAX_BLOCK_ROWS = 4096
 _MAX_CONDITION = 1e14
 
 
@@ -55,7 +62,7 @@ class InvalidMean(ValueError):
 
 
 class AlreadyStopped(RuntimeError):
-    """ask_one called on a state that has met a stopping criterion."""
+    """ask or ask_one called on a state that has met a stopping criterion."""
 
 
 class InsufficientPopulation(ValueError):
@@ -186,23 +193,74 @@ def init_cma(
     )
 
 
-def ask_one(state: CmaState, box: Box | None = None) -> np.ndarray:
-    """Draw one candidate from the current distribution, kept inside the box.
+def ask(state: CmaState, box: Box | None = None, n: int = 1) -> np.ndarray:
+    """Draw n candidates from the current distribution, each kept inside the box.
 
-    Out-of-box draws are resampled a bounded number of times, then clipped.
-    Sampling consumes the state's rng but never changes the distribution.
+    Returns an (n, D) array.  Each candidate is the first in-box draw of
+    up to 100 tries; after 100 out-of-box draws the last one is clipped.
+    The draws, their order and the rng consumed are exactly those of n
+    successive ``ask_one`` calls.  Sampling never changes the distribution.
     """
     if state.stop_reason is not None:
         raise AlreadyStopped(f"state already stopped ({state.stop_reason})")
     if box is None:
         box = Box.cube(state.params.dimension)
-    x = state.mean
-    for _ in range(_RESAMPLE_TRIES):
-        z = state.rng.standard_normal(state.params.dimension)
-        x = state.mean + state.sigma * (state.eig_vectors @ (state.eig_scale * z))
-        if box.contains(x):
-            return x
-    return box.clip(x)
+    rng, dim = state.rng, state.params.dimension
+    out = np.empty((n, dim))
+    done = drawn = 0
+    # out-of-box draws since the last candidate, carried across blocks
+    misses = 0
+    while done < n:
+        owed = n - done
+        # one row per owed candidate while every draw landed in the box;
+        # otherwise as many as the in-box share so far suggests
+        rows = owed
+        if done < drawn:
+            rows = min(_MAX_BLOCK_ROWS, -(-owed * drawn // done) if done else 2 * drawn)
+        saved = rng.bit_generator.state if rows > owed else None
+        z = rng.standard_normal((rows, dim))
+        # a stacked matmul is one matrix-vector product per row, the same
+        # bits as ``eig_vectors @ v`` on each row alone
+        xs = state.mean + state.sigma * np.matmul(
+            state.eig_vectors, (state.eig_scale * z)[:, :, None]
+        )[:, :, 0]
+        hits = ((xs >= box.lower) & (xs <= box.upper)).all(axis=1).nonzero()[0]
+        take = min(len(hits), owed)
+        used = hits[take - 1] + 1 if take == owed else rows
+        # 100 out-of-box draws in a row, before an in-box one or left over
+        # at the end, make a clip: then walk the rows
+        if used - take + misses >= _RESAMPLE_TRIES and (
+            np.diff(np.concatenate(([-1 - misses], hits[:take], [used]))) > _RESAMPLE_TRIES
+        ).any():
+            used = 0
+            for x in xs:
+                used += 1
+                if box.contains(x):
+                    out[done] = x
+                else:
+                    misses += 1
+                    if misses < _RESAMPLE_TRIES:
+                        continue
+                    out[done] = box.clip(x)
+                done += 1
+                misses = 0
+                if done == n:
+                    break
+        else:
+            out[done : done + take] = xs[hits[:take]]
+            done += take
+            misses = used - 1 - hits[take - 1] if take else misses + used
+        drawn += used
+        if used < rows:
+            # hand back the rows past the last candidate
+            rng.bit_generator.state = saved
+            rng.standard_normal((used, dim))
+    return out
+
+
+def ask_one(state: CmaState, box: Box | None = None) -> np.ndarray:
+    """Draw one candidate: ``ask`` with n = 1."""
+    return ask(state, box, 1)[0]
 
 
 def tell(state: CmaState, population: list[tuple[np.ndarray, float]]) -> None:

@@ -6,10 +6,12 @@ import itertools
 
 import numpy as np
 
+from divbatch.boxes import distances
+
 
 def feasible(points, subset, d_min):
     return all(
-        float(np.linalg.norm(points[a].x - points[b].x)) >= d_min
+        float(distances(points[a].x, points[b].x)) >= d_min
         for a, b in itertools.combinations(subset, 2)
     )
 

@@ -7,17 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cascade_checks import FlatFunction
 from divbatch import make_function, run_cma_indep, run_cma_single, run_random
-
-
-class FlatFunction:
-    dimension = 2
-    lower_bounds = np.full(2, -5.0)
-    upper_bounds = np.full(2, 5.0)
-    function_id = "flat"
-
-    def evaluate(self, x):
-        return 3.0
 
 
 def test_random_length_and_stamps():
@@ -68,8 +59,10 @@ def test_cma_single_is_deterministic():
 
 
 def test_cma_single_restarts_on_a_flat_function():
-    traj = run_cma_single(FlatFunction(), 120, seed=0)
+    fn = FlatFunction()
+    traj = run_cma_single(fn, 120, seed=0)
     assert len(traj) == 120
+    assert fn.eval_count == 120
     # with the function tolerance firing every few generations, the run
     # must chain several restart legs to spend the budget
     assert len({tuple(np.round(p.x, 6)) for p in traj.points}) > 10

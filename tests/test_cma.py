@@ -11,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cascade_checks import reference_ask_one
 from divbatch import (
     AlreadyStopped,
     Box,
     CmaParams,
     InsufficientPopulation,
     InvalidMean,
+    ask,
     ask_one,
     init_cma,
     make_function,
@@ -143,6 +145,58 @@ def test_ask_from_corner_mean_stays_in_box():
     st = init_cma(3, np.full(3, 5.0), box=box, seed=0)
     for _ in range(200):
         assert box.contains(ask_one(st, box))
+
+
+def twin_states(dim, mean, box, sigma0=1.0, seed=3):
+    params = CmaParams.defaults(dim).with_overrides(sigma0=sigma0)
+    return [init_cma(dim, np.asarray(mean, float), params, seed, box) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "dim, width, where, sigma0, sizes",
+    [
+        (2, 10.0, "center", 1.0, [1, 1, 1]),  # n = 1
+        (3, 10.0, "center", 1.0, [25, 1, 40]),  # n > lambda = 7
+        (10, 10.0, "center", 3.0, [10, 37, 100]),  # some draws leave the box
+        (4, 10.0, "corner", 2.0, [9, 30]),  # most draws leave the box
+        (2, 0.1, "center", 0.5, [30, 20]),  # about half the candidates are clipped
+        (2, 1e-3, "corner", 1e4, [1, 15, 3]),  # every candidate is clipped
+    ],
+)
+def test_block_ask_equals_one_candidate_draws(dim, width, where, sigma0, sizes):
+    box = Box.cube(dim, -width / 2, width / 2)
+    mean = np.zeros(dim) if where == "center" else box.upper
+    block, single = twin_states(dim, mean, box, sigma0)
+    reference, _ = twin_states(dim, mean, box, sigma0)
+    clipped = []
+    for n in sizes:
+        xs = ask(block, box, n)
+        assert xs.shape == (n, dim)
+        assert np.array_equal(xs, np.array([ask_one(single, box) for _ in range(n)]))
+        assert np.array_equal(xs, np.array([reference_ask_one(reference, box) for _ in range(n)]))
+        assert all(box.contains(x) for x in xs)
+        # clipped rows sit on a box face
+        clipped += list(((xs == box.lower) | (xs == box.upper)).any(axis=1))
+    state = block.rng.bit_generator.state
+    assert state == single.rng.bit_generator.state == reference.rng.bit_generator.state
+    if width < 1.0:
+        assert any(clipped)
+    if width < 0.01:
+        assert all(clipped)
+    if width == 0.1:
+        assert not all(clipped)
+
+
+def test_block_ask_hands_back_unused_draws():
+    # mean on a corner: about 15/16 of the draws leave the box in 4-D, so
+    # blocks are overdrawn and the surplus returned to the rng
+    box = Box.cube(4)
+    block, reference = twin_states(4, np.full(4, 5.0), box, 2.0)
+    for n in (1, 2, 3, 5, 8, 13):
+        assert np.array_equal(
+            ask(block, box, n), np.array([reference_ask_one(reference, box) for _ in range(n)])
+        )
+        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_ask_after_stop_raises():

@@ -176,6 +176,19 @@ def test_eval_count_tracks_both_entry_points():
     assert fn.eval_count == 8
 
 
+@pytest.mark.parametrize("dim", [2, 10, 40])
+def test_evaluate_many_rows_have_the_bits_of_evaluate(dim):
+    # the cascade and the CMA-ES baselines evaluate blocks of candidates
+    # and must store the values a one-point evaluation would give
+    xs = np.random.default_rng(dim).uniform(-5, 5, size=(37, dim))
+    for fid in function_ids():
+        fn = make_function(fid, dim, 1)
+        fs = fn.evaluate_many(xs)
+        for n in (1, 15):
+            assert np.array_equal(fn.evaluate_many(xs[:n]), fs[:n])
+        assert fs.tolist() == [fn.evaluate(x) for x in xs]
+
+
 def test_same_triple_reproduces_the_instance():
     a = make_function("gauss_peaks", 4, 13)
     b = make_function("gauss_peaks", 4, 13)
