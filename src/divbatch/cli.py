@@ -10,6 +10,7 @@ failed cells; configuration and IO errors exit nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,12 @@ from .trajectory import read_trajectory
 __all__ = ["main"]
 
 
+def _check_dmin(d_min: float) -> None:
+    # NaN and inf slip past a "<= 0" check, and both make every pair infeasible
+    if not (math.isfinite(d_min) and d_min > 0):
+        raise ValueError(f"--dmin must be finite and positive, got {d_min}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.function not in function_ids():
         raise ValueError(f"unknown function {args.function!r}; see the 'functions' subcommand")
@@ -39,8 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("--dim must be >= 2")
     if args.budget < 1 or args.k < 1 or args.runs < 1:
         raise ValueError("--budget, --k and --runs must be positive")
-    if args.dmin <= 0:
-        raise ValueError("--dmin must be positive")
+    _check_dmin(args.dmin)
     cfg = ExperimentConfig(
         functions=[args.function],
         algorithms=[args.algo],
@@ -67,8 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ValueError("--k must be positive")
-    if args.dmin <= 0:
-        raise ValueError("--dmin must be positive")
+    _check_dmin(args.dmin)
     trajectory = read_trajectory(args.traj)
     batch = SELECTORS[args.method](trajectory, args.k, args.dmin)
     write_batch(batch, args.out)

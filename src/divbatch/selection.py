@@ -17,6 +17,11 @@ clearing incumbent, provably optimal within its caps).
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
 the last bit at exactly ``d_min``.  Custom metrics are not supported.
+The exact selector's pairwise compatibility masks are built in blocks of
+rows: a Gram-matrix screen (one matrix product per block) decides every
+pair whose squared distance is clear of ``d_min**2`` by more than a
+rounding band, and ``boxes.distances`` decides the pairs inside the band,
+so the masks hold the kernel's bits.
 """
 
 from __future__ import annotations
@@ -156,13 +161,65 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
     return _batch(pts, members, k, d_min, "greedy")
 
 
+# pairs per row block of the masks: 256 KB per float temporary
+_MASK_BLOCK_FLOATS = 1 << 15
+
+
+# huge or non-finite coordinates overflow the screen or meet inf - inf;
+# those pairs are left to the kernel, so the warnings carry nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _compat_masks(xs: np.ndarray, d_min: float) -> list[int]:
-    masks = []
-    for i, x in enumerate(xs):
-        ok = distances(xs, x) >= d_min
-        ok[i] = False
-        packed = np.packbits(ok.astype(np.uint8), bitorder="little").tobytes()
-        masks.append(int.from_bytes(packed, "little"))
+    """Bit j of mask i is set iff j != i and ``distances(xs[j], xs[i]) >= d_min``.
+
+    Blocks of rows are screened with the Gram form of the squared distance,
+    ``sq_i + sq_j - 2 x_i.x_j``, one BLAS product per block.  Pairs the
+    screen cannot decide are decided again by ``distances`` itself, so every
+    bit is the one the per-row kernel gives.
+    """
+    n, dim = xs.shape
+    # the screen works in floats; the recheck keeps the caller's array
+    xf = np.asarray(xs, dtype=float)
+    sq = np.add.reduce(xf * xf, axis=1)
+    # signed square: a d_min <= 0 admits every pair at a non-NaN distance
+    thr = d_min * abs(d_min)
+    # The screen is g = (sq_i - 2 x_i.x_j) + (sq_j - thr), and a pair is
+    # decided by g >= 0 where |g| > band = 4 (D + 4) eps (S + |thr|) + tiny,
+    # with eps the machine epsilon, tiny the smallest normal float and
+    # S = sq_i + sq_j, so the squared distance s is at most 2 S.  For any
+    # summation order of the BLAS product, g is within (D + 3) eps S +
+    # 1.5 eps |thr| of s - d_min^2.  The kernel's sum t of squared
+    # differences is within (D + 2) eps s / 2 <= (D + 3) eps S of s, and its
+    # decision sqrt(t) >= d_min holds when t >= d_min^2 and fails when
+    # t < (1 - eps) d_min^2.  So the two agree wherever |g| exceeds
+    # (2 D + 6) eps S + 3 eps |thr|, which the band covers twice over;
+    # tiny covers underflow, whose errors are absolute.  A non-finite g or
+    # band leaves the pair to the kernel.
+    slack = 4 * (dim + 4) * np.finfo(float).eps
+    col_shift = sq - thr
+    row_band = slack * sq
+    col_band = row_band + (slack * abs(thr) + np.finfo(float).tiny)
+    rows = max(1, _MASK_BLOCK_FLOATS // n)
+    masks: list[int] = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        diag = (np.arange(stop - start), np.arange(start, stop))
+        g = xf[start:stop] @ xf.T
+        g *= -2.0
+        g += sq[start:stop, None]
+        g += col_shift
+        ok = g >= 0.0
+        np.abs(g, out=g)
+        sure = g > row_band[start:stop, None] + col_band
+        sure &= g < np.inf
+        sure[diag] = True
+        # one row at a time, so the recheck never holds more than the
+        # per-row kernel does, even when d_min is NaN and nothing is sure
+        for r in np.flatnonzero(~sure.all(axis=1)):
+            j = np.flatnonzero(~sure[r])
+            ok[r, j] = distances(xs[j], xs[start + r]) >= d_min
+        ok[diag] = False
+        packed = np.packbits(ok, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return masks
 
 

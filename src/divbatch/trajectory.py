@@ -40,10 +40,11 @@ class EvaluatedPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvaluatedPoint):
             return NotImplemented
+        # NaN fitness equals NaN fitness, so reruns that meet one compare equal
         return (
             self.eval_index == other.eval_index
             and self.instance_id == other.instance_id
-            and self.f == other.f
+            and (self.f == other.f or (math.isnan(self.f) and math.isnan(other.f)))
             and np.array_equal(self.x, other.x)
         )
 

@@ -16,6 +16,20 @@ def feasible(points, subset, d_min):
     )
 
 
+def compat_masks_reference(xs, d_min):
+    """Compatibility bitmasks one row at a time with the distance kernel.
+
+    Bit j of mask i is set iff j != i and ``distances(xs[j], xs[i]) >= d_min``.
+    """
+    masks = []
+    for i, x in enumerate(xs):
+        ok = distances(xs, x) >= d_min
+        ok[i] = False
+        packed = np.packbits(ok.astype(np.uint8), bitorder="little").tobytes()
+        masks.append(int.from_bytes(packed, "little"))
+    return masks
+
+
 def enumerate_best(points, k, d_min):
     """Optimal forced-leader selection by exhaustive enumeration.
 

@@ -151,6 +151,25 @@ def test_run_ds_is_deterministic():
     assert run_ds(cfg, fn_a) == run_ds(cfg, fn_b)
 
 
+class HalfNan:
+    """Sphere on x0 <= 0, NaN on x0 > 0."""
+
+    dimension = 2
+    lower_bounds = np.full(2, -5.0)
+    upper_bounds = np.full(2, 5.0)
+    function_id = "half_nan"
+
+    def evaluate_many(self, xs):
+        return np.where(xs[:, 0] > 0, np.nan, np.add.reduce(xs * xs, axis=1))
+
+
+def test_run_ds_is_deterministic_when_the_objective_returns_nan():
+    cfg = DsConfig(k=3, d_min=1.0, budget=200, seed=0)
+    first = run_ds(cfg, HalfNan())
+    assert any(np.isnan(p.f) for p in first.points)
+    assert run_ds(cfg, HalfNan()) == first
+
+
 def test_run_ds_warns_when_budget_is_below_one_round():
     fn = make_function("sphere", 2, 0)
     with pytest.warns(UserWarning, match="below one full round"):

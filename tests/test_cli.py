@@ -62,6 +62,14 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("dmin", ["nan", "inf"])
+def test_run_rejects_a_non_finite_dmin_before_running(tmp_path, capsys, dmin):
+    argv = run_args(tmp_path / "out", **{"--algo": "ds", "--dmin": dmin, "--runs": "1"})
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --dmin must be finite and positive")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_with_failed_cell_still_exits_zero(tmp_path, capsys):
     argv = run_args(tmp_path / "out", **{"--algo": "ds", "--dmin": "50.0", "--runs": "1"})
     with pytest.warns(UserWarning):
@@ -98,6 +106,24 @@ def test_select_round_trip(tmp_path, capsys):
     assert payload["method"] == "greedy"
     assert payload["k_requested"] == 3 and payload["d_min"] == 1.5
     assert set(payload["points"][0]) == {"eval_index", "x", "f"}
+
+
+@pytest.mark.parametrize("dmin", ["nan", "inf"])
+def test_select_rejects_a_non_finite_dmin(tmp_path, capsys, dmin):
+    traj_path = tmp_path / "portfolio.csv"
+    write_trajectory(run_random(make_function("sphere", 2, 0), 5, seed=0), traj_path)
+    batch_path = tmp_path / "batch.json"
+    argv = [
+        "select",
+        "--traj", str(traj_path),
+        "--method", "clearing",
+        "--k", "2",
+        "--dmin", dmin,
+        "--out", str(batch_path),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --dmin must be finite and positive")
+    assert not batch_path.exists()
 
 
 def test_select_missing_trajectory_fails(tmp_path, capsys):

@@ -2,7 +2,10 @@
 
 Portfolios mix tied fitness values, duplicate points (coordinates come
 from a small integer grid), NaN fitness, batch sizes larger than the
-portfolio and distance requirements from 0 upwards.
+portfolio and distance requirements from 0 upwards.  The exact selector's
+compatibility masks are checked bit for bit against the per-row distance
+kernel on integer grids, duplicates, non-finite coordinates and distance
+requirements.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbatch import EvaluatedPoint, clearing_select, exact_select, greedy_select, verify_batch
+from divbatch import DsConfig, EvaluatedPoint, make_function, run_ds, selection
+from divbatch import clearing_select, exact_select, greedy_select, verify_batch
+from divbatch.boxes import distances
+from divbatch.trajectory import fitness_key
+from selection_checks import compat_masks_reference
 
 SELECTORS = (clearing_select, greedy_select, exact_select)
 
@@ -98,3 +105,58 @@ def test_a_proved_optimal_exact_batch_is_never_worse_than_greedy(problem):
     exact = exact_select(points, k, d_min)
     if exact.proved_optimal:
         assert no_worse(exact, greedy_select(points, k, d_min))
+
+
+# a mask block holds _MASK_BLOCK_FLOATS // n rows, so each of these sizes
+# spans two or three blocks and ends on a shorter one
+MULTI_BLOCK_SIZES = range(190, 251)
+
+
+def test_multi_block_sizes_end_on_a_ragged_block():
+    for n in MULTI_BLOCK_SIZES:
+        rows = selection._MASK_BLOCK_FLOATS // n
+        assert 1 <= rows < n and n % rows, n
+
+
+@st.composite
+def mask_problems(draw):
+    """(xs, d_min): an integer grid, scaled, with duplicate rows and non-finite entries."""
+    dim = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.just(1), st.integers(2, 12), st.sampled_from(MULTI_BLOCK_SIZES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # tiny scales make the squares subnormal, huge ones overflow them
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7, 1.1e-161, 6.2e-161, 1e155]))
+    xs = rng.integers(-3, 4, size=(n, dim)) * scale
+    for _ in range(draw(st.integers(0, 3))):
+        xs[rng.integers(n)] = xs[rng.integers(n)]
+    for value in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3)):
+        xs[rng.integers(n), rng.integers(dim)] = value
+    kind = draw(st.sampled_from(["pair", "special", "scaled"]))
+    if kind == "pair":
+        # grid pairs share squared distances, so many sit at exactly d_min
+        d_min = float(distances(xs[rng.integers(n)], xs[rng.integers(n)]))
+    elif kind == "special":
+        d_min = draw(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]))
+    else:
+        d_min = draw(st.floats(0.0, 12.0)) * scale
+    return xs, d_min
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask_problems())
+def test_compat_masks_equal_the_per_row_kernel(problem):
+    xs, d_min = problem
+    assert selection._compat_masks(xs, d_min) == compat_masks_reference(xs, d_min)
+
+
+def test_compat_masks_of_integer_coordinates_equal_the_per_row_kernel():
+    xs = np.random.default_rng(0).integers(-3, 4, size=(300, 4))
+    for d_min in (0.0, 2.0, math.sqrt(5.0)):
+        assert selection._compat_masks(xs, d_min) == compat_masks_reference(xs, d_min), d_min
+
+
+def test_compat_masks_of_a_3000_point_ds_portfolio_equal_the_per_row_kernel():
+    trajectory = run_ds(DsConfig(k=5, d_min=10.0, budget=3000), make_function("ellipsoid", 10, 0))
+    xs = np.asarray([p.x for p in sorted(trajectory.points, key=fitness_key)])
+    for d_min in (10.0, 2.0, float(distances(xs[0], xs[1]))):
+        assert selection._compat_masks(xs, d_min) == compat_masks_reference(xs, d_min), d_min

@@ -118,6 +118,15 @@ def test_trajectory_equality_ignores_metadata():
     assert a != c
 
 
+def test_a_nan_fitness_point_equals_a_copy_of_itself():
+    point = EvaluatedPoint(x=np.zeros(2), f=float("nan"), eval_index=0, instance_id=0)
+    copy = EvaluatedPoint(x=point.x.copy(), f=float("nan"), eval_index=0, instance_id=0)
+    assert point == point
+    assert point == copy
+    assert Trajectory(points=[point]) == Trajectory(points=[copy])
+    assert point != EvaluatedPoint(x=np.zeros(2), f=0.0, eval_index=0, instance_id=0)
+
+
 def test_negative_instance_ids_survive_round_trip(tmp_path):
     traj = random_trajectory(5, 2, seed=1, instance_id=-1)
     path = tmp_path / "t.csv"
