@@ -12,6 +12,7 @@
 import numpy as np
 
 from divbatch import DsConfig, make_function, run_ds
+from divbatch.boxes import distances
 
 fn = make_function("gauss_peaks", dimension=2, seed=0)
 cfg = DsConfig(k=3, d_min=2.0, budget=600, seed=0)
@@ -19,22 +20,25 @@ trajectory, log = run_ds(cfg, fn, return_log=True)
 
 print("one run on the 2-D Gaussian peaks landscape:")
 print("  evaluations :", len(trajectory))
-print("  generations :", len(log.evals_after_generation))
+# the log snapshots every instance after every generation
+generations = log.snapshots[-1].generation + 1
+print("  generations :", generations)
 print("  epochs      :", max(e for e, _, _ in log.epoch_starts) + 1)
 
 # ## Where the regions went
 #
 # The log snapshots every instance's region center after every
-# generation, which is what makes the distance discipline replayable.
+# generation, and the trajectory stamps every evaluation with its epoch
+# and generation; together they make the distance discipline replayable.
 
 centers = {(s.generation, s.instance): s.center for s in log.snapshots}
 print("\nregion centers at a quarter and at three quarters of the budget:")
 for fraction in (0.25, 0.75):
     target = fraction * cfg.budget
-    chosen = 0
-    for g, evals in sorted(log.evals_after_generation.items()):
-        if evals <= target:
-            chosen = g
+    # the rows are in generation order, so this counts the evaluations
+    # made up to the end of each generation
+    evals = np.searchsorted(trajectory.generation, np.arange(generations), side="right")
+    chosen = int(np.flatnonzero(evals <= target).max(initial=0))
     print(f"  after ~{int(target)} evals (generation {chosen}):")
     for instance in range(cfg.k):
         print(f"    instance {instance}: center {np.round(centers[chosen, instance], 3)}")
@@ -45,13 +49,11 @@ for fraction in (0.25, 0.75):
 # centers the earlier instances had in that generation.
 
 violations = 0
-for p in trajectory.points:
-    if p.instance_id <= 0:
-        continue
-    _, generation = log.point_generation[p.eval_index]
-    for earlier in range(p.instance_id):
-        center = centers.get((generation, earlier))
-        if center is not None and np.linalg.norm(p.x - center) < cfg.d_min:
+rows = zip(trajectory.xs, trajectory.instance_id.tolist(), trajectory.generation.tolist())
+for x, instance, generation in rows:
+    for earlier in range(instance):
+        # boxes.distances is the kernel the cascade's filter compares with d_min
+        if distances(x, centers[generation, earlier]) < cfg.d_min:
             violations += 1
 print("\nclearance violations over the whole run:", violations)
 

@@ -13,7 +13,7 @@ import numpy as np
 from .boxes import Box
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import EvaluatedPoint, Trajectory
+from .trajectory import Trajectory
 
 __all__ = ["run_cma_indep", "run_cma_single", "run_random"]
 
@@ -26,13 +26,10 @@ def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
     """Evaluate ``budget`` points drawn uniformly from the box."""
     rng = np.random.default_rng(seed)
     xs = _box_of(fn).sample_uniform(rng, budget)
-    fs = fn.evaluate_many(xs)
-    points = [
-        EvaluatedPoint(x=xs[i].copy(), f=float(fs[i]), eval_index=i, instance_id=-1)
-        for i in range(budget)
-    ]
     return Trajectory(
-        points=points,
+        xs=xs,
+        fs=np.asarray(fn.evaluate_many(xs), dtype=float),
+        instance_id=np.full(budget, -1),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="random",
         config={"budget": budget, "seed": seed},
@@ -43,47 +40,42 @@ def _instance_rng(seed: int, instance: int) -> np.random.Generator:
     return np.random.default_rng([seed, instance])
 
 
-def _cma_stream(
-    fn,
-    budget: int,
-    rng: np.random.Generator,
-    instance_id: int,
-    eval_offset: int,
-) -> list[EvaluatedPoint]:
+def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One CMA-ES run with full restarts, spending exactly ``budget`` evals.
 
-    Each leg starts from a fresh uniform mean; a leg ends when a stopping
-    criterion fires, and a final partial generation is told only if it
-    reached mu candidates.
+    Returns the evaluated (xs, fs) in evaluation order.  Each leg starts
+    from a fresh uniform mean; a leg ends when a stopping criterion fires,
+    and a final partial generation is told only if it reached mu
+    candidates.
     """
     box = _box_of(fn)
     params = CmaParams.defaults(fn.dimension)
-    points: list[EvaluatedPoint] = []
-    while len(points) < budget:
+    xs_blocks, fs_blocks = [np.empty((0, fn.dimension))], [np.empty(0)]
+    evals = 0
+    while evals < budget:
         mean = box.sample_uniform(rng)
         state = init_cma(fn.dimension, mean, params, int(rng.integers(2**63)), box)
-        while len(points) < budget and state.stop_reason is None:
+        while evals < budget and state.stop_reason is None:
             # one generation: lambda candidates, fewer when the budget ends
-            xs = ask(state, box, min(params.lambda_, budget - len(points)))
-            fs = fn.evaluate_many(xs).tolist()
-            population = [(x.copy(), f) for x, f in zip(xs, fs)]
-            start = eval_offset + len(points)
-            points += [
-                EvaluatedPoint(x=x, f=f, eval_index=start + i, instance_id=instance_id)
-                for i, (x, f) in enumerate(population)
-            ]
-            if len(population) >= params.mu:
-                tell(state, population)
+            xs = ask(state, box, min(params.lambda_, budget - evals))
+            fs = np.asarray(fn.evaluate_many(xs), dtype=float)
+            xs_blocks.append(xs)
+            fs_blocks.append(fs)
+            evals += len(xs)
+            if len(xs) >= params.mu:
+                tell(state, list(zip(xs, fs)))
             else:
                 break
-    return points
+    return np.concatenate(xs_blocks), np.concatenate(fs_blocks)
 
 
 def run_cma_single(fn, budget: int, seed: int = 0) -> Trajectory:
     """A single restarted CMA-ES run over the whole budget."""
-    points = _cma_stream(fn, budget, _instance_rng(seed, 0), instance_id=0, eval_offset=0)
+    xs, fs = _cma_stream(fn, budget, _instance_rng(seed, 0))
     return Trajectory(
-        points=points,
+        xs=xs,
+        fs=fs,
+        instance_id=np.zeros(budget, dtype=np.int64),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="cma",
         config={"budget": budget, "seed": seed},
@@ -100,13 +92,11 @@ def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
         raise ValueError(f"k must be >= 1, got {k}")
     shares = [budget // k] * k
     shares[0] += budget % k
-    points: list[EvaluatedPoint] = []
-    for i in range(k):
-        points.extend(
-            _cma_stream(fn, shares[i], _instance_rng(seed, i), instance_id=i, eval_offset=len(points))
-        )
+    streams = [_cma_stream(fn, shares[i], _instance_rng(seed, i)) for i in range(k)]
     return Trajectory(
-        points=points,
+        xs=np.concatenate([xs for xs, _ in streams]),
+        fs=np.concatenate([fs for _, fs in streams]),
+        instance_id=np.repeat(np.arange(k), shares),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="cma-indep",
         config={"budget": budget, "k": k, "seed": seed},

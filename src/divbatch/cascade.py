@@ -40,7 +40,7 @@ import numpy as np
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, CmaState, ask, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import EvaluatedPoint, Trajectory, fitness_key
+from .trajectory import EvaluatedPoint, Trajectory, fitness_key, fitness_keys
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -120,15 +120,16 @@ class RegionSnapshot:
 
 @dataclass
 class CascadeLog:
-    """Generation-stamped record of region movement, for replay and plots."""
+    """Generation-stamped record of region movement, for replay and plots.
+
+    The epoch and generation of each evaluation are the trajectory's
+    ``epoch`` and ``generation`` columns.
+    """
 
     dimension: int
     snapshots: list[RegionSnapshot] = field(default_factory=list)
-    # eval_index -> (epoch, generation)
-    point_generation: dict[int, tuple[int, int]] = field(default_factory=dict)
     # (epoch, first generation, list of initial means)
     epoch_starts: list[tuple[int, int, list[np.ndarray]]] = field(default_factory=list)
-    evals_after_generation: dict[int, int] = field(default_factory=dict)
     total_rejections: int = 0
 
     def write(self, path: str | Path) -> None:
@@ -292,7 +293,11 @@ def run_ds(
     seed_rng = np.random.default_rng(seed_ss)
 
     log = CascadeLog(dimension=dim)
-    points: list[EvaluatedPoint] = []
+    # the rows of each instance step that evaluated any, and the step's
+    # (rows, instance, epoch, generation)
+    xs_blocks: list[np.ndarray] = [np.empty((0, dim))]
+    fs_blocks: list[np.ndarray] = [np.empty(0)]
+    steps: list[tuple[int, int, int, int]] = []
     evals = 0
     generation = 0
     epoch = 0
@@ -329,29 +334,30 @@ def run_ds(
                     inst.state, box, centers, d_min, min(lam, budget - evals), 100 * lam
                 )
                 log.total_rejections += rejections
-                fs = fn.evaluate_many(xs).tolist() if len(xs) else []
-                accepted = [
-                    EvaluatedPoint(x=x.copy(), f=f, eval_index=evals + i, instance_id=inst.index)
-                    for i, (x, f) in enumerate(zip(xs, fs))
-                ]
-                evals += len(accepted)
-                points.extend(accepted)
-                for point in accepted:
-                    log.point_generation[point.eval_index] = (epoch, generation)
-                if accepted:
-                    best = min(accepted, key=fitness_key)
+                if len(xs):
+                    fs = np.asarray(fn.evaluate_many(xs), dtype=float)
+                    xs_blocks.append(xs)
+                    fs_blocks.append(fs)
+                    steps.append((len(xs), inst.index, epoch, generation))
+                    # the step's best, the earliest row among ties
+                    b = int(np.argmin(fitness_keys(fs)))
+                    best = EvaluatedPoint(
+                        x=xs[b].copy(), f=float(fs[b]), eval_index=evals + b, instance_id=inst.index
+                    )
                     if inst.best_point is None or fitness_key(best) < fitness_key(
                         inst.best_point
                     ):
                         inst.best_point = best
+                evals += len(xs)
                 # the budget ran out before lambda clear candidates were found
-                out_of_budget = len(accepted) < lam and evals >= budget
-                if len(accepted) >= mu:
-                    tell(inst.state, [(p.x, p.f) for p in accepted])
+                out_of_budget = len(xs) < lam and evals >= budget
+                if len(xs) >= mu:
+                    tell(inst.state, list(zip(xs, fs)))
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
                     else:
-                        update_tabu_center(inst, accepted, config.center_strategy)
+                        # the step's best is the population_best center
+                        update_tabu_center(inst, [best], config.center_strategy)
                 elif not out_of_budget:
                     # the rejection cap starved this instance: stop it for good
                     freeze(inst, STALLED)
@@ -364,11 +370,15 @@ def run_ds(
                     center=inst.center.copy(),
                 )
             )
-        log.evals_after_generation[generation] = evals
         generation += 1
 
+    rows, instance, epochs, generations = np.array(steps, dtype=np.int64).reshape(-1, 4).T
     trajectory = Trajectory(
-        points=points,
+        xs=np.concatenate(xs_blocks),
+        fs=np.concatenate(fs_blocks),
+        instance_id=np.repeat(instance, rows),
+        epoch=np.repeat(epochs, rows),
+        generation=np.repeat(generations, rows),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="ds",
         config=config.snapshot(),

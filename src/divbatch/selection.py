@@ -30,12 +30,11 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .boxes import distances
-from .trajectory import EvaluatedPoint, Trajectory, fitness_key
+from .trajectory import EvaluatedPoint, Trajectory, fitness_keys
 
 __all__ = [
     "Batch",
@@ -71,15 +70,25 @@ class Batch:
         return len(self.points)
 
 
-def _portfolio_points(portfolio) -> list[EvaluatedPoint]:
-    points = portfolio.points if isinstance(portfolio, Trajectory) else list(portfolio)
-    if not points:
+def _ranked(portfolio) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, fs, eval_index, instance_id) of a portfolio's rows in ``fitness_key`` order.
+
+    A portfolio is a ``Trajectory`` or a list of points; the points are
+    put in eval_index order, so one stable sort by fitness ranks both.
+    """
+    if isinstance(portfolio, Trajectory):
+        xs, fs, ids = portfolio.xs, portfolio.fs, portfolio.instance_id
+        stamps = np.arange(len(fs))
+    else:
+        points = sorted(portfolio, key=lambda p: p.eval_index)
+        xs = np.asarray([p.x for p in points])
+        fs = np.asarray([p.f for p in points], dtype=float)
+        stamps = np.asarray([p.eval_index for p in points], dtype=np.int64)
+        ids = np.asarray([p.instance_id for p in points], dtype=np.int64)
+    if not len(fs):
         raise EmptyPortfolio("portfolio has no points")
-    return points
-
-
-def _sorted_by_fitness(points: Sequence[EvaluatedPoint]) -> list[EvaluatedPoint]:
-    return sorted(points, key=fitness_key)
+    order = np.argsort(fitness_keys(fs), kind="stable")
+    return xs[order], fs[order], stamps[order], ids[order]
 
 
 def _sweep(
@@ -108,14 +117,19 @@ def _sweep(
 
 
 def _batch(
-    pts: list[EvaluatedPoint], members: list[int], k: int, d_min: float, method: str
+    ranked: tuple, members: list[int], k: int, d_min: float, method: str, proved: bool = False
 ) -> Batch:
+    xs, fs, stamps, ids = (column[members] for column in ranked)
     return Batch(
-        points=[pts[i] for i in members],
+        points=[
+            EvaluatedPoint(x=x, f=f, eval_index=i, instance_id=j)
+            for x, f, i, j in zip(xs, fs.tolist(), stamps.tolist(), ids.tolist())
+        ],
         k_requested=k,
         d_min=d_min,
         method=method,
         complete=len(members) == k,
+        proved_optimal=proved,
     )
 
 
@@ -125,9 +139,8 @@ def clearing_select(portfolio, k: int, d_min: float) -> Batch:
     Runs until k points are picked or the portfolio is exhausted; in the
     latter case the batch is returned incomplete.
     """
-    pts = _sorted_by_fitness(_portfolio_points(portfolio))
-    xs = np.asarray([p.x for p in pts])
-    return _batch(pts, _sweep(xs, [], k, d_min), k, d_min, "clearing")
+    ranked = _ranked(portfolio)
+    return _batch(ranked, _sweep(ranked[0], [], k, d_min), k, d_min, "clearing")
 
 
 def greedy_select(portfolio, k: int, d_min: float) -> Batch:
@@ -140,10 +153,10 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
     The result is never smaller than the clearing batch and, at equal
     size, never has a higher fitness sum.
     """
-    pts = _sorted_by_fitness(_portfolio_points(portfolio))
-    xs = np.asarray([p.x for p in pts])
+    ranked = _ranked(portfolio)
+    xs = ranked[0]
     # NaN counts as +inf, so a batch with a NaN member still compares
-    fs = [fitness_key(p)[0] for p in pts]
+    fs = fitness_keys(ranked[1]).tolist()
 
     def rank(members: list[int]) -> tuple[int, float]:
         return -len(members), sum(fs[i] for i in members)
@@ -158,7 +171,7 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
             if rank(refill) < rank(members):
                 members, improved = refill, True
                 break
-    return _batch(pts, members, k, d_min, "greedy")
+    return _batch(ranked, members, k, d_min, "greedy")
 
 
 # pairs per row block of the masks: 256 KB per float temporary
@@ -252,10 +265,9 @@ def exact_select(
     sum.  ``proved_optimal`` reports whether the search ran to completion
     within the caps.
     """
-    pts = _sorted_by_fitness(_portfolio_points(portfolio))
-    n = len(pts)
-    fs = np.asarray([fitness_key(p)[0] for p in pts])
-    xs = np.asarray([p.x for p in pts])
+    ranked = _ranked(portfolio)
+    xs, fs = ranked[0], fitness_keys(ranked[1])
+    n = len(fs)
     masks = _compat_masks(xs, d_min)
     clearing_members = _sweep(xs, [], k, d_min)
 
@@ -319,14 +331,7 @@ def exact_select(
     if result is None:
         # caps hit before any feasible set was proven; fall back to clearing
         result = clearing_members
-    return Batch(
-        points=[pts[i] for i in result],
-        k_requested=k,
-        d_min=d_min,
-        method="exact",
-        complete=len(result) == k,
-        proved_optimal=not aborted,
-    )
+    return _batch(ranked, result, k, d_min, "exact", proved=not aborted)
 
 
 def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
@@ -338,8 +343,7 @@ def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
         if np.any(distances(xs[i + 1 :], xs[i]) < d_min):
             return False
     if portfolio is not None and pts:
-        leader = min(_portfolio_points(portfolio), key=fitness_key)
-        if pts[0].eval_index != leader.eval_index:
+        if pts[0].eval_index != _ranked(portfolio)[2][0]:
             return False
     return True
 

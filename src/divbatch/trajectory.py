@@ -1,17 +1,26 @@
-"""Evaluated-point records and their CSV persistence.
+"""Columnar evaluation histories and their CSV persistence.
 
-A trajectory is the full, ordered evaluation history of one optimizer run:
-``eval_index`` counts objective evaluations from 0 and ``instance_id``
-identifies the producing optimizer instance (-1 for producers without
-instances, e.g. random sampling).  The CSV layout is
-``eval_index,instance_id,x0,...,x{D-1},f`` with floats written in shortest
-round-trip form, so write/read is lossless.
+A trajectory is the full, ordered evaluation history of one optimizer run,
+held as columns: ``xs`` (T x D coordinates), ``fs`` (T objective values)
+and ``instance_id`` (T ints; -1 for producers without instances, e.g.
+random sampling).  A cascade run also fills ``epoch`` and ``generation``,
+the restart epoch and the generation each row was evaluated in.  Row i is
+evaluation i, so ``eval_index`` is the row number and is not stored.
+
+``EvaluatedPoint`` is a view of one row for the API edge: ``best()``,
+batch members and ``Trajectory.points``, which is rebuilt on every access.
+``Trajectory.from_points`` builds the columns from such views.
+
+The CSV layout is ``eval_index,instance_id,x0,...,x{D-1},f`` with floats
+written in shortest round-trip form, so write/read is lossless.  The
+``epoch`` and ``generation`` columns are not written.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +30,7 @@ __all__ = [
     "ParseError",
     "Trajectory",
     "fitness_key",
+    "fitness_keys",
     "read_trajectory",
     "write_trajectory",
 ]
@@ -54,34 +64,72 @@ def fitness_key(p: EvaluatedPoint) -> tuple[float, int]:
     return (math.inf if math.isnan(p.f) else p.f, p.eval_index)
 
 
+def fitness_keys(fs: np.ndarray) -> np.ndarray:
+    """The first component of ``fitness_key`` for a column of fitness values.
+
+    A stable sort of rows in eval_index order by these keys is the
+    ``fitness_key`` order.
+    """
+    fs = np.asarray(fs, dtype=float)
+    return np.where(np.isnan(fs), np.inf, fs)
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Ordered evaluation history of a single run."""
+    """Ordered evaluation history of a single run; row i is evaluation i.
 
-    points: list[EvaluatedPoint]
+    ``points`` and ``best()`` give rows as ``EvaluatedPoint`` views.
+    """
+
+    xs: np.ndarray
+    fs: np.ndarray
+    instance_id: np.ndarray
     function_id: str = ""
     algorithm_id: str = ""
     config: dict = field(default_factory=dict)
+    # cascade runs only: the restart epoch and generation of each row
+    epoch: np.ndarray | None = None
+    generation: np.ndarray | None = None
+
+    @classmethod
+    def from_points(cls, points: list[EvaluatedPoint], **fields) -> "Trajectory":
+        """The columns of ``points``, whose eval_index must be their position."""
+        if [p.eval_index for p in points] != list(range(len(points))):
+            raise ValueError("a trajectory's eval_index must count its rows from 0")
+        dim = len(points[0].x) if points else 0
+        return cls(
+            xs=np.asarray([p.x for p in points], dtype=float).reshape(len(points), dim),
+            fs=np.asarray([p.f for p in points], dtype=float),
+            instance_id=np.asarray([p.instance_id for p in points], dtype=np.int64),
+            **fields,
+        )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.fs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return self.points == other.points
+        return (
+            np.array_equal(self.xs, other.xs)
+            and np.array_equal(self.fs, other.fs, equal_nan=True)
+            and np.array_equal(self.instance_id, other.instance_id)
+        )
 
-    def xs(self) -> np.ndarray:
-        return np.asarray([p.x for p in self.points])
-
-    def fs(self) -> np.ndarray:
-        return np.asarray([p.f for p in self.points])
+    @property
+    def points(self) -> list[EvaluatedPoint]:
+        """Every row as a point, built on each access; each ``x`` is a row view."""
+        return [
+            EvaluatedPoint(x=x, f=f, eval_index=i, instance_id=j)
+            for i, (x, f, j) in enumerate(zip(self.xs, self.fs.tolist(), self.instance_id.tolist()))
+        ]
 
     def best(self) -> EvaluatedPoint:
         """Lowest-f point by ``fitness_key``: NaN ranks last, earliest eval_index wins ties."""
-        if not self.points:
+        if not len(self):
             raise ValueError("empty trajectory has no best point")
-        return min(self.points, key=fitness_key)
+        i = int(np.argmin(fitness_keys(self.fs)))
+        return EvaluatedPoint(self.xs[i], float(self.fs[i]), i, int(self.instance_id[i]))
 
 
 def _header(dimension: int) -> str:
@@ -90,21 +138,50 @@ def _header(dimension: int) -> str:
 
 
 def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
-    """Write points as CSV; floats keep full precision via repr."""
-    if not trajectory.points:
+    """Write the rows as CSV; floats keep full precision via repr."""
+    if not len(trajectory):
         raise ValueError("refusing to write an empty trajectory")
-    dim = trajectory.points[0].x.shape[0]
+    xs = np.asarray(trajectory.xs, dtype=float)
+    dim = xs.shape[1]
+    coords = list(map(repr, xs.ravel().tolist()))
+    fs = map(repr, np.asarray(trajectory.fs, dtype=float).tolist())
+    ids = trajectory.instance_id.tolist()
     lines = [_header(dim)]
-    for p in trajectory.points:
-        coords = ",".join(repr(float(v)) for v in p.x)
-        lines.append(f"{p.eval_index},{p.instance_id},{coords},{repr(float(p.f))}")
+    lines += [
+        f"{i},{ids[i]},{','.join(coords[i * dim : (i + 1) * dim])},{f}" for i, f in enumerate(fs)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _columns(rows: list[list[str]]) -> tuple[list[int], list[int], list[float]]:
+    """eval_index, instance_id and the floats of ``rows``, column after column."""
+    cols = list(zip(*rows)) or [(), ()]
+    return (
+        list(map(int, cols[0])),
+        list(map(int, cols[1])),
+        list(map(float, chain.from_iterable(cols[2:]))),
+    )
+
+
+def _first_bad_token(rows: list[list[str]]) -> tuple[int, ValueError]:
+    """The first row holding a token ``int`` or ``float`` rejects, and the error."""
+    for r, tokens in enumerate(rows):
+        try:
+            [int(t) for t in tokens[:2]] + [float(t) for t in tokens[2:]]
+        except ValueError as exc:
+            return r, exc
+    raise AssertionError("every token parses")
+
+
 def read_trajectory(path: str | Path) -> Trajectory:
-    """Parse a trajectory CSV, validating layout and eval_index contiguity."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Parse a trajectory CSV, validating layout and eval_index contiguity.
+
+    Blank lines are skipped.  A malformed file raises ``ParseError`` naming
+    the first bad line: a wrong field count, a token ``int`` or ``float``
+    rejects, or an eval_index that breaks contiguity from 0.  An instance_id
+    outside the int64 range is refused too.
+    """
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, missing header")
     header = lines[0].split(",")
@@ -116,25 +193,27 @@ def read_trajectory(path: str | Path) -> Trajectory:
         or header[2:-1] != [f"x{i}" for i in range(len(header) - 3)]
     ):
         raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
-    dim = len(header) - 3
-    points: list[EvaluatedPoint] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        tokens = line.split(",")
-        if len(tokens) != dim + 3:
-            raise ParseError(f"{path}: line {lineno}: expected {dim + 3} fields, got {len(tokens)}")
-        try:
-            eval_index = int(tokens[0])
-            instance_id = int(tokens[1])
-            x = np.asarray([float(t) for t in tokens[2:-1]])
-            f = float(tokens[-1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if eval_index != len(points):
-            raise ParseError(
-                f"{path}: line {lineno}: eval_index {eval_index} breaks contiguity "
-                f"(expected {len(points)})"
-            )
-        points.append(EvaluatedPoint(x=x, f=f, eval_index=eval_index, instance_id=instance_id))
-    return Trajectory(points=points)
+    width = len(header)
+    rows = [line.split(",") for line in lines[1:] if line]
+    # parse up to the first bad row; the checks of the rows before it come first
+    n = next((r for r, tokens in enumerate(rows) if len(tokens) != width), len(rows))
+    error = f"expected {width} fields, got {len(rows[n])}" if n < len(rows) else None
+    try:
+        eval_index, instance_id, values = _columns(rows[:n])
+    except ValueError:
+        n, exc = _first_bad_token(rows[:n])
+        error = str(exc)
+        eval_index, instance_id, values = _columns(rows[:n])
+    if eval_index != list(range(n)):
+        r = next(r for r, e in enumerate(eval_index) if e != r)
+        error = f"eval_index {eval_index[r]} breaks contiguity (expected {r})"
+        n = r
+    if error is not None:
+        lineno = [i for i, line in enumerate(lines) if line][n + 1] + 1
+        raise ParseError(f"{path}: line {lineno}: {error}")
+    try:
+        ids = np.asarray(instance_id, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{path}: an instance_id is outside the int64 range") from None
+    table = np.asarray(values, dtype=float).reshape(width - 2, n)
+    return Trajectory(xs=np.ascontiguousarray(table[:-1].T), fs=table[-1].copy(), instance_id=ids)

@@ -43,14 +43,11 @@ def clearance_violations(trajectory, log, d_min):
     """
     centers = {(s.generation, s.instance): s.center for s in log.snapshots}
     bad = []
-    for p in trajectory.points:
-        if p.instance_id <= 0:
-            continue
-        _, generation = log.point_generation[p.eval_index]
-        for j in range(p.instance_id):
-            center = centers[(generation, j)]
-            if float(distances(p.x, center)) < d_min:
-                bad.append((p.eval_index, j))
+    rows = zip(trajectory.xs, trajectory.instance_id.tolist(), trajectory.generation.tolist())
+    for eval_index, (x, instance, generation) in enumerate(rows):
+        for j in range(instance):
+            if float(distances(x, centers[(generation, j)])) < d_min:
+                bad.append((eval_index, j))
     return bad
 
 
@@ -98,7 +95,7 @@ def reference_run_ds(config, fn):
     init_rng = np.random.default_rng(init_ss)
     seed_rng = np.random.default_rng(seed_ss)
     log = CascadeLog(dimension=dim)
-    points, created = [], []
+    points, stamps, created = [], [], []
     evals = generation = epoch = 0
 
     def spawn_epoch(epoch_index):
@@ -146,7 +143,7 @@ def reference_run_ds(config, fn):
                         evals += 1
                         points.append(point)
                         accepted.append(point)
-                        log.point_generation[point.eval_index] = (epoch, generation)
+                        stamps.append((epoch, generation))
                         if inst.best_point is None or fitness_key(point) < fitness_key(
                             inst.best_point
                         ):
@@ -165,13 +162,15 @@ def reference_run_ds(config, fn):
             log.snapshots.append(
                 RegionSnapshot(generation=generation, instance=inst.index, center=inst.center.copy())
             )
-        log.evals_after_generation[generation] = evals
         generation += 1
-    trajectory = Trajectory(
-        points=points,
+    epochs, generations = np.array(stamps, dtype=np.int64).reshape(-1, 2).T
+    trajectory = Trajectory.from_points(
+        points,
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="ds",
         config=config.snapshot(),
+        epoch=epochs,
+        generation=generations,
     )
     return trajectory, log, created
 

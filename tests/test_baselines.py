@@ -29,7 +29,7 @@ def test_random_single_point_budget():
 
 def test_random_moments_are_uniform():
     fn = make_function("sphere", 2, 0)
-    xs = run_random(fn, 10_000, seed=3).xs()
+    xs = run_random(fn, 10_000, seed=3).xs
     # mean within 4 standard errors, sigma = 10 / sqrt(12)
     tol = 4.0 * (10.0 / np.sqrt(12.0)) / 100.0
     assert np.all(np.abs(xs.mean(axis=0)) < tol)

@@ -197,8 +197,7 @@ def test_population_best_centers_replay_from_the_trajectory():
     fn = make_function("rastrigin_sep", 3, 4)
     traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=210, seed=4), fn, return_log=True)
     pops = defaultdict(list)
-    for p in traj.points:
-        _, generation = log.point_generation[p.eval_index]
+    for p, generation in zip(traj.points, traj.generation.tolist()):
         pops[(p.instance_id, generation)].append(p)
     snapshot = {(s.generation, s.instance): s.center for s in log.snapshots}
     running_best: dict[int, EvaluatedPoint] = {}

@@ -1,5 +1,7 @@
 """Property tests: run_ds invariants on small cascades, and the block
 step of run_ds and run_cma_single against one-candidate reference loops.
+Seeded runs of all four generators are pinned to the columns they gave
+when each evaluation was stored as its own point.
 
 Runs cover dimensions 2 to 4, one to three instances, budgets below and
 above one full round, every center strategy, and a flat objective that
@@ -10,6 +12,8 @@ feasibility edge, where later instances stall at the 100 * lambda cap.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from cascade_checks import (
     reference_run_cma_single,
     reference_run_ds,
 )
-from divbatch import CENTER_STRATEGIES, DsConfig, make_function, run_cma_single, run_ds
+from divbatch import CENTER_STRATEGIES, DsConfig, Trajectory, make_function
+from divbatch import run_cma_indep, run_cma_single, run_ds, run_random
+from trajectory_checks import column_bits, write_trajectory_reference
 
 FUNCTIONS = ("sphere", "rastrigin_sep", "gauss_peaks", "flat")
 
@@ -123,6 +129,8 @@ def test_block_step_equals_the_one_candidate_loop(run):
         cma_points = run_cma_single(objective(function_id, dim), config.budget, config.seed).points
     ref_traj, ref_log, ref_instances = reference_run_ds(config, objective(function_id, dim))
     assert bits(traj.points) == bits(ref_traj.points)
+    assert np.array_equal(traj.epoch, ref_traj.epoch)
+    assert np.array_equal(traj.generation, ref_traj.generation)
     assert log.total_rejections == ref_log.total_rejections
     assert [i.stop_cause for i in instances] == [i.stop_cause for i in ref_instances]
     assert [(s.generation, s.instance, s.center.tobytes()) for s in log.snapshots] == [
@@ -133,3 +141,50 @@ def test_block_step_equals_the_one_candidate_loop(run):
     )
     assert bits(cma_points) == bits(ref_points)
     assert [s.stop_reason for s in states] == ref_causes
+
+
+# SHA-256 of the trajectory CSVs these seeded runs gave when every
+# producer built one EvaluatedPoint per evaluation; the CSV holds every
+# bit of the xs, fs and instance_id columns
+ROW_AT_A_TIME_DIGESTS = {
+    ("ds", 2): "54aafb0b1d790388b1e9a044ada15b45480899225dfcd0925924ea0b76ae150a",
+    ("cma", 2): "a8bd9e145864179cf449bfdc94704cdd1ebb5c085ced3da308dd225f9f32eb78",
+    ("cma-indep", 2): "4a25f73b994bf31e5567740b573f773f5c6366d283b7be1770e7d63a88466168",
+    ("random", 2): "08cbe26247adfbe31ffd4231de5ac5c1ab7983817fbe02c330db961397568119",
+    ("ds", 10): "d4d60a1413fed3138dd4ab5d7bdf8fe7bf1fe4fc802d0e9295624a930007808f",
+    ("cma", 10): "e4c79acb500a0ac675a3baff630fb810c74661812bd97e788c8ea238e9b1a4b4",
+    ("cma-indep", 10): "fec964beda6ef6c27f8aaf94ce663abe15ed40d62cbf40ab0ac0ac1c71e36ad4",
+    ("random", 10): "2d323bc16d1c1d9599e445d3bb6f8b2e7d7292ca4a2edf5e2347ac48df6b86f8",
+}
+
+
+def seeded_runs(dim):
+    """The four generators on rastrigin_sep with 400 evaluations each."""
+    fn = lambda: make_function("rastrigin_sep", dim, 0)  # noqa: E731
+    d_min = 2.0 if dim == 2 else 10.0
+    ds_config = DsConfig(k=3, d_min=d_min, budget=400, seed=1)
+    return ds_config, {
+        "ds": run_ds(ds_config, fn()),
+        "cma": run_cma_single(fn(), 400, seed=2),
+        "cma-indep": run_cma_indep(fn(), 400, 3, seed=3),
+        "random": run_random(fn(), 400, seed=4),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
+    ds_config, runs = seeded_runs(dim)
+    for name, traj in runs.items():
+        assert traj.xs.shape == (400, dim) and traj.xs.dtype == np.float64, name
+        assert traj.fs.dtype == np.float64 and traj.instance_id.dtype == np.int64, name
+        path = tmp_path / f"{name}.csv"
+        write_trajectory_reference(traj.points, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ROW_AT_A_TIME_DIGESTS[name, dim], name
+    fn = make_function("rastrigin_sep", dim, 0)
+    ref_ds, _, _ = reference_run_ds(ds_config, fn)
+    assert column_bits(runs["ds"]) == column_bits(ref_ds)
+    assert np.array_equal(runs["ds"].epoch, ref_ds.epoch)
+    assert np.array_equal(runs["ds"].generation, ref_ds.generation)
+    ref_cma, _ = reference_run_cma_single(make_function("rastrigin_sep", dim, 0), 400, seed=2)
+    assert column_bits(runs["cma"]) == column_bits(Trajectory.from_points(ref_cma))

@@ -62,7 +62,8 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("dmin", ["nan", "inf"])
+# -inf, -1e3 and -1e-3 look like flags to argparse when they follow --dmin
+@pytest.mark.parametrize("dmin", ["nan", "inf", "-inf", "-1e3", "-1e-3"])
 def test_run_rejects_a_non_finite_dmin_before_running(tmp_path, capsys, dmin):
     argv = run_args(tmp_path / "out", **{"--algo": "ds", "--dmin": dmin, "--runs": "1"})
     assert main(argv) == 1
@@ -108,7 +109,8 @@ def test_select_round_trip(tmp_path, capsys):
     assert set(payload["points"][0]) == {"eval_index", "x", "f"}
 
 
-@pytest.mark.parametrize("dmin", ["nan", "inf"])
+# -inf, -1e3 and -1e-3 look like flags to argparse when they follow --dmin
+@pytest.mark.parametrize("dmin", ["nan", "inf", "-inf", "-1e3", "-1e-3"])
 def test_select_rejects_a_non_finite_dmin(tmp_path, capsys, dmin):
     traj_path = tmp_path / "portfolio.csv"
     write_trajectory(run_random(make_function("sphere", 2, 0), 5, seed=0), traj_path)

@@ -117,7 +117,7 @@ def test_leader_ties_break_by_eval_index():
 def test_nan_fitness_never_leads():
     # (f, eval_index) tuples holding NaN are no total order and would let point 0 lead
     points = [pt(0.0, float("nan"), 0), pt(3.0, 2.0, 1), pt(6.0, 1.0, 2), pt(9.0, float("nan"), 3)]
-    assert Trajectory(points=points).best().eval_index == 2
+    assert Trajectory.from_points(points).best().eval_index == 2
     for select in (clearing_select, greedy_select, exact_select):
         batch = select(points, 3, 1.0)
         assert [p.eval_index for p in batch.points][:2] == [2, 1], select.__name__

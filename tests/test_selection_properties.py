@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbatch import DsConfig, EvaluatedPoint, make_function, run_ds, selection
+from divbatch import DsConfig, EvaluatedPoint, Trajectory, make_function, run_ds, selection
 from divbatch import clearing_select, exact_select, greedy_select, verify_batch
 from divbatch.boxes import distances
 from divbatch.trajectory import fitness_key
@@ -94,6 +94,22 @@ def test_greedy_and_exact_are_never_worse_than_clearing(problem):
     clearing = clearing_select(points, k, d_min)
     assert no_worse(greedy_select(points, k, d_min), clearing)
     assert no_worse(exact_select(points, k, d_min), clearing)
+
+
+def batch_bits(batch):
+    members = [
+        (p.eval_index, p.instance_id, p.x.tobytes(), np.float64(p.f).tobytes()) for p in batch.points
+    ]
+    return members, batch.complete, batch.proved_optimal
+
+
+@PROPERTY_SETTINGS
+@given(selection_problems())
+def test_a_trajectory_and_its_shuffled_points_select_the_same_batch(problem):
+    points, k, d_min = problem
+    trajectory = Trajectory.from_points(sorted(points, key=lambda p: p.eval_index))
+    for select in SELECTORS:
+        assert batch_bits(select(trajectory, k, d_min)) == batch_bits(select(points, k, d_min))
 
 
 # traps whose only full batch holds a NaN point are about 1 in 100

@@ -1,11 +1,21 @@
-"""Trajectory CSV round-trip and validation tests."""
+"""Trajectory CSV round-trip and validation tests.
+
+The columnar writer and reader are compared with row-at-a-time oracles
+(``trajectory_checks``): the same bytes written, the same bits read, and
+the same ``ParseError`` for a malformed file.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbatch import EvaluatedPoint, ParseError, Trajectory, read_trajectory, write_trajectory
+from trajectory_checks import column_bits, read_trajectory_reference, write_trajectory_reference
 
 
 def random_trajectory(n, dim, seed=0, instance_id=0):
@@ -19,7 +29,7 @@ def random_trajectory(n, dim, seed=0, instance_id=0):
         )
         for i in range(n)
     ]
-    return Trajectory(points=points)
+    return Trajectory.from_points(points)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -28,8 +38,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     write_trajectory(traj, path)
     back = read_trajectory(path)
     assert back == traj
-    assert np.array_equal(back.xs(), traj.xs())
-    assert np.array_equal(back.fs(), traj.fs())
+    assert np.array_equal(back.xs, traj.xs)
+    assert np.array_equal(back.fs, traj.fs)
 
 
 def test_write_then_write_again_is_byte_identical(tmp_path):
@@ -49,7 +59,7 @@ def test_header_layout(tmp_path):
 
 def test_empty_trajectory_is_refused(tmp_path):
     with pytest.raises(ValueError):
-        write_trajectory(Trajectory(points=[]), tmp_path / "t.csv")
+        write_trajectory(Trajectory.from_points([]), tmp_path / "t.csv")
 
 
 def test_missing_header_raises(tmp_path):
@@ -100,12 +110,12 @@ def test_best_breaks_ties_by_earliest_index():
         EvaluatedPoint(x=np.ones(2), f=0.5, eval_index=1, instance_id=0),
         EvaluatedPoint(x=np.full(2, 2.0), f=0.5, eval_index=2, instance_id=0),
     ]
-    assert Trajectory(points=pts).best().eval_index == 1
+    assert Trajectory.from_points(pts).best().eval_index == 1
 
 
 def test_best_of_empty_raises():
     with pytest.raises(ValueError):
-        Trajectory(points=[]).best()
+        Trajectory.from_points([]).best()
 
 
 def test_trajectory_equality_ignores_metadata():
@@ -123,7 +133,7 @@ def test_a_nan_fitness_point_equals_a_copy_of_itself():
     copy = EvaluatedPoint(x=point.x.copy(), f=float("nan"), eval_index=0, instance_id=0)
     assert point == point
     assert point == copy
-    assert Trajectory(points=[point]) == Trajectory(points=[copy])
+    assert Trajectory.from_points([point]) == Trajectory.from_points([copy])
     assert point != EvaluatedPoint(x=np.zeros(2), f=0.0, eval_index=0, instance_id=0)
 
 
@@ -132,3 +142,128 @@ def test_negative_instance_ids_survive_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     write_trajectory(traj, path)
     assert all(p.instance_id == -1 for p in read_trajectory(path).points)
+
+
+def test_from_points_refuses_eval_indices_that_are_not_row_numbers():
+    with pytest.raises(ValueError, match="eval_index"):
+        Trajectory.from_points([EvaluatedPoint(x=np.zeros(2), f=0.0, eval_index=3, instance_id=0)])
+
+
+def test_points_are_views_rebuilt_on_every_access():
+    traj = random_trajectory(4, 3, seed=2)
+    first, second = traj.points, traj.points
+    assert first == second and first is not second
+    assert [p.eval_index for p in first] == [0, 1, 2, 3]
+    assert all(type(p.f) is float and type(p.instance_id) is int for p in first)
+    assert np.shares_memory(first[1].x, traj.xs)
+
+
+# bit patterns a CSV writer can get wrong: signed zero, subnormals,
+# non-finite values and magnitudes near the float range's ends
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3,
+]
+
+
+@st.composite
+def columnar_trajectories(draw):
+    """Trajectories of D 1-40 and 1-300 rows with sprinkled special values."""
+    dim, n = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal((n, dim + 1)) * 10.0 ** rng.integers(-320, 300, (n, dim + 1))
+    special = rng.random((n, dim + 1)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    table[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    return Trajectory(
+        xs=table[:, :dim].copy(), fs=table[:, dim].copy(), instance_id=rng.integers(-5, 6, n)
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(columnar_trajectories())
+def test_columnar_io_equals_the_row_at_a_time_reference(tmp_path_factory, traj):
+    work = tmp_path_factory.mktemp("io")
+    new, ref = work / "new.csv", work / "ref.csv"
+    write_trajectory(traj, new)
+    write_trajectory_reference(traj.points, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    back = read_trajectory(new)
+    assert column_bits(back) == column_bits(Trajectory.from_points(read_trajectory_reference(ref)))
+    assert column_bits(back) == column_bits(traj)
+    assert back.xs.flags.c_contiguous
+
+
+def outcome(read, path):
+    """The ParseError message a reader raises, or the bits of what it reads."""
+    try:
+        result = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return column_bits(result if isinstance(result, Trajectory) else Trajectory.from_points(result))
+
+
+MALFORMED_BODIES = {
+    "wrong field count": ["0,0,1.0,2.0,3.0", "1,0,1.0,3.0"],
+    "float eval_index": ["0,0,1.0,2.0,3.0", "1.0,0,1.0,2.0,3.0"],
+    "bad float": ["0,0,1.0,2.0,3.0", "1,0,1.0,oops,3.0"],
+    "index gap": ["0,0,1.0,2.0,3.0", "2,0,1.0,2.0,3.0"],
+    "blank lines inside the body": ["0,0,1.0,2.0,3.0", "", "", "1,0,1.0,2.0,3.0", "", "3,0,1,2,3"],
+    "blank lines then a bad float": ["", "0,0,1.0,2.0,3.0", "", "1,0,1.0,2.0,x"],
+    "gap before a wrong field count": ["0,0,1,2,3", "5,0,1,2,3", "2,0,1,2"],
+    "bad instance_id before a gap": ["0,0,1,2,3", "1,-,1,2,3", "7,0,1,2,3"],
+    "bad float and bad index on one line": ["0,0,1,2,3", "9,0,1,2,zz"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_malformed_files_name_the_reference_line(tmp_path, case):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(["eval_index,instance_id,x0,x1,f", *MALFORMED_BODIES[case]]) + "\n")
+    expected = outcome(read_trajectory_reference, path)
+    assert isinstance(expected, str), "every case is malformed"
+    assert outcome(read_trajectory, path) == expected
+
+
+# each edit breaks one line of a well-formed file, or inserts a blank line
+EDITS = ("drop field", "extra field", "float index", "bad float", "gap", "bad id", "blank")
+BAD_FLOATS = ("oops", "1.0.0", "", "0x1p3", "1e", "--1", " ", "nan!")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 11), st.integers(0, 7)), max_size=4),
+)
+def test_edited_files_parse_or_fail_like_the_reference(tmp_path_factory, dim, n, edits):
+    rng = np.random.default_rng(dim * 100 + n)
+    points = [
+        EvaluatedPoint(rng.standard_normal(dim), float(rng.normal()), i, instance_id=i % 3 - 1)
+        for i in range(n)
+    ]
+    path = tmp_path_factory.mktemp("edits") / "t.csv"
+    write_trajectory_reference(points, path)
+    header, *rows = path.read_text().splitlines()
+    rows = [row.split(",") for row in rows]
+    blanks = []
+    for edit, row, pick in edits:
+        tokens = rows[row % n]
+        if edit == "drop field":
+            tokens.pop(pick % len(tokens))
+        elif edit == "extra field":
+            tokens.append("0.5")
+        elif edit == "float index":
+            tokens[0] += ".0"
+        elif edit == "bad float":
+            tokens[2 + pick % (len(tokens) - 2) if len(tokens) > 2 else -1] = BAD_FLOATS[pick]
+        elif edit == "gap":
+            tokens[0] = str(row % n + 1 + pick)
+        elif edit == "bad id":
+            tokens[1] = "1.5"
+        else:
+            blanks.append(row % (n + 1))
+    lines = [",".join(tokens) for tokens in rows]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    path.write_text("\n".join([header, *lines]) + "\n")
+    assert outcome(read_trajectory, path) == outcome(read_trajectory_reference, path)
