@@ -29,7 +29,7 @@ def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
     return Trajectory(
         xs=xs,
         fs=np.asarray(fn.evaluate_many(xs), dtype=float),
-        instance_id=np.full(budget, -1),
+        instance_id=np.full(budget, -1, dtype=np.int64),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="random",
         config={"budget": budget, "seed": seed},
@@ -96,7 +96,7 @@ def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
     return Trajectory(
         xs=np.concatenate([xs for xs, _ in streams]),
         fs=np.concatenate([fs for _, fs in streams]),
-        instance_id=np.repeat(np.arange(k), shares),
+        instance_id=np.repeat(np.arange(k, dtype=np.int64), shares),
         function_id=getattr(fn, "function_id", ""),
         algorithm_id="cma-indep",
         config={"budget": budget, "k": k, "seed": seed},

@@ -154,9 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value such as -inf or -1e3 for a flag unless it is
-    # glued to its option, so "--dmin VALUE" becomes "--dmin=VALUE"
+    # glued to its option, so "--dmin VALUE" (or "--dm VALUE", which
+    # argparse also reads as --dmin) becomes "--dmin=VALUE"
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--dmin":
+        if len(argv[i]) > 3 and "--dmin".startswith(argv[i]):
             argv[i : i + 2] = [f"--dmin={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:

@@ -158,22 +158,18 @@ ROW_AT_A_TIME_DIGESTS = {
 }
 
 
-def seeded_runs(dim):
-    """The four generators on rastrigin_sep with 400 evaluations each."""
-    fn = lambda: make_function("rastrigin_sep", dim, 0)  # noqa: E731
-    d_min = 2.0 if dim == 2 else 10.0
-    ds_config = DsConfig(k=3, d_min=d_min, budget=400, seed=1)
-    return ds_config, {
+@pytest.mark.parametrize("dim", [2, 10])
+def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
+    def fn():
+        return make_function("rastrigin_sep", dim, 0)
+
+    ds_config = DsConfig(k=3, d_min=2.0 if dim == 2 else 10.0, budget=400, seed=1)
+    runs = {
         "ds": run_ds(ds_config, fn()),
         "cma": run_cma_single(fn(), 400, seed=2),
         "cma-indep": run_cma_indep(fn(), 400, 3, seed=3),
         "random": run_random(fn(), 400, seed=4),
     }
-
-
-@pytest.mark.parametrize("dim", [2, 10])
-def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
-    ds_config, runs = seeded_runs(dim)
     for name, traj in runs.items():
         assert traj.xs.shape == (400, dim) and traj.xs.dtype == np.float64, name
         assert traj.fs.dtype == np.float64 and traj.instance_id.dtype == np.int64, name
@@ -181,10 +177,9 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
         write_trajectory_reference(traj.points, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == ROW_AT_A_TIME_DIGESTS[name, dim], name
-    fn = make_function("rastrigin_sep", dim, 0)
-    ref_ds, _, _ = reference_run_ds(ds_config, fn)
+    ref_ds, _, _ = reference_run_ds(ds_config, fn())
     assert column_bits(runs["ds"]) == column_bits(ref_ds)
     assert np.array_equal(runs["ds"].epoch, ref_ds.epoch)
     assert np.array_equal(runs["ds"].generation, ref_ds.generation)
-    ref_cma, _ = reference_run_cma_single(make_function("rastrigin_sep", dim, 0), 400, seed=2)
+    ref_cma, _ = reference_run_cma_single(fn(), 400, seed=2)
     assert column_bits(runs["cma"]) == column_bits(Trajectory.from_points(ref_cma))

@@ -170,3 +170,13 @@ def test_functions_lists_whole_suite(capsys):
     ids = [line.split(",")[0] for line in lines]
     assert ids == list(function_ids())
     assert all(len(line.split(",")) == 3 for line in lines)
+
+
+@pytest.mark.parametrize("flag", ["--dm", "--dmi"])
+def test_an_abbreviated_dmin_also_takes_a_negative_value(tmp_path, capsys, flag):
+    argv = run_args(tmp_path / "out", **{"--runs": "1"})
+    argv[argv.index("--dmin")] = flag
+    argv[argv.index(flag) + 1] = "-1e3"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --dmin must be finite and positive")
+    assert not (tmp_path / "out").exists()
