@@ -63,7 +63,7 @@ def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, 
             fs_blocks.append(fs)
             evals += len(xs)
             if len(xs) >= params.mu:
-                tell(state, list(zip(xs, fs)))
+                tell(state, xs, fs)
             else:
                 break
     return np.concatenate(xs_blocks), np.concatenate(fs_blocks)

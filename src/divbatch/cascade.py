@@ -9,14 +9,13 @@ territory already claimed.  Rejected candidates are never evaluated and
 cost no budget; the run always spends exactly the requested number of
 objective evaluations.
 
-Each instance takes one step per generation: it asks its CMA-ES state for
-a block of candidates, masks the block against the box and the earlier
-centers, evaluates the accepted rows with one ``fn.evaluate_many`` call
-and tells the state.  The objective must therefore provide
-``evaluate_many`` (an (n, D) array in, n values out).  Blocks are sized
-from the acceptance seen so far, and draws past the step's stop are
-handed back to the rng, so every run is bit-identical to filtering one
-candidate at a time.
+Each instance takes one step per generation: ``cma.ask_clear`` draws the
+candidates that lie in the box and clear of the earlier centers, one
+``fn.evaluate_many`` call evaluates them, and ``tell`` updates the state.
+The objective must therefore provide ``evaluate_many`` (an (n, D) array
+in, n values out).  The sampler hands the draws past the step's stop back
+to the rng, so every run is bit-identical to filtering one candidate at a
+time.
 
 When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
@@ -39,7 +38,7 @@ import numpy as np
 
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
-from .cma import CmaParams, CmaState, ask, ask_one, init_cma, tell  # noqa: F401
+from .cma import CmaParams, ask_clear, ask_one, init_cma, tell  # noqa: F401
 from .trajectory import EvaluatedPoint, Trajectory, fitness_key, fitness_keys
 
 __all__ = [
@@ -141,62 +140,13 @@ class CascadeLog:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _clear_rows(xs: np.ndarray, centers: np.ndarray, d_min: float) -> np.ndarray:
-    """One bool per row of ``xs``: at least ``d_min`` from every row of ``centers``.
-
-    A point exactly ``d_min`` away passes; with no centers (instance 0)
-    every point does.
-    """
-    return (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
-
-
 def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:
     """True iff ``x`` is at least ``d_min`` from every row of ``centers``.
 
-    The one-point form of ``_clear_rows``, with the same bits.
+    A point exactly ``d_min`` away passes; with no centers (instance 0)
+    every point does.  ``cma.ask_clear`` applies the same test to a block.
     """
-    return bool(_clear_rows(x[None, :], centers, d_min)[0])
-
-
-def _draw_clear(
-    state: CmaState, box: Box, centers: np.ndarray, d_min: float, room: int, cap: int
-) -> tuple[np.ndarray, int]:
-    """Sample until ``room`` candidates are clear of ``centers`` or ``cap`` are not.
-
-    Returns the clear candidates in draw order and the number rejected.
-    Candidates are asked for in blocks sized from the acceptance seen so
-    far; a block that runs past the stop is handed back by restoring the
-    rng and asking again for the candidates used, so the rng ends where a
-    one-candidate loop would leave it.
-    """
-    rng = state.rng
-    kept: list[np.ndarray] = []
-    n_kept = rejected = 0
-    while n_kept < room and rejected < cap:
-        need, allowed = room - n_kept, cap - rejected
-        # as many as the acceptance so far suggests; before any acceptance,
-        # one per candidate needed (first block), then twice the rejections
-        n = -(-need * (n_kept + rejected) // n_kept) if n_kept else max(need, 2 * rejected)
-        # the stop comes within need + allowed - 1 candidates
-        n = min(n, need + allowed - 1)
-        saved = rng.bit_generator.state
-        xs = ask(state, box, n)
-        clear = _clear_rows(xs, centers, d_min)
-        # the candidate after which a one-candidate loop would stop
-        hits, misses = clear.nonzero()[0], (~clear).nonzero()[0]
-        used = n
-        if len(hits) >= need:
-            used = hits[need - 1] + 1
-        if len(misses) >= allowed:
-            used = min(used, misses[allowed - 1] + 1)
-        if used < n:
-            rng.bit_generator.state = saved
-            ask(state, box, used)
-            xs, clear = xs[:used], clear[:used]
-        kept.append(xs[clear])
-        n_kept += len(kept[-1])
-        rejected += len(xs) - len(kept[-1])
-    return np.concatenate(kept), rejected
+    return bool((distances(centers, x) >= d_min).all())
 
 
 def init_diverse_means(
@@ -271,10 +221,13 @@ def run_ds(
 
     Returns the evaluation trajectory, plus the region log when
     ``return_log`` is true.  The trajectory holds exactly ``config.budget``
-    points unless initialization is infeasible, which raises.
+    points unless initialization is infeasible, which raises.  A k below 1
+    or an unknown center strategy raises ValueError.
     """
     if config.center_strategy not in CENTER_STRATEGIES:
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
+    if config.k < 1:
+        raise ValueError(f"k must be >= 1, got {config.k}")
     dim = fn.dimension
     box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
     params = CmaParams.defaults(dim)
@@ -330,8 +283,8 @@ def run_ds(
             if not inst.stopped:
                 # earlier centers hold still while this instance samples
                 centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
-                xs, rejections = _draw_clear(
-                    inst.state, box, centers, d_min, min(lam, budget - evals), 100 * lam
+                xs, rejections = ask_clear(
+                    inst.state, box, min(lam, budget - evals), centers, d_min, 100 * lam
                 )
                 log.total_rejections += rejections
                 if len(xs):
@@ -352,7 +305,7 @@ def run_ds(
                 # the budget ran out before lambda clear candidates were found
                 out_of_budget = len(xs) < lam and evals >= budget
                 if len(xs) >= mu:
-                    tell(inst.state, list(zip(xs, fs)))
+                    tell(inst.state, xs, fs)
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
                     else:

@@ -1,15 +1,17 @@
-"""CMA-ES core with a block ask interface.
+"""CMA-ES core with a block sampler.
 
 Implements weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates, exposed as
-``init_cma`` / ``ask`` / ``tell`` / ``should_stop`` so a driver can
-filter a block of candidates before it evaluates them.  ``ask(state, box,
-n)`` returns the n candidates that n one-candidate draws would, and leaves
-the rng where they would leave it; a driver that asked for more than it
-used restores ``state.rng.bit_generator.state`` and asks again for the
-number it used.  ``ask_one`` is ``ask`` with n = 1.  ``tell`` accepts any
-population of size between mu and lambda, so drivers that drop candidates
-can still advance the distribution.
+``init_cma`` / ``ask_clear`` / ``tell`` / ``should_stop``.  ``ask_clear``
+is the one sampler: each round draws a block of candidates, keeps them in
+the box by resampling (clipping after 100 tries, as in Hansen's CMA-ES
+tutorial), rejects those closer than ``d_min`` to a set of centers, and
+hands the draws past its stop back to the rng, so it returns what a
+one-candidate loop would and leaves the rng where that loop would.
+``ask(state, box, n)`` is ``ask_clear`` with no centers and ``ask_one``
+is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
+size between mu and lambda, so callers that drop candidates can still
+advance the distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, distances
 
 __all__ = [
     "AlreadyStopped",
@@ -36,6 +38,7 @@ __all__ = [
     "STOP_TOLSTAGNATION",
     "STOP_TOLX",
     "ask",
+    "ask_clear",
     "ask_one",
     "init_cma",
     "should_stop",
@@ -52,8 +55,9 @@ STOP_DEGENERATE = "degenerate"
 
 # out-of-box candidates are redrawn this many times before clipping
 _RESAMPLE_TRIES = 100
-# rows one block of ``ask`` draws at most, to bound its memory
-_MAX_BLOCK_ROWS = 4096
+# rows one block of ``ask_clear`` draws at most, to bound its memory: its
+# distance temporaries hold rows x centers x D floats
+_MAX_BLOCK_ROWS = 1024
 _MAX_CONDITION = 1e14
 
 
@@ -193,69 +197,79 @@ def init_cma(
     )
 
 
-def ask(state: CmaState, box: Box | None = None, n: int = 1) -> np.ndarray:
-    """Draw n candidates from the current distribution, each kept inside the box.
+def ask_clear(
+    state: CmaState, box: Box, n: int, centers: np.ndarray, d_min: float, cap: int
+) -> tuple[np.ndarray, int]:
+    """Draw until n candidates are clear of ``centers`` or ``cap`` are not.
 
-    Returns an (n, D) array.  Each candidate is the first in-box draw of
-    up to 100 tries; after 100 out-of-box draws the last one is clipped.
-    The draws, their order and the rng consumed are exactly those of n
-    successive ``ask_one`` calls.  Sampling never changes the distribution.
+    A candidate is the first in-box draw of up to 100 tries; after 100
+    out-of-box draws the last one is clipped.  It is clear when it lies at
+    least ``d_min`` from every row of ``centers`` (closed inequality; with
+    no centers every candidate is).  Returns the clear candidates, in draw
+    order, and the number rejected.  The candidates, the rejections and
+    the rng consumed are exactly those of a loop over ``ask_one`` calls
+    that stops at the n-th clear or the ``cap``-th rejected candidate.
+    Sampling never changes the distribution.
     """
     if state.stop_reason is not None:
         raise AlreadyStopped(f"state already stopped ({state.stop_reason})")
-    if box is None:
-        box = Box.cube(state.params.dimension)
     rng, dim = state.rng, state.params.dimension
     out = np.empty((n, dim))
-    done = drawn = 0
-    # out-of-box draws since the last candidate, carried across blocks
+    done = rejected = drawn = 0
+    # out-of-box draws since the last in-box one, carried across blocks
     misses = 0
-    while done < n:
-        owed = n - done
-        # one row per owed candidate while every draw landed in the box;
-        # otherwise as many as the in-box share so far suggests
-        rows = owed
-        if done < drawn:
-            rows = min(_MAX_BLOCK_ROWS, -(-owed * drawn // done) if done else 2 * drawn)
-        saved = rng.bit_generator.state if rows > owed else None
+    while done < n and rejected < cap:
+        owed, allowed = n - done, cap - rejected
+        # as many draws as the acceptance so far suggests; before any
+        # acceptance, one per candidate owed, then twice the draws so far
+        rows = min(_MAX_BLOCK_ROWS, -(-owed * drawn // done) if done else max(owed, 2 * drawn))
+        # a block of at most min(owed, allowed) rows cannot pass the stop
+        saved = rng.bit_generator.state if rows > min(owed, allowed) else None
         z = rng.standard_normal((rows, dim))
         # a stacked matmul is one matrix-vector product per row, the same
         # bits as ``eig_vectors @ v`` on each row alone
         xs = state.mean + state.sigma * np.matmul(
             state.eig_vectors, (state.eig_scale * z)[:, :, None]
         )[:, :, 0]
-        hits = ((xs >= box.lower) & (xs <= box.upper)).all(axis=1).nonzero()[0]
-        take = min(len(hits), owed)
-        used = hits[take - 1] + 1 if take == owed else rows
-        # 100 out-of-box draws in a row, before an in-box one or left over
-        # at the end, make a clip: then walk the rows
-        if used - take + misses >= _RESAMPLE_TRIES and (
-            np.diff(np.concatenate(([-1 - misses], hits[:take], [used]))) > _RESAMPLE_TRIES
-        ).any():
-            used = 0
-            for x in xs:
-                used += 1
-                if box.contains(x):
-                    out[done] = x
-                else:
-                    misses += 1
-                    if misses < _RESAMPLE_TRIES:
-                        continue
-                    out[done] = box.clip(x)
-                done += 1
-                misses = 0
-                if done == n:
-                    break
-        else:
-            out[done : done + take] = xs[hits[:take]]
-            done += take
-            misses = used - 1 - hits[take - 1] if take else misses + used
+        inside = ((xs >= box.lower) & (xs <= box.upper)).all(axis=1)
+        row = np.arange(rows)
+        # the candidates: each in-box draw, and the 100th, 200th, ... draw
+        # out of the box since the last in-box one, which is clipped
+        last = np.maximum.accumulate(np.where(inside, row, -1 - misses))
+        candidate = (row - last) % _RESAMPLE_TRIES == 0
+        # clipping leaves in-box draws as they are
+        xs = box.clip(xs)
+        clear = (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
+        kept, dropped = candidate & clear, candidate & ~clear
+        hits, misfits = kept.nonzero()[0], dropped.nonzero()[0]
+        # the draw after which a one-candidate loop would stop
+        used = rows
+        if len(hits) >= owed:
+            used = hits[owed - 1] + 1
+        if len(misfits) >= allowed:
+            used = min(used, misfits[allowed - 1] + 1)
+        take = int(np.count_nonzero(kept[:used]))
+        out[done : done + take] = xs[hits[:take]]
+        done += take
+        rejected += int(np.count_nonzero(dropped[:used]))
         drawn += used
+        misses = used - 1 - last[used - 1]
         if used < rows:
-            # hand back the rows past the last candidate
+            # hand back the draws past the stop
             rng.bit_generator.state = saved
             rng.standard_normal((used, dim))
-    return out
+    return out[:done], rejected
+
+
+def ask(state: CmaState, box: Box | None = None, n: int = 1) -> np.ndarray:
+    """Draw n candidates, each kept inside the box: ``ask_clear`` with no centers.
+
+    Returns an (n, D) array, the candidates of n successive ``ask_one`` calls.
+    """
+    if box is None:
+        box = Box.cube(state.params.dimension)
+    # with no centers nothing is rejected, so a cap of n never binds
+    return ask_clear(state, box, n, np.empty((0, state.params.dimension)), 0.0, n)[0]
 
 
 def ask_one(state: CmaState, box: Box | None = None) -> np.ndarray:
@@ -263,22 +277,23 @@ def ask_one(state: CmaState, box: Box | None = None) -> np.ndarray:
     return ask(state, box, 1)[0]
 
 
-def tell(state: CmaState, population: list[tuple[np.ndarray, float]]) -> None:
+def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     """Advance the distribution one generation from evaluated candidates.
 
-    ``population`` holds (x, fitness) pairs, lower fitness better.  Any
-    size in [mu, lambda] is accepted; the mu best are recombined with the
-    standard weights.
+    ``xs`` is an (n, D) array of candidates and ``fs`` their n fitness
+    values, lower better.  Any n in [mu, lambda] is accepted; the mu best
+    are recombined with the standard weights.
     """
     params = state.params
-    n = len(population)
+    xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
+    n = len(fs)
     if n < params.mu:
         raise InsufficientPopulation(f"need at least mu={params.mu} candidates, got {n}")
     if n > params.lambda_:
         raise ValueError(f"population larger than lambda={params.lambda_}: {n}")
+    if xs.shape != (n, params.dimension):
+        raise ValueError(f"xs must have shape ({n}, {params.dimension}), got {xs.shape}")
 
-    xs = np.asarray([np.asarray(x, dtype=float) for x, _ in population])
-    fs = np.asarray([float(f) for _, f in population])
     order = np.argsort(fs, kind="stable")
     parents = xs[order[: params.mu]]
     w = params.weights

@@ -340,7 +340,9 @@ def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
     pts = batch.points
     xs = np.asarray([p.x for p in pts])
     for i in range(len(pts)):
-        if np.any(distances(xs[i + 1 :], xs[i]) < d_min):
+        # as in the selectors, a pair is feasible only where ``>=`` holds, so
+        # a NaN distance or a NaN d_min fails
+        if not np.all(distances(xs[i + 1 :], xs[i]) >= d_min):
             return False
     if portfolio is not None and pts:
         if pts[0].eval_index != _ranked(portfolio)[2][0]:

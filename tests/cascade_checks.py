@@ -76,6 +76,23 @@ def reference_ask_one(state, box):
     return box.clip(x)
 
 
+def reference_ask_clear(state, box, room, centers, d_min, cap):
+    """``cma.ask_clear`` one candidate at a time: ``reference_ask_one``, then
+    the closed clearance test against every center, until ``room``
+    candidates are clear or ``cap`` are not.
+
+    Returns the clear candidates as a (n, D) array and the number rejected.
+    """
+    kept, rejected = [], 0
+    while len(kept) < room and rejected < cap:
+        x = reference_ask_one(state, box)
+        if (distances(centers, x) >= d_min).all():
+            kept.append(x)
+        else:
+            rejected += 1
+    return np.array(kept).reshape(len(kept), state.params.dimension), rejected
+
+
 def reference_run_ds(config, fn):
     """``run_ds`` as a one-candidate loop: ask, filter, evaluate per candidate.
 
@@ -152,7 +169,8 @@ def reference_run_ds(config, fn):
                         rejections += 1
                 log.total_rejections += rejections
                 if len(accepted) >= mu:
-                    tell(inst.state, [(p.x, p.f) for p in accepted])
+                    xs = np.array([p.x for p in accepted])
+                    tell(inst.state, xs, np.array([p.f for p in accepted]))
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
                     else:
@@ -195,7 +213,8 @@ def reference_run_cma_single(fn, budget, seed=0):
                 points.append(EvaluatedPoint(x=x, f=value, eval_index=len(points), instance_id=0))
                 population.append((x, value))
             if len(population) >= params.mu:
-                tell(state, population)
+                xs, fs = zip(*population)
+                tell(state, np.array(xs), np.array(fs))
             else:
                 break
         causes.append(state.stop_reason)

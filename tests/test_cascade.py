@@ -117,6 +117,13 @@ def test_run_ds_rejects_unknown_strategy():
         run_ds(DsConfig(k=2, d_min=1.0, budget=50, center_strategy="nope"), FlatFunction())
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_ds_rejects_fewer_than_one_instance(k):
+    # with no instances every epoch would be spent at once, forever
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run_ds(DsConfig(k=k, d_min=1.0, budget=10), make_function("sphere", 2, 0))
+
+
 @pytest.mark.parametrize("budget", [37, 100, 203])
 def test_run_ds_spends_the_budget_exactly(budget):
     fn = make_function("rastrigin_sep", 3, 0)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascade_checks import reference_ask_one
+from cascade_checks import reference_ask_clear, reference_ask_one
 from divbatch import (
     AlreadyStopped,
     Box,
@@ -19,6 +21,7 @@ from divbatch import (
     InsufficientPopulation,
     InvalidMean,
     ask,
+    ask_clear,
     ask_one,
     init_cma,
     make_function,
@@ -37,12 +40,10 @@ def drive(state, objective, generations, box=None):
     """Run plain ask/tell generations, returning all (x, f) pairs."""
     history = []
     for _ in range(generations):
-        pop = []
-        for _ in range(state.params.lambda_):
-            x = ask_one(state, box)
-            pop.append((x, float(objective(x))))
-        tell(state, pop)
-        history.extend(pop)
+        xs = np.array([ask_one(state, box) for _ in range(state.params.lambda_)])
+        fs = np.array([float(objective(x)) for x in xs])
+        tell(state, xs, fs)
+        history.extend(zip(xs, fs))
         if state.stop_reason is not None:
             break
     return history
@@ -199,10 +200,68 @@ def test_block_ask_hands_back_unused_draws():
         assert block.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+@st.composite
+def sampler_calls(draw):
+    """(dim, box, mean, sigma0, seed, centers, d_min, [(room, cap)] * 3).
+
+    Narrow boxes with a large sigma0 clip most candidates onto a face or a
+    corner; centers there, or anywhere in the box, then reject some of them.
+    """
+    dim = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([10.0, 1.0, 0.1, 1e-3]))
+    box = Box.cube(dim, -width / 2, width / 2)
+    mean = np.zeros(dim) if draw(st.booleans()) else box.upper.copy()
+    sigma0 = draw(st.sampled_from([0.5, 1.0, 3.0, 1e4]))
+    seed = draw(st.integers(0, 2**16))
+    # each center coordinate on a face, at 0 or uniform in the box
+    rng, shape = np.random.default_rng(seed), (draw(st.integers(0, 4)), dim)
+    centers = np.where(
+        rng.random(shape) < 0.5,
+        rng.choice([-width / 2, 0.0, width / 2], shape),
+        rng.uniform(-width / 2, width / 2, shape),
+    )
+    d_min = draw(
+        st.one_of(
+            st.sampled_from([0.0, width / 4, box.diameter]),
+            st.floats(0.0, 1.5 * box.diameter),
+        )
+    )
+    # a cap in the hundreds costs the reference loop up to 100 draws per rejection
+    caps = st.one_of(st.integers(1, 30), st.integers(1, 300))
+    calls = [(draw(st.integers(1, 30)), draw(caps)) for _ in range(3)]
+    return dim, box, mean, sigma0, seed, centers, d_min, calls
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sampler_calls())
+def test_ask_clear_equals_the_one_candidate_loop(call):
+    dim, box, mean, sigma0, seed, centers, d_min, calls = call
+    block, reference = twin_states(dim, mean, box, sigma0, seed)
+    for room, cap in calls:
+        xs, rejected = ask_clear(block, box, room, centers, d_min, cap)
+        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, d_min, cap)
+        assert xs.shape == expected.shape
+        assert xs.tobytes() == expected.tobytes()
+        assert rejected == expected_rejected
+        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_ask_clear_rejects_clipped_candidates_inside_a_tabu_ball():
+    # every candidate is clipped onto a corner of the box, and each corner
+    # is the center of a tabu ball: the cap ends the call with nothing clear
+    box = Box.cube(2, -5e-4, 5e-4)
+    block, reference = twin_states(2, box.upper, box, 1e4)
+    corners = np.array([[a, b] for a in (-5e-4, 5e-4) for b in (-5e-4, 5e-4)])
+    xs, rejected = ask_clear(block, box, 5, corners, 1e-4, 7)
+    assert xs.shape == (0, 2) and rejected == 7
+    assert reference_ask_clear(reference, box, 5, corners, 1e-4, 7)[1] == 7
+    assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
 def test_ask_after_stop_raises():
     st = init_cma(2, np.zeros(2), seed=0)
-    pop = [(ask_one(st), 1.0) for _ in range(6)]
-    tell(st, pop)  # zero fitness range trips the function tolerance
+    xs = np.array([ask_one(st) for _ in range(6)])
+    tell(st, xs, np.ones(6))  # zero fitness range trips the function tolerance
     assert st.stop_reason is not None
     with pytest.raises(AlreadyStopped):
         ask_one(st)
@@ -220,25 +279,24 @@ def test_ask_does_not_mutate_the_distribution():
 
 def test_tell_keeps_mean_when_population_sits_on_it():
     st = init_cma(3, np.array([0.5, -0.25, 1.0]), seed=0)
-    pop = [(st.mean.copy(), 1.0) for _ in range(7)]
-    tell(st, pop)
+    tell(st, np.tile(st.mean, (7, 1)), np.ones(7))
     assert np.allclose(st.mean, [0.5, -0.25, 1.0], rtol=0, atol=1e-12)
     assert st.iteration == 1
 
 
 def test_tell_population_size_limits():
     st = init_cma(10, np.zeros(10), seed=0)
-    xs = [ask_one(st) for _ in range(11)]
+    xs = np.array([ask_one(st) for _ in range(11)])
     with pytest.raises(InsufficientPopulation):
-        tell(st, [(xs[0], 0.0)] * 4)  # mu is 5
+        tell(st, np.tile(xs[0], (4, 1)), np.zeros(4))  # mu is 5
     with pytest.raises(ValueError):
-        tell(st, [(x, 0.0) for x in xs])  # lambda is 10
+        tell(st, xs, np.zeros(11))  # lambda is 10
 
 
 def test_tell_accepts_partial_populations():
     st = init_cma(10, np.zeros(10), seed=0)
-    pop = [(ask_one(st), float(i)) for i in range(7)]
-    tell(st, pop)
+    xs = np.array([ask_one(st) for _ in range(7)])
+    tell(st, xs, np.arange(7.0))
     assert st.iteration == 1
 
 
@@ -249,9 +307,10 @@ def test_sphere_converges_to_high_precision():
         st = init_cma(5, np.zeros(5), seed=seed, box=fn.box)
         best = np.inf
         for _ in range(2000 // st.params.lambda_):
-            pop = [(x := ask_one(st, fn.box), fn.evaluate(x)) for _ in range(st.params.lambda_)]
-            tell(st, pop)
-            best = min(best, min(f for _, f in pop))
+            xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+            fs = np.array([fn.evaluate(x) for x in xs])
+            tell(st, xs, fs)
+            best = min(best, fs.min())
             if st.stop_reason is not None:
                 break
         hits += fn.loss(best) < 1e-8
@@ -263,8 +322,8 @@ def test_mean_drifts_up_a_linear_slope():
     st = init_cma(2, np.zeros(2), seed=1, box=box)
     means = [st.mean[0]]
     for _ in range(20):
-        pop = [(x := ask_one(st, box), float(-x[0])) for _ in range(st.params.lambda_)]
-        tell(st, pop)
+        xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
+        tell(st, xs, -xs[:, 0])
         means.append(st.mean[0])
     assert np.all(np.diff(means) > 0)
 
@@ -276,12 +335,10 @@ def test_translation_invariance_on_a_quadratic():
         st = init_cma(3, start, seed=seed, box=box)
         losses = []
         for _ in range(15):
-            pop = [
-                (x := ask_one(st, box), float(np.sum((x - center) ** 2)))
-                for _ in range(st.params.lambda_)
-            ]
-            tell(st, pop)
-            losses.extend(f for _, f in pop)
+            xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
+            fs = np.array([float(np.sum((x - center) ** 2)) for x in xs])
+            tell(st, xs, fs)
+            losses.extend(fs)
             if st.stop_reason is not None:
                 break
         return np.asarray(losses)
@@ -300,8 +357,8 @@ def test_identical_seeds_evolve_bitwise_identically():
         st = init_cma(3, np.zeros(3), seed=seed, box=fn.box)
         rows = []
         for _ in range(30):
-            pop = [(x := ask_one(st, fn.box), fn.evaluate(x)) for _ in range(st.params.lambda_)]
-            tell(st, pop)
+            xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+            tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
             rows.append((st.mean.copy(), st.sigma, st.cov.copy()))
             if st.stop_reason is not None:
                 break
@@ -317,8 +374,8 @@ def test_covariance_stays_symmetric_positive_definite():
     fn = make_function("rosenbrock", 4, 1)
     st = init_cma(4, np.zeros(4), seed=2, box=fn.box)
     for _ in range(50):
-        pop = [(x := ask_one(st, fn.box), fn.evaluate(x)) for _ in range(st.params.lambda_)]
-        tell(st, pop)
+        xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+        tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
         assert np.array_equal(st.cov, st.cov.T)
         assert np.linalg.eigvalsh(st.cov)[0] > 0
         if st.stop_reason is not None:
@@ -327,16 +384,16 @@ def test_covariance_stays_symmetric_positive_definite():
 
 def test_stop_reason_tolfun_on_flat_fitness():
     st = init_cma(2, np.zeros(2), seed=0)
-    pop = [(ask_one(st), 7.0) for _ in range(6)]
-    tell(st, pop)
+    xs = np.array([ask_one(st) for _ in range(6)])
+    tell(st, xs, np.full(6, 7.0))
     assert st.stop_reason == "tolfun"
 
 
 def test_stop_reason_tolx_with_a_loose_threshold():
     params = CmaParams.defaults(2).with_overrides(tol_x=1e9)
     st = init_cma(2, np.zeros(2), params=params, seed=0)
-    pop = [(x := ask_one(st), float(np.sum(x * x))) for _ in range(6)]
-    tell(st, pop)
+    xs = np.array([ask_one(st) for _ in range(6)])
+    tell(st, xs, np.array([float(np.sum(x * x)) for x in xs]))
     assert st.stop_reason == "tolx"
 
 
@@ -345,9 +402,8 @@ def test_stop_reason_tolfunhist_on_repeating_best():
     # only the history criterion can fire, at the 10th entry
     st = init_cma(2, np.zeros(2), seed=0)
     for gen in range(10):
-        xs = [ask_one(st) for _ in range(6)]
-        pop = [(x, 5.0 + (i % 3)) for i, x in enumerate(xs)]
-        tell(st, pop)
+        xs = np.array([ask_one(st) for _ in range(6)])
+        tell(st, xs, 5.0 + np.arange(6) % 3)
         if gen < 9:
             assert st.stop_reason is None
     assert st.stop_reason == "tolfunhist"
@@ -358,8 +414,7 @@ def test_stop_reason_stagnation_with_a_short_window():
     st = init_cma(2, np.zeros(2), params=params, seed=0)
     anchor = st.mean.copy()
     for gen in range(6):
-        pop = [(anchor.copy(), 5.0 + (i % 3)) for i in range(6)]
-        tell(st, pop)
+        tell(st, np.tile(anchor, (6, 1)), 5.0 + np.arange(6) % 3)
         if gen < 5:
             assert st.stop_reason is None
     assert st.stop_reason == "tolstagnation"
@@ -370,17 +425,15 @@ def test_stop_reason_maxiter():
     st = init_cma(2, np.zeros(2), params=params, seed=0)
     fn = make_function("rastrigin_sep", 2, 0)
     for _ in range(3):
-        pop = [(x := ask_one(st, fn.box), fn.evaluate(x)) for _ in range(6)]
-        tell(st, pop)
+        xs = np.array([ask_one(st, fn.box) for _ in range(6)])
+        tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
     assert st.stop_reason == "maxiter"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stop_reason_degenerate_on_nonfinite_population():
     st = init_cma(2, np.zeros(2), seed=0)
-    bad = np.array([np.inf, np.inf])
-    pop = [(bad.copy(), float(i)) for i in range(6)]
-    tell(st, pop)
+    tell(st, np.full((6, 2), np.inf), np.arange(6.0))
     assert st.stop_reason == "degenerate"
 
 

@@ -202,6 +202,15 @@ def test_verify_batch_boundary_cases():
     assert not verify_batch(dup, 1.0)
 
 
+def test_verify_batch_flags_a_nan_distance_and_a_nan_d_min():
+    # the selectors keep a pair only where ``distance >= d_min`` holds
+    batch = clearing_select([pt(0.0, 0.0, 0), pt(5.0, 1.0, 1)], 2, 1.0)
+    batch.points = [pt(np.nan, 0.0, 0), pt(5.0, 1.0, 1)]
+    assert not verify_batch(batch, 1.0)
+    batch.points = [pt(0.0, 0.0, 0), pt(0.1, 1.0, 1)]
+    assert not verify_batch(batch, np.nan)
+
+
 def test_verify_batch_checks_the_leader_against_the_portfolio():
     points = [pt(0.0, 0.0, 0), pt(3.0, 1.0, 1), pt(6.0, 2.0, 2)]
     batch = clearing_select(points, 2, 1.0)
