@@ -11,12 +11,15 @@ one-candidate loop would and leaves the rng where that loop would.
 ``ask(state, box, n)`` is ``ask_clear`` with no centers and ``ask_one``
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
-advance the distribution.
+advance the distribution.  ``tell`` and the sampler's rounds are cut to
+their arithmetic (the median from ``tell``'s own sort, no clip scan for a
+block inside the box) while giving the bits of the plain NumPy forms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -232,28 +235,34 @@ def ask_clear(
             state.eig_vectors, (state.eig_scale * z)[:, :, None]
         )[:, :, 0]
         inside = ((xs >= box.lower) & (xs <= box.upper)).all(axis=1)
-        row = np.arange(rows)
-        # the candidates: each in-box draw, and the 100th, 200th, ... draw
-        # out of the box since the last in-box one, which is clipped
-        last = np.maximum.accumulate(np.where(inside, row, -1 - misses))
-        candidate = (row - last) % _RESAMPLE_TRIES == 0
-        # clipping leaves in-box draws as they are
-        xs = box.clip(xs)
-        clear = (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
-        kept, dropped = candidate & clear, candidate & ~clear
-        hits, misfits = kept.nonzero()[0], dropped.nonzero()[0]
+        if inside.all():
+            # every draw is a candidate, and clipping would leave it as it is
+            candidate, last = inside, None
+        else:
+            row = np.arange(rows)
+            # the candidates: each in-box draw, and the 100th, 200th, ... draw
+            # out of the box since the last in-box one, which is clipped
+            last = np.maximum.accumulate(np.where(inside, row, -1 - misses))
+            candidate = (row - last) % _RESAMPLE_TRIES == 0
+            # clipping leaves in-box draws as they are
+            xs = box.clip(xs)
+        kept, misfits = candidate, ()
+        if len(centers):
+            clear = (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
+            kept, misfits = candidate & clear, (candidate & ~clear).nonzero()[0]
+        hits = kept.nonzero()[0]
         # the draw after which a one-candidate loop would stop
         used = rows
         if len(hits) >= owed:
             used = hits[owed - 1] + 1
         if len(misfits) >= allowed:
             used = min(used, misfits[allowed - 1] + 1)
-        take = int(np.count_nonzero(kept[:used]))
+        take = bisect_left(hits, used)
         out[done : done + take] = xs[hits[:take]]
         done += take
-        rejected += int(np.count_nonzero(dropped[:used]))
+        rejected += bisect_left(misfits, used)
         drawn += used
-        misses = used - 1 - last[used - 1]
+        misses = 0 if last is None else used - 1 - last[used - 1]
         if used < rows:
             # hand back the draws past the stop
             rng.bit_generator.state = saved
@@ -282,7 +291,8 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
 
     ``xs`` is an (n, D) array of candidates and ``fs`` their n fitness
     values, lower better.  Any n in [mu, lambda] is accepted; the mu best
-    are recombined with the standard weights.
+    are recombined with the standard weights.  The stop statistics (best,
+    median, range) rank NaN as +inf, as ``trajectory.fitness_key`` does.
     """
     params = state.params
     xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
@@ -311,7 +321,8 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     # CSA path in the whitened coordinate system
     cov_inv_half_yw = state.eig_vectors @ ((state.eig_vectors.T @ y_w) / state.eig_scale)
     p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(c_s * (2.0 - c_s) * mu_eff) * cov_inv_half_yw
-    norm_ps = float(np.linalg.norm(p_sigma))
+    # the formula of ``np.linalg.norm`` for a vector
+    norm_ps = math.sqrt(p_sigma.dot(p_sigma))
     chi_n = state.chi_n
     expected = math.sqrt(1.0 - (1.0 - c_s) ** (2 * (state.iteration + 1)))
     h_sigma = 1.0 if norm_ps / expected / chi_n < 1.4 + 2.0 / (dim + 1.0) else 0.0
@@ -323,7 +334,7 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     delta_h = (1.0 - h_sigma) * c_c * (2.0 - c_c)
     cov = (
         (1.0 - c_1 - c_mu) * state.cov
-        + c_1 * (np.outer(p_c, p_c) + delta_h * state.cov)
+        + c_1 * (p_c[:, None] * p_c + delta_h * state.cov)
         + c_mu * rank_mu
     )
     cov = (cov + cov.T) / 2.0
@@ -338,9 +349,15 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.p_c = p_c
     state.iteration += 1
 
+    # argsort puts NaN last; the statistics rank it as +inf
+    if fs[order[-1]] != fs[order[-1]]:
+        fs = np.where(np.isnan(fs), np.inf, fs)
     best = float(fs[order[0]])
-    med = float(np.median(fs))
-    state.last_range = float(fs.max() - fs.min())
+    # the bits of ``np.median``: its mean adds the middle values to 0.0
+    mid = n // 2
+    upper = 0.0 + float(fs[order[mid]])
+    med = upper if n % 2 else (upper + float(fs[order[mid - 1]])) / 2
+    state.last_range = float(np.maximum.reduce(fs)) - float(np.minimum.reduce(fs))
     state.hist_best.append(best)
     state.stagn_best.append(best)
     state.stagn_median.append(med)
@@ -353,7 +370,7 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
 
 
 def _refresh_eigensystem(state: CmaState) -> None:
-    if not (np.all(np.isfinite(state.cov)) and math.isfinite(state.sigma) and state.sigma > 0):
+    if not (np.isfinite(state.cov).all() and math.isfinite(state.sigma) and state.sigma > 0):
         state.degenerate = True
         return
     try:
@@ -361,7 +378,8 @@ def _refresh_eigensystem(state: CmaState) -> None:
     except np.linalg.LinAlgError:
         state.degenerate = True
         return
-    if not np.all(np.isfinite(vals)) or vals[0] <= 0.0 or vals[-1] / vals[0] > _MAX_CONDITION:
+    low, high = float(vals[0]), float(vals[-1])
+    if not np.isfinite(vals).all() or low <= 0.0 or high / low > _MAX_CONDITION:
         state.degenerate = True
         return
     state.eig_vectors = vecs
@@ -371,24 +389,23 @@ def _refresh_eigensystem(state: CmaState) -> None:
 def should_stop(state: CmaState) -> str | None:
     """First triggered stopping criterion, or None while the run may continue."""
     params = state.params
+    sigma, tol_x = state.sigma, params.tol_x
 
-    scales = state.sigma * np.sqrt(np.diag(state.cov))
-    if np.all(scales < params.tol_x) and np.all(state.sigma * np.abs(state.p_c) < params.tol_x):
+    scales = sigma * np.sqrt(state.cov.diagonal())
+    if (scales < tol_x).all() and (sigma * np.abs(state.p_c) < tol_x).all():
         return STOP_TOLX
 
-    if state.last_range is not None and state.hist_best:
-        span = max(state.hist_best) - min(state.hist_best)
-        if state.last_range < params.tol_fun and span < params.tol_fun:
-            return STOP_TOLFUN
+    hist, last_range = state.hist_best, state.last_range
+    span = max(hist) - min(hist) if hist else math.inf
+    if last_range is not None and last_range < params.tol_fun and span < params.tol_fun:
+        return STOP_TOLFUN
 
-    if len(state.hist_best) >= 10:
-        span = max(state.hist_best) - min(state.hist_best)
-        if span < params.tol_fun_hist:
-            return STOP_TOLFUNHIST
+    if len(hist) >= 10 and span < params.tol_fun_hist:
+        return STOP_TOLFUNHIST
 
-    if state.last_range is not None and state.first_median is not None:
+    if last_range is not None and state.first_median is not None:
         drop = state.first_median - state.best_median
-        if state.last_range < params.tol_fun_rel * drop:
+        if last_range < params.tol_fun_rel * drop:
             return STOP_TOLFUNREL
 
     window = params.tol_stagnation

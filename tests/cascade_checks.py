@@ -1,8 +1,10 @@
 """Shared replay helpers for cascade runs with region logs, a flat objective,
-and one-candidate reference loops for the block sampler and its drivers."""
+one-candidate reference loops for the block sampler and its drivers, and
+the reference generation update ``reference_tell``."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +13,19 @@ from divbatch import Box, CascadeInstance, CascadeLog, CmaParams, EvaluatedPoint
 from divbatch import Trajectory, init_cma, init_diverse_means, tell, update_tabu_center
 from divbatch.boxes import distances
 from divbatch.cascade import CENTER_STRATEGIES, STALLED
-from divbatch.cma import AlreadyStopped
+from divbatch.cma import (
+    _MAX_CONDITION,
+    STOP_DEGENERATE,
+    STOP_MAXITER,
+    STOP_TOLFUN,
+    STOP_TOLFUNHIST,
+    STOP_TOLFUNREL,
+    STOP_TOLSTAGNATION,
+    STOP_TOLX,
+    AlreadyStopped,
+    CmaState,
+    InsufficientPopulation,
+)
 from divbatch.trajectory import fitness_key
 
 
@@ -219,3 +233,144 @@ def reference_run_cma_single(fn, budget, seed=0):
                 break
         causes.append(state.stop_reason)
     return points, causes
+
+
+# ``cma.tell``, ``cma._refresh_eigensystem`` and ``cma.should_stop`` before
+# the generation step was cut to its arithmetic, verbatim but for the names:
+# the oracle for bit-identical updates.  Their stop statistics take NaN as
+# it comes (``np.median`` and the range give NaN, and ``max``/``min`` over
+# the history skip a NaN unless it comes first), so they are compared with
+# ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf.
+
+
+def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
+    """Advance the distribution one generation from evaluated candidates.
+
+    ``xs`` is an (n, D) array of candidates and ``fs`` their n fitness
+    values, lower better.  Any n in [mu, lambda] is accepted; the mu best
+    are recombined with the standard weights.
+    """
+    params = state.params
+    xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
+    n = len(fs)
+    if n < params.mu:
+        raise InsufficientPopulation(f"need at least mu={params.mu} candidates, got {n}")
+    if n > params.lambda_:
+        raise ValueError(f"population larger than lambda={params.lambda_}: {n}")
+    if xs.shape != (n, params.dimension):
+        raise ValueError(f"xs must have shape ({n}, {params.dimension}), got {xs.shape}")
+
+    order = np.argsort(fs, kind="stable")
+    parents = xs[order[: params.mu]]
+    w = params.weights
+
+    mean_old = state.mean
+    sigma = state.sigma
+    mean_new = w @ parents
+    y_w = (mean_new - mean_old) / sigma
+
+    c_s, d_s = params.c_sigma, params.d_sigma
+    c_c, c_1, c_mu = params.c_c, params.c_1, params.c_mu
+    mu_eff = params.mu_eff
+    dim = params.dimension
+
+    # CSA path in the whitened coordinate system
+    cov_inv_half_yw = state.eig_vectors @ ((state.eig_vectors.T @ y_w) / state.eig_scale)
+    p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(c_s * (2.0 - c_s) * mu_eff) * cov_inv_half_yw
+    norm_ps = float(np.linalg.norm(p_sigma))
+    chi_n = state.chi_n
+    expected = math.sqrt(1.0 - (1.0 - c_s) ** (2 * (state.iteration + 1)))
+    h_sigma = 1.0 if norm_ps / expected / chi_n < 1.4 + 2.0 / (dim + 1.0) else 0.0
+
+    p_c = (1.0 - c_c) * state.p_c + h_sigma * math.sqrt(c_c * (2.0 - c_c) * mu_eff) * y_w
+
+    ys = (parents - mean_old) / sigma
+    rank_mu = ys.T @ (w[:, None] * ys)
+    delta_h = (1.0 - h_sigma) * c_c * (2.0 - c_c)
+    cov = (
+        (1.0 - c_1 - c_mu) * state.cov
+        + c_1 * (np.outer(p_c, p_c) + delta_h * state.cov)
+        + c_mu * rank_mu
+    )
+    cov = (cov + cov.T) / 2.0
+
+    arg = (c_s / d_s) * (norm_ps / chi_n - 1.0)
+    sigma = sigma * math.exp(min(arg, 700.0))
+
+    state.mean = mean_new
+    state.sigma = sigma
+    state.cov = cov
+    state.p_sigma = p_sigma
+    state.p_c = p_c
+    state.iteration += 1
+
+    best = float(fs[order[0]])
+    med = float(np.median(fs))
+    state.last_range = float(fs.max() - fs.min())
+    state.hist_best.append(best)
+    state.stagn_best.append(best)
+    state.stagn_median.append(med)
+    if state.first_median is None:
+        state.first_median = med
+    state.best_median = med if state.best_median is None else min(state.best_median, med)
+
+    reference_refresh_eigensystem(state)
+    state.stop_reason = reference_should_stop(state)
+
+
+def reference_refresh_eigensystem(state: CmaState) -> None:
+    if not (np.all(np.isfinite(state.cov)) and math.isfinite(state.sigma) and state.sigma > 0):
+        state.degenerate = True
+        return
+    try:
+        vals, vecs = np.linalg.eigh(state.cov)
+    except np.linalg.LinAlgError:
+        state.degenerate = True
+        return
+    if not np.all(np.isfinite(vals)) or vals[0] <= 0.0 or vals[-1] / vals[0] > _MAX_CONDITION:
+        state.degenerate = True
+        return
+    state.eig_vectors = vecs
+    state.eig_scale = np.sqrt(vals)
+
+
+def reference_should_stop(state: CmaState) -> str | None:
+    """First triggered stopping criterion, or None while the run may continue."""
+    params = state.params
+
+    scales = state.sigma * np.sqrt(np.diag(state.cov))
+    if np.all(scales < params.tol_x) and np.all(state.sigma * np.abs(state.p_c) < params.tol_x):
+        return STOP_TOLX
+
+    if state.last_range is not None and state.hist_best:
+        span = max(state.hist_best) - min(state.hist_best)
+        if state.last_range < params.tol_fun and span < params.tol_fun:
+            return STOP_TOLFUN
+
+    if len(state.hist_best) >= 10:
+        span = max(state.hist_best) - min(state.hist_best)
+        if span < params.tol_fun_hist:
+            return STOP_TOLFUNHIST
+
+    if state.last_range is not None and state.first_median is not None:
+        drop = state.first_median - state.best_median
+        if state.last_range < params.tol_fun_rel * drop:
+            return STOP_TOLFUNREL
+
+    window = params.tol_stagnation
+    if len(state.stagn_best) >= 2 * window:
+        best = list(state.stagn_best)
+        med = list(state.stagn_median)
+        if (
+            np.median(best[-window:]) >= np.median(best[:window])
+            and np.median(med[-window:]) >= np.median(med[:window])
+        ):
+            return STOP_TOLSTAGNATION
+
+    if state.iteration >= params.max_iter:
+        return STOP_MAXITER
+
+    if state.degenerate:
+        return STOP_DEGENERATE
+
+    return None

@@ -3,17 +3,20 @@
 Strategy constants for D=10 and D=2 are frozen from the standard
 closed-form parameterization, the sampler is checked against Monte-Carlo
 moments, and each stopping criterion is driven through the public
-ask/tell interface.
+ask/tell interface.  ``tell`` is compared bit for bit with the reference
+update in ``cascade_checks``.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_checks import reference_ask_clear, reference_ask_one
+from cascade_checks import reference_ask_clear, reference_ask_one, reference_tell
 from divbatch import (
     AlreadyStopped,
     Box,
@@ -34,19 +37,6 @@ BIG = 1e9
 
 def big_box(dim):
     return Box(np.full(dim, -BIG), np.full(dim, BIG))
-
-
-def drive(state, objective, generations, box=None):
-    """Run plain ask/tell generations, returning all (x, f) pairs."""
-    history = []
-    for _ in range(generations):
-        xs = np.array([ask_one(state, box) for _ in range(state.params.lambda_)])
-        fs = np.array([float(objective(x)) for x in xs])
-        tell(state, xs, fs)
-        history.extend(zip(xs, fs))
-        if state.stop_reason is not None:
-            break
-    return history
 
 
 def test_population_sizes_follow_the_log_rule():
@@ -258,6 +248,26 @@ def test_ask_clear_rejects_clipped_candidates_inside_a_tabu_ball():
     assert block.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("with_centers", [True, False])
+def test_ask_clear_on_in_box_blocks_equals_the_one_candidate_loop(with_centers):
+    # a box far wider than the distribution: every draw is inside it, so
+    # every draw is a candidate and none is clipped
+    box = big_box(10)
+    block, reference = twin_states(10, np.zeros(10), box)
+    # chi_10 is about 3.08: about half the draws fall within 3 of the mean
+    centers = np.zeros((1, 10)) if with_centers else np.empty((0, 10))
+    total = 0
+    for room, cap in [(10, 100), (1, 100), (25, 3), (10, 10)]:
+        xs, rejected = ask_clear(block, box, room, centers, 3.0, cap)
+        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, 3.0, cap)
+        assert xs.shape == expected.shape
+        assert xs.tobytes() == expected.tobytes()
+        assert rejected == expected_rejected
+        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+        total += rejected
+    assert total > 0 if with_centers else total == 0
+
+
 def test_ask_after_stop_raises():
     st = init_cma(2, np.zeros(2), seed=0)
     xs = np.array([ask_one(st) for _ in range(6)])
@@ -298,6 +308,105 @@ def test_tell_accepts_partial_populations():
     xs = np.array([ask_one(st) for _ in range(7)])
     tell(st, xs, np.arange(7.0))
     assert st.iteration == 1
+
+
+def state_bits(state):
+    """Every field of a ``CmaState``, floats as their IEEE bytes."""
+
+    def bits(value):
+        return None if value is None else struct.pack("<d", value)
+
+    arrays = (state.mean, state.cov, state.p_sigma, state.p_c, state.eig_vectors, state.eig_scale)
+    history = (state.hist_best, state.stagn_best, state.stagn_median)
+    return (
+        [(a.shape, a.tobytes()) for a in arrays],
+        bits(state.sigma),
+        state.iteration,
+        state.degenerate,
+        state.stop_reason,
+        bits(state.last_range),
+        bits(state.first_median),
+        bits(state.best_median),
+        [(h.maxlen, [bits(v) for v in h]) for h in history],
+        state.rng.bit_generator.state,
+    )
+
+
+# +inf is added to the pool, or NaN in its place, by ``tell_inputs``
+FITNESS_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -np.inf, 1e300, -1e300, 5e-324, 1.7976931348623157e308]
+
+
+@st.composite
+def tell_runs(draw):
+    """(dim, params, seed, [(n, xs mode, fs mode)] * 1..12).
+
+    The xs modes sample around the mean or tie rows; at most one step
+    blows the covariance up to inf or holds an infinite row, which makes
+    the state degenerate.  The fs modes are normal values at magnitudes up
+    to 1e300, values from a pool of signed zeros, infinities, extremes and
+    subnormals (with +inf or with NaN in its place), signed zeros alone,
+    one value for every row, or rows whose best never moves; one mode per
+    step or for the whole run.  Overridden tolerances let each stop test
+    fire within a few tells.
+    """
+    dim = draw(st.integers(1, 12))
+    overrides = draw(
+        st.sampled_from(
+            [{}, {"tol_x": 1e9}, {"tol_fun_rel": 1.0}, {"max_iter": 5}]
+            + [{"tol_stagnation": 1}, {"tol_stagnation": 3}]
+        )
+    )
+    params = CmaParams.defaults(dim).with_overrides(**overrides)
+    seed = draw(st.integers(0, 2**16))
+    fs_modes = st.sampled_from(["normal", "pool", "nan", "zeros", "tied", "flat"])
+    # one fs mode for the whole run, or one per step
+    fs_modes = st.just(draw(fs_modes)) if draw(st.booleans()) else fs_modes
+    sizes, xs_modes = st.integers(params.mu, params.lambda_), st.sampled_from(["sample", "tied"])
+    steps = [
+        [draw(sizes), draw(xs_modes), draw(fs_modes)] for _ in range(draw(st.integers(1, 12)))
+    ]
+    broken = draw(st.sampled_from([None, None, "huge", "inf"]))
+    if broken:
+        steps[draw(st.integers(0, len(steps) - 1))][1] = broken
+    return dim, params, seed, steps
+
+
+def tell_inputs(rng, state, n, xs_mode, fs_mode):
+    dim = state.params.dimension
+    xs = state.mean + state.sigma * rng.standard_normal((n, dim))
+    if xs_mode == "tied":
+        xs = xs[rng.integers(0, 2, n)]
+    elif xs_mode == "huge":
+        xs = xs * 1e200
+    elif xs_mode == "inf":
+        xs[rng.integers(n)] = np.inf
+    if fs_mode == "normal":
+        fs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301)
+    elif fs_mode == "tied":
+        fs = np.full(n, rng.choice(FITNESS_POOL + [np.inf]))
+    elif fs_mode == "zeros":
+        fs = rng.choice([0.0, -0.0], n)
+    elif fs_mode == "flat":
+        fs = 5.0 + rng.permutation(np.arange(n) % 3)
+    else:
+        fs = rng.choice(FITNESS_POOL + [np.inf if fs_mode == "pool" else np.nan], n)
+    return xs, fs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tell_runs())
+def test_tell_equals_the_reference_update_bit_for_bit(run):
+    dim, params, seed, steps = run
+    lean, reference = (init_cma(dim, np.zeros(dim), params, seed) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    for n, xs_mode, fs_mode in steps:
+        xs, fs = tell_inputs(rng, lean, n, xs_mode, fs_mode)
+        tell(lean, xs.copy(), fs.copy())
+        # ``tell`` ranks NaN as +inf; with no +inf in ``fs`` the parents'
+        # order is the same either way
+        reference_tell(reference, xs, np.where(np.isnan(fs), np.inf, fs))
+        assert state_bits(lean) == state_bits(reference)
 
 
 def test_sphere_converges_to_high_precision():
@@ -407,6 +516,24 @@ def test_stop_reason_tolfunhist_on_repeating_best():
         if gen < 9:
             assert st.stop_reason is None
     assert st.stop_reason == "tolfunhist"
+
+
+@pytest.mark.parametrize("at", [0, 4])
+def test_an_all_nan_generation_holds_tolfunhist_back_as_an_all_inf_one_does(at):
+    # the best value never moves, so tolfunhist fires when the odd
+    # generation leaves the 20-entry history, whether it came first or later
+    ends = []
+    for odd in (np.nan, np.inf):
+        st = init_cma(2, np.zeros(2), seed=0)
+        assert st.hist_best.maxlen == 20
+        tells = 0
+        while st.stop_reason is None:
+            xs = np.array([ask_one(st) for _ in range(6)])
+            tell(st, xs, np.full(6, odd) if tells == at else 5.0 + np.arange(6) % 3)
+            tells += 1
+        ends.append((tells, st.stop_reason, st.mean.tobytes(), st.sigma))
+    assert ends[0] == ends[1]
+    assert ends[0][:2] == (at + 21, "tolfunhist")
 
 
 def test_stop_reason_stagnation_with_a_short_window():
