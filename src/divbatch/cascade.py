@@ -13,9 +13,10 @@ Each instance takes one step per generation: ``cma.ask_clear`` draws the
 candidates that lie in the box and clear of the earlier centers, one
 ``fn.evaluate_many`` call evaluates them, and ``tell`` updates the state.
 The objective must therefore provide ``evaluate_many`` (an (n, D) array
-in, n values out).  The sampler hands the draws past the step's stop back
-to the rng, so every run is bit-identical to filtering one candidate at a
-time.
+in, n values out).  The sampler keeps the draws past the step's stop in
+``z_spare`` for the instance's next step, so each candidate gets the
+normals it would get, and every run is bit-identical to filtering one
+candidate at a time.
 
 When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance

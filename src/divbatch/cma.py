@@ -6,8 +6,9 @@ adaptation and rank-one plus rank-mu covariance updates, exposed as
 is the one sampler: each round draws a block of candidates, keeps them in
 the box by resampling (clipping after 100 tries, as in Hansen's CMA-ES
 tutorial), rejects those closer than ``d_min`` to a set of centers, and
-hands the draws past its stop back to the rng, so it returns what a
-one-candidate loop would and leaves the rng where that loop would.
+keeps the draws past its stop in ``z_spare``, where the next call takes
+its first normals, so it returns what a one-candidate loop would and each
+candidate gets the normals that loop would give it.
 ``ask(state, box, n)`` is ``ask_clear`` with no centers and ``ask_one``
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boxes import Box, distances
+from .trajectory import fitness_keys
 
 __all__ = [
     "AlreadyStopped",
@@ -58,9 +60,15 @@ STOP_DEGENERATE = "degenerate"
 
 # out-of-box candidates are redrawn this many times before clipping
 _RESAMPLE_TRIES = 100
-# rows one block of ``ask_clear`` draws at most, to bound its memory: its
-# distance temporaries hold rows x centers x D floats
+# rows one block of ``ask_clear`` draws at most, to bound its memory; the
+# normals a call keeps for the next one are at most one block's tail
 _MAX_BLOCK_ROWS = 1024
+# the first block of an ``ask_clear`` call holds this many times the draws
+# that the last call's draws per clear candidate predict, taking that ratio
+# as at most ``_FIRST_BLOCK_MAX_RATIO``: a higher one mostly falls by the
+# next call, and first blocks sized from it raised peak memory
+_FIRST_BLOCK_SLACK = 1.5
+_FIRST_BLOCK_MAX_RATIO = 8.0
 _MAX_CONDITION = 1e14
 
 
@@ -159,6 +167,11 @@ class CmaState:
     hist_best: deque = field(default=None, repr=False)
     stagn_best: deque = field(default=None, repr=False)
     stagn_median: deque = field(default=None, repr=False)
+    # normals ``ask_clear`` drew past its last stop, in stream order: the
+    # next call takes its first rows from them, then from ``rng``
+    z_spare: np.ndarray = field(default=None, repr=False)
+    # draws per clear candidate in the last ``ask_clear`` call
+    draws_per_clear: float = field(default=1.0, repr=False)
 
     @property
     def chi_n(self) -> float:
@@ -197,6 +210,7 @@ def init_cma(
         hist_best=deque(maxlen=hist_len),
         stagn_best=deque(maxlen=2 * params.tol_stagnation),
         stagn_median=deque(maxlen=2 * params.tol_stagnation),
+        z_spare=np.empty((0, dimension)),
     )
 
 
@@ -209,26 +223,38 @@ def ask_clear(
     out-of-box draws the last one is clipped.  It is clear when it lies at
     least ``d_min`` from every row of ``centers`` (closed inequality; with
     no centers every candidate is).  Returns the clear candidates, in draw
-    order, and the number rejected.  The candidates, the rejections and
-    the rng consumed are exactly those of a loop over ``ask_one`` calls
-    that stops at the n-th clear or the ``cap``-th rejected candidate.
-    Sampling never changes the distribution.
+    order, and the number rejected.  The candidates and the rejections are
+    exactly those of a loop over ``ask_one`` calls that stops at the n-th
+    clear or the ``cap``-th rejected candidate.  The normals drawn past
+    that stop stay in ``state.z_spare`` and open the next call, so every
+    call gets the normals the loop would.  Sampling never changes the
+    distribution.
     """
     if state.stop_reason is not None:
         raise AlreadyStopped(f"state already stopped ({state.stop_reason})")
     rng, dim = state.rng, state.params.dimension
+    spare = state.z_spare
     out = np.empty((n, dim))
     done = rejected = drawn = 0
     # out-of-box draws since the last in-box one, carried across blocks
     misses = 0
+    # the first block: the draws the last call's ratio predicts, with slack
+    rows = math.ceil(_FIRST_BLOCK_SLACK * n * min(state.draws_per_clear, _FIRST_BLOCK_MAX_RATIO))
     while done < n and rejected < cap:
         owed, allowed = n - done, cap - rejected
-        # as many draws as the acceptance so far suggests; before any
-        # acceptance, one per candidate owed, then twice the draws so far
-        rows = min(_MAX_BLOCK_ROWS, -(-owed * drawn // done) if done else max(owed, 2 * drawn))
-        # a block of at most min(owed, allowed) rows cannot pass the stop
-        saved = rng.bit_generator.state if rows > min(owed, allowed) else None
-        z = rng.standard_normal((rows, dim))
+        if drawn:
+            # as many draws as the acceptance so far suggests; before any
+            # acceptance, twice the draws so far
+            rows = -(-owed * drawn // done) if done else 2 * drawn
+        rows = min(_MAX_BLOCK_ROWS, rows)
+        # the spare normals come first in the stream, then the rng's
+        have = len(spare)
+        if rows <= have:
+            z = spare[:rows]
+        else:
+            z = np.empty((rows, dim))
+            z[:have] = spare
+            rng.standard_normal(out=z[have:])
         # a stacked matmul is one matrix-vector product per row, the same
         # bits as ``eig_vectors @ v`` on each row alone
         xs = state.mean + state.sigma * np.matmul(
@@ -248,7 +274,10 @@ def ask_clear(
             xs = box.clip(xs)
         kept, misfits = candidate, ()
         if len(centers):
-            clear = (distances(xs[:, None, :], centers) >= d_min).all(axis=1)
+            # one center at a time keeps the temporaries at rows x D
+            clear = distances(xs, centers[0]) >= d_min
+            for center in centers[1:]:
+                clear &= distances(xs, center) >= d_min
             kept, misfits = candidate & clear, (candidate & ~clear).nonzero()[0]
         hits = kept.nonzero()[0]
         # the draw after which a one-candidate loop would stop
@@ -263,10 +292,11 @@ def ask_clear(
         rejected += bisect_left(misfits, used)
         drawn += used
         misses = 0 if last is None else used - 1 - last[used - 1]
-        if used < rows:
-            # hand back the draws past the stop
-            rng.bit_generator.state = saved
-            rng.standard_normal((used, dim))
+        # the draws past the stop open the next block, or the next call
+        spare = z[used:] if rows >= have else spare[used:]
+    state.z_spare = spare
+    if drawn:
+        state.draws_per_clear = drawn / max(done, 1)
     return out[:done], rejected
 
 
@@ -291,8 +321,10 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
 
     ``xs`` is an (n, D) array of candidates and ``fs`` their n fitness
     values, lower better.  Any n in [mu, lambda] is accepted; the mu best
-    are recombined with the standard weights.  The stop statistics (best,
-    median, range) rank NaN as +inf, as ``trajectory.fitness_key`` does.
+    are recombined with the standard weights.  The parents and the stop
+    statistics (best, median, range) rank NaN as +inf, as
+    ``trajectory.fitness_key`` does, ties broken by row; a median between
+    -inf and +inf ranks as +inf too.
     """
     params = state.params
     xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
@@ -305,6 +337,11 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
         raise ValueError(f"xs must have shape ({n}, {params.dimension}), got {xs.shape}")
 
     order = np.argsort(fs, kind="stable")
+    # argsort puts NaN after +inf; ``fitness_key`` ranks NaN as +inf and
+    # breaks the tie by row
+    if fs[order[-1]] != fs[order[-1]]:
+        fs = fitness_keys(fs)
+        order = np.argsort(fs, kind="stable")
     parents = xs[order[: params.mu]]
     w = params.weights
 
@@ -349,14 +386,14 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.p_c = p_c
     state.iteration += 1
 
-    # argsort puts NaN last; the statistics rank it as +inf
-    if fs[order[-1]] != fs[order[-1]]:
-        fs = np.where(np.isnan(fs), np.inf, fs)
     best = float(fs[order[0]])
     # the bits of ``np.median``: its mean adds the middle values to 0.0
     mid = n // 2
     upper = 0.0 + float(fs[order[mid]])
     med = upper if n % 2 else (upper + float(fs[order[mid - 1]])) / 2
+    if med != med:
+        # the middle values are -inf and +inf; the median ranks as +inf
+        med = math.inf
     state.last_range = float(np.maximum.reduce(fs)) - float(np.minimum.reduce(fs))
     state.hist_best.append(best)
     state.stagn_best.append(best)

@@ -1,9 +1,11 @@
 """Shared replay helpers for cascade runs with region logs, a flat objective,
-one-candidate reference loops for the block sampler and its drivers, and
-the reference generation update ``reference_tell``."""
+one-candidate reference loops for the block sampler and its drivers, the
+sampler's stream position, and the reference generation update
+``reference_tell``."""
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 
@@ -14,6 +16,7 @@ from divbatch import Trajectory, init_cma, init_diverse_means, tell, update_tabu
 from divbatch.boxes import distances
 from divbatch.cascade import CENTER_STRATEGIES, STALLED
 from divbatch.cma import (
+    _MAX_BLOCK_ROWS,
     _MAX_CONDITION,
     STOP_DEGENERATE,
     STOP_MAXITER,
@@ -88,6 +91,27 @@ def reference_ask_one(state, box):
         if box.contains(x):
             return x
     return box.clip(x)
+
+
+def next_normals(state, rows=_MAX_BLOCK_ROWS + 1):
+    """The next ``rows`` normal vectors the state's sampler will use: its
+    spare rows, then its rng's next ones, drawn from a copy of the rng.
+
+    A state driven only by the reference loops keeps no spare, so this is
+    its rng's next rows.  The default reaches past any spare into the rng.
+    """
+    spare = state.z_spare
+    fresh = copy.deepcopy(state.rng).standard_normal((rows - len(spare), state.params.dimension))
+    return np.concatenate([spare, fresh])
+
+
+def same_stream_position(state, *others):
+    """Whether every state in ``others`` will use the same next normals as
+    ``state``: the stream-position check that stands in for comparing rng
+    states, since a sampler's rng runs ahead of a one-candidate loop's by
+    its spare rows."""
+    ahead = next_normals(state).tobytes()
+    return all(next_normals(other).tobytes() == ahead for other in others)
 
 
 def reference_ask_clear(state, box, room, centers, d_min, cap):
@@ -240,7 +264,9 @@ def reference_run_cma_single(fn, budget, seed=0):
 # the oracle for bit-identical updates.  Their stop statistics take NaN as
 # it comes (``np.median`` and the range give NaN, and ``max``/``min`` over
 # the history skip a NaN unless it comes first), so they are compared with
-# ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf.
+# ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf and
+# rows in ``fitness_key`` order.  One rule is newer than the rest: a median
+# between -inf and +inf ranks as +inf, as in ``tell``.
 
 
 def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
@@ -306,6 +332,8 @@ def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
 
     best = float(fs[order[0]])
     med = float(np.median(fs))
+    if math.isnan(med):
+        med = math.inf
     state.last_range = float(fs.max() - fs.min())
     state.hist_best.append(best)
     state.stagn_best.append(best)

@@ -4,11 +4,13 @@ Strategy constants for D=10 and D=2 are frozen from the standard
 closed-form parameterization, the sampler is checked against Monte-Carlo
 moments, and each stopping criterion is driven through the public
 ask/tell interface.  ``tell`` is compared bit for bit with the reference
-update in ``cascade_checks``.
+update in ``cascade_checks``, and the block sampler with one-candidate
+loops, down to the normals each will use next.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 
 import numpy as np
@@ -16,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_checks import reference_ask_clear, reference_ask_one, reference_tell
+from cascade_checks import (
+    reference_ask_clear,
+    reference_ask_one,
+    reference_tell,
+    same_stream_position,
+)
 from divbatch import (
     AlreadyStopped,
     Box,
@@ -31,6 +38,8 @@ from divbatch import (
     should_stop,
     tell,
 )
+from divbatch.cma import _MAX_BLOCK_ROWS
+from divbatch.trajectory import fitness_keys
 
 BIG = 1e9
 
@@ -168,8 +177,8 @@ def test_block_ask_equals_one_candidate_draws(dim, width, where, sigma0, sizes):
         assert all(box.contains(x) for x in xs)
         # clipped rows sit on a box face
         clipped += list(((xs == box.lower) | (xs == box.upper)).any(axis=1))
-    state = block.rng.bit_generator.state
-    assert state == single.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert len(block.z_spare) <= _MAX_BLOCK_ROWS
+    assert same_stream_position(reference, block, single)
     if width < 1.0:
         assert any(clipped)
     if width < 0.01:
@@ -178,16 +187,19 @@ def test_block_ask_equals_one_candidate_draws(dim, width, where, sigma0, sizes):
         assert not all(clipped)
 
 
-def test_block_ask_hands_back_unused_draws():
+def test_block_ask_keeps_unused_draws_for_the_next_call():
     # mean on a corner: about 15/16 of the draws leave the box in 4-D, so
-    # blocks are overdrawn and the surplus returned to the rng
+    # blocks are overdrawn and the surplus kept as spare normals
     box = Box.cube(4)
     block, reference = twin_states(4, np.full(4, 5.0), box, 2.0)
+    spares = []
     for n in (1, 2, 3, 5, 8, 13):
         assert np.array_equal(
             ask(block, box, n), np.array([reference_ask_one(reference, box) for _ in range(n)])
         )
-        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert same_stream_position(block, reference)
+        spares.append(len(block.z_spare))
+    assert any(spares)
 
 
 @st.composite
@@ -233,7 +245,8 @@ def test_ask_clear_equals_the_one_candidate_loop(call):
         assert xs.shape == expected.shape
         assert xs.tobytes() == expected.tobytes()
         assert rejected == expected_rejected
-        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert len(block.z_spare) <= _MAX_BLOCK_ROWS
+        assert same_stream_position(block, reference)
 
 
 def test_ask_clear_rejects_clipped_candidates_inside_a_tabu_ball():
@@ -245,7 +258,7 @@ def test_ask_clear_rejects_clipped_candidates_inside_a_tabu_ball():
     xs, rejected = ask_clear(block, box, 5, corners, 1e-4, 7)
     assert xs.shape == (0, 2) and rejected == 7
     assert reference_ask_clear(reference, box, 5, corners, 1e-4, 7)[1] == 7
-    assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert same_stream_position(block, reference)
 
 
 @pytest.mark.parametrize("with_centers", [True, False])
@@ -263,9 +276,61 @@ def test_ask_clear_on_in_box_blocks_equals_the_one_candidate_loop(with_centers):
         assert xs.shape == expected.shape
         assert xs.tobytes() == expected.tobytes()
         assert rejected == expected_rejected
-        assert block.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert same_stream_position(block, reference)
         total += rejected
     assert total > 0 if with_centers else total == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sampler_calls(), st.lists(st.sampled_from(["one", "clear"]), min_size=2, max_size=8))
+def test_ask_one_interleaved_with_ask_clear_equals_the_one_candidate_loop(call, kinds):
+    dim, box, mean, sigma0, seed, centers, d_min, calls = call
+    block, reference = twin_states(dim, mean, box, sigma0, seed)
+    for i, kind in enumerate(kinds):
+        if kind == "one":
+            assert ask_one(block, box).tobytes() == reference_ask_one(reference, box).tobytes()
+        else:
+            room, cap = calls[i % len(calls)]
+            xs, rejected = ask_clear(block, box, room, centers, d_min, cap)
+            expected, expected_rejected = reference_ask_clear(
+                reference, box, room, centers, d_min, cap
+            )
+            assert xs.tobytes() == expected.tobytes()
+            assert rejected == expected_rejected
+        assert same_stream_position(block, reference)
+
+
+@pytest.mark.parametrize(
+    "dim, width, where, sigma0, d_min",
+    [
+        (3, 10.0, "center", 1.0, 1.0),  # few draws leave the box, some are rejected
+        (4, 10.0, "corner", 2.0, 2.0),  # most draws leave the box
+        (10, 10.0, "center", 3.0, 4.0),  # some draws leave the box, many are rejected
+    ],
+)
+def test_a_deep_copy_taken_mid_run_continues_bit_identically(dim, width, where, sigma0, d_min):
+    box = Box.cube(dim, -width / 2, width / 2)
+    mean = np.zeros(dim) if where == "center" else box.upper
+    state, _ = twin_states(dim, mean, box, sigma0)
+    lam = state.params.lambda_
+    centers = np.array([np.zeros(dim), np.full(dim, width / 4)])
+
+    def step(st):
+        xs, rejected = ask_clear(st, box, lam, centers, d_min, 100 * lam)
+        if len(xs) >= st.params.mu:
+            tell(st, xs, np.add.reduce(xs * xs, axis=1))
+        return xs.tobytes(), rejected
+
+    for _ in range(3):
+        step(state)
+    assert len(state.z_spare) and state.stop_reason is None
+    twin = copy.deepcopy(state)
+    assert state_bits(twin) == state_bits(state)
+    for _ in range(6):
+        if state.stop_reason is not None:
+            break
+        assert step(twin) == step(state)
+        assert state_bits(twin) == state_bits(state)
 
 
 def test_ask_after_stop_raises():
@@ -329,10 +394,12 @@ def state_bits(state):
         bits(state.best_median),
         [(h.maxlen, [bits(v) for v in h]) for h in history],
         state.rng.bit_generator.state,
+        (state.z_spare.shape, state.z_spare.tobytes()),
+        bits(state.draws_per_clear),
     )
 
 
-# +inf is added to the pool, or NaN in its place, by ``tell_inputs``
+# +inf is added to the pool by ``tell_inputs``, and NaN too in the "nan" mode
 FITNESS_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -np.inf, 1e300, -1e300, 5e-324, 1.7976931348623157e308]
 
 
@@ -344,7 +411,7 @@ def tell_runs(draw):
     blows the covariance up to inf or holds an infinite row, which makes
     the state degenerate.  The fs modes are normal values at magnitudes up
     to 1e300, values from a pool of signed zeros, infinities, extremes and
-    subnormals (with +inf or with NaN in its place), signed zeros alone,
+    subnormals (with +inf, or with +inf and NaN), signed zeros alone,
     one value for every row, or rows whose best never moves; one mode per
     step or for the whole run.  Overridden tolerances let each stop test
     fire within a few tells.
@@ -389,7 +456,7 @@ def tell_inputs(rng, state, n, xs_mode, fs_mode):
     elif fs_mode == "flat":
         fs = 5.0 + rng.permutation(np.arange(n) % 3)
     else:
-        fs = rng.choice(FITNESS_POOL + [np.inf if fs_mode == "pool" else np.nan], n)
+        fs = rng.choice(FITNESS_POOL + [np.inf] + ([np.nan] if fs_mode == "nan" else []), n)
     return xs, fs
 
 
@@ -403,10 +470,24 @@ def test_tell_equals_the_reference_update_bit_for_bit(run):
     for n, xs_mode, fs_mode in steps:
         xs, fs = tell_inputs(rng, lean, n, xs_mode, fs_mode)
         tell(lean, xs.copy(), fs.copy())
-        # ``tell`` ranks NaN as +inf; with no +inf in ``fs`` the parents'
-        # order is the same either way
-        reference_tell(reference, xs, np.where(np.isnan(fs), np.inf, fs))
+        # ``tell`` ranks NaN as +inf, ties broken by row: the oracle gets
+        # the rows in that order and NaN put to +inf
+        keys = fitness_keys(fs)
+        order = np.argsort(keys, kind="stable")
+        reference_tell(reference, xs[order], keys[order])
         assert state_bits(lean) == state_bits(reference)
+
+
+def test_tell_picks_the_fitness_key_best_parents_among_inf_and_nan_rows():
+    st = init_cma(2, np.zeros(2), seed=0)
+    assert st.params.mu == 3
+    xs = np.arange(12.0).reshape(6, 2) / 10.0
+    # the ``fitness_key`` order: rows 2 and 5, then NaN tied with +inf and
+    # the tie broken by row: 0, 1, 3, 4 (argsort would put 1 and 4 first)
+    fs = np.array([np.nan, np.inf, 1.0, np.nan, np.inf, 2.0])
+    tell(st, xs, fs)
+    assert st.mean.tobytes() == (st.params.weights @ xs[[2, 5, 0]]).tobytes()
+    assert st.mean.tobytes() != (st.params.weights @ xs[[2, 5, 1]]).tobytes()
 
 
 def test_sphere_converges_to_high_precision():
@@ -545,6 +626,26 @@ def test_stop_reason_stagnation_with_a_short_window():
         if gen < 5:
             assert st.stop_reason is None
     assert st.stop_reason == "tolstagnation"
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_nan_median_lets_tolstagnation_fire_as_an_all_inf_generation_does(at):
+    # one generation's middle values are -inf and +inf, so its median is
+    # NaN as ``np.median`` gives it; ranked as +inf it no longer blocks the
+    # stagnation test, which fires when an all-+inf generation lets it
+    params = CmaParams.defaults(2).with_overrides(tol_stagnation=3)
+    odd = np.array([-np.inf] * 3 + [np.inf] * 3)
+    ends = []
+    for fs in (odd, np.full(6, np.inf)):
+        st = init_cma(2, np.zeros(2), params=params, seed=0)
+        anchor = st.mean.copy()
+        tells = 0
+        while st.stop_reason is None:
+            tell(st, np.tile(anchor, (6, 1)), fs if tells == at else 5.0 + np.arange(6) % 3)
+            tells += 1
+        ends.append((tells, st.stop_reason, st.first_median, st.best_median))
+    assert ends[0] == ends[1]
+    assert ends[0][:2] == (6, "tolstagnation")
 
 
 def test_stop_reason_maxiter():
