@@ -40,7 +40,7 @@ import numpy as np
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask_clear, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import EvaluatedPoint, Trajectory, fitness_key, fitness_keys
+from .trajectory import EvaluatedPoint, Trajectory, fitness_key, fitness_keys, format_rows
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -133,11 +133,14 @@ class CascadeLog:
     total_rejections: int = 0
 
     def write(self, path: str | Path) -> None:
+        """One CSV line per snapshot, centers as ``trajectory.format_rows`` writes them."""
         coords = ",".join(f"x{i}" for i in range(self.dimension))
+        centers = np.asarray([snap.center for snap in self.snapshots], dtype=float)
+        rows = format_rows(centers.reshape(len(self.snapshots), self.dimension))
         lines = [f"generation,instance,{coords}"]
-        for snap in self.snapshots:
-            center = ",".join(repr(float(v)) for v in snap.center)
-            lines.append(f"{snap.generation},{snap.instance},{center}")
+        lines += [
+            f"{snap.generation},{snap.instance},{row}" for snap, row in zip(self.snapshots, rows)
+        ]
         Path(path).write_text("\n".join(lines) + "\n")
 
 

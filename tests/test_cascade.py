@@ -21,6 +21,7 @@ from divbatch import (
     EvaluatedPoint,
     InfeasibleInitialization,
     NoPopulation,
+    RegionSnapshot,
     init_cma,
     init_diverse_means,
     make_function,
@@ -297,4 +298,19 @@ def test_region_log_csv_layout(tmp_path):
     assert first[1] in {"0", "1"}
     assert [float(v) for v in first[2:]] == list(log.snapshots[0].center)
     assert len(lines) == 1 + len(log.snapshots)
+
+
+def test_region_log_bytes_are_one_repr_per_coordinate(tmp_path):
+    fn = make_function("rastrigin_sep", 3, 0)
+    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn, return_log=True)
+    last = log.snapshots[-1].generation
+    log.snapshots.append(RegionSnapshot(last + 1, 0, np.array([1e-300, 1e300, -0.0])))
+    path = tmp_path / "regions.csv"
+    log.write(path)
+    lines = ["generation,instance,x0,x1,x2"]
+    for snap in log.snapshots:
+        center = ",".join(repr(float(v)) for v in snap.center)
+        lines.append(f"{snap.generation},{snap.instance},{center}")
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert lines[-1] == f"{last + 1},0,1e-300,1e+300,-0.0"
 

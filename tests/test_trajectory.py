@@ -62,6 +62,29 @@ def test_empty_trajectory_is_refused(tmp_path):
         write_trajectory(Trajectory.from_points([]), tmp_path / "t.csv")
 
 
+@pytest.mark.parametrize("shape", [(2, 0), (2,)], ids=["no coordinate column", "1-D xs"])
+def test_xs_without_a_coordinate_column_is_refused(tmp_path, shape):
+    # the header would read eval_index,instance_id,,f, which the reader rejects
+    traj = Trajectory(xs=np.zeros(shape), fs=np.zeros(2), instance_id=np.zeros(2, dtype=np.int64))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="2-D with at least one column"):
+        write_trajectory(traj, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [(2, 1, 1), (2, 2, 3), (3, 2, 2)], ids=str)
+def test_columns_of_different_lengths_are_refused(tmp_path, rows):
+    # zipping the columns would cut the file to the shortest one
+    n_xs, n_fs, n_ids = rows
+    traj = Trajectory(
+        xs=np.ones((n_xs, 2)), fs=np.ones(n_fs), instance_id=np.zeros(n_ids, dtype=np.int64)
+    )
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="one row per evaluation"):
+        write_trajectory(traj, path)
+    assert not path.exists()
+
+
 def test_missing_header_raises(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,0,1.0,2.0,3.0\n")
@@ -159,20 +182,32 @@ def test_points_are_views_rebuilt_on_every_access():
 
 
 # bit patterns a CSV writer can get wrong: signed zero, subnormals,
-# non-finite values and magnitudes near the float range's ends
+# non-finite values, magnitudes near the float range's ends, and the
+# values on either side of the ends of [1e-4, 1e16), the range in which
+# the writer takes orjson's text instead of repr's
 SPECIAL_VALUES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
     1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3,
+    1e-4, math.nextafter(1e-4, 0), -1e-4, 5e-5, 1e15, 9999999999999998.0, 1e16, -1e16, 2.0**53 + 2,
 ]
 
 
 @st.composite
 def columnar_trajectories(draw):
-    """Trajectories of D 1-40 and 1-300 rows with sprinkled special values."""
+    """Trajectories of D 1-40 and 1-300 rows.
+
+    At least half the rows hold only magnitudes in [1e-4, 1e16); in the
+    others each value is drawn from the whole float range with even odds,
+    and special values are sprinkled over those draws.
+    """
     dim, n = draw(st.integers(1, 40)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = rng.standard_normal((n, dim + 1)) * 10.0 ** rng.integers(-320, 300, (n, dim + 1))
-    special = rng.random((n, dim + 1)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    shape = (n, dim + 1)
+    table = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4, 16, shape)
+    wide = rng.random(shape) < 0.5
+    wide[rng.permutation(n)[: (n + 1) // 2]] = False
+    table[wide] = rng.standard_normal(wide.sum()) * 10.0 ** rng.integers(-320, 300, wide.sum())
+    special = wide & (rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])))
     table[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
     return Trajectory(
         xs=table[:, :dim].copy(), fs=table[:, dim].copy(), instance_id=rng.integers(-5, 6, n)
@@ -191,6 +226,27 @@ def test_columnar_io_equals_the_row_at_a_time_reference(tmp_path_factory, traj):
     assert column_bits(back) == column_bits(Trajectory.from_points(read_trajectory_reference(ref)))
     assert column_bits(back) == column_bits(traj)
     assert back.xs.flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_random_bit_patterns_are_written_like_the_reference(tmp_path_factory, dim, n, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, (n, dim + 1), dtype=np.uint64)
+    # about one value in twenty gets the all-ones exponent: a NaN, or an
+    # infinity when its mantissa is cleared too
+    non_finite = rng.random(bits.shape) < 0.05
+    bits[non_finite] |= np.uint64(0x7FF << 52)
+    bits[non_finite & (rng.random(bits.shape) < 0.5)] &= np.uint64(0xFFF << 52)
+    table = bits.view(np.float64)
+    traj = Trajectory(
+        xs=table[:, :dim].copy(), fs=table[:, dim].copy(), instance_id=rng.integers(-5, 6, n)
+    )
+    work = tmp_path_factory.mktemp("bits")
+    new, ref = work / "new.csv", work / "ref.csv"
+    write_trajectory(traj, new)
+    write_trajectory_reference(traj.points, ref)
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def outcome(read, path):
