@@ -20,18 +20,22 @@ trajectory, log = run_ds(cfg, fn, return_log=True)
 
 print("one run on the 2-D Gaussian peaks landscape:")
 print("  evaluations :", len(trajectory))
-# the log snapshots every instance after every generation
-generations = log.snapshots[-1].generation + 1
+# the log is columns: one row per instance step, in generation order,
+# and one row per epoch
+generations = int(log.generation[-1]) + 1
 print("  generations :", generations)
-print("  epochs      :", max(e for e, _, _ in log.epoch_starts) + 1)
+print("  epochs      :", len(log.epoch_starts))
+print("  first generations of the epochs:", log.epoch_starts.tolist())
 
 # ## Where the regions went
 #
-# The log snapshots every instance's region center after every
-# generation, and the trajectory stamps every evaluation with its epoch
-# and generation; together they make the distance discipline replayable.
+# Row r of the log holds instance ``log.instance[r]``'s region center
+# after its step in generation ``log.generation[r]``, and the trajectory
+# stamps every evaluation with its epoch and generation; together they
+# make the distance discipline replayable.
 
-centers = {(s.generation, s.instance): s.center for s in log.snapshots}
+rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
+centers = {(generation, instance): center for generation, instance, center in rows}
 print("\nregion centers at a quarter and at three quarters of the budget:")
 for fraction in (0.25, 0.75):
     target = fraction * cfg.budget
@@ -76,4 +80,4 @@ for instance, p in sorted(by_instance.items()):
 # the region log can also be written as a plot-ready CSV, one row per
 # instance and generation
 log.write("cascade_regions.csv")
-print("\nregion snapshot table written to cascade_regions.csv")
+print("\nregion center table written to cascade_regions.csv")

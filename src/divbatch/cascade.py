@@ -18,6 +18,14 @@ in, n values out).  The sampler keeps the draws past the step's stop in
 normals it would get, and every run is bit-identical to filtering one
 candidate at a time.
 
+An epoch's tabu centers are one (k, D) array.  Instance i samples clear of
+its rows ``:i`` and then writes its own center into row i: the step's best
+point (``population_best``), the best point it has evaluated
+(``best_so_far``) or its CMA-ES mean (``distribution_mean``).  With
+``return_log`` the run also returns a ``CascadeLog``, the center after
+every instance step as columns plus each epoch's first generation and
+initial means.
+
 When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
 has stopped with budget left, the cascade restarts from a fresh set of
@@ -31,8 +39,9 @@ earlier mean is admitted.  Custom metrics are not supported.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +49,7 @@ import numpy as np
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask_clear, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import EvaluatedPoint, Trajectory, fitness_key, fitness_keys, format_rows
+from .trajectory import Trajectory, fitness_keys, format_rows
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -48,11 +57,8 @@ __all__ = [
     "CascadeLog",
     "DsConfig",
     "InfeasibleInitialization",
-    "NoPopulation",
-    "RegionSnapshot",
     "init_diverse_means",
     "run_ds",
-    "update_tabu_center",
 ]
 
 CENTER_POPULATION_BEST = "population_best"
@@ -65,10 +71,6 @@ STALLED = "stalled"
 
 class InfeasibleInitialization(RuntimeError):
     """Mutually distant starting means could not be sampled."""
-
-
-class NoPopulation(ValueError):
-    """Center update requested from an empty population."""
 
 
 @dataclass
@@ -98,49 +100,44 @@ class DsConfig:
 
 @dataclass
 class CascadeInstance:
-    """One CMA-ES instance plus its tabu center and bookkeeping.
+    """One CMA-ES instance and its bookkeeping.
 
-    ``index`` is also the instance's place in the cascade.
+    ``index`` is the instance's place in the cascade and its row in the
+    epoch's centers.  ``best_x`` is the best point it has evaluated and
+    ``best_key`` that point's ``fitness_keys`` value; ``stop_cause`` is set
+    once the instance stops.
     """
 
     index: int
     state: object
-    center: np.ndarray
-    best_point: EvaluatedPoint | None = None
-    stopped: bool = False
+    best_x: np.ndarray | None = None
+    best_key: float = math.inf
     stop_cause: str | None = None
 
 
 @dataclass
-class RegionSnapshot:
-    generation: int
-    instance: int
-    center: np.ndarray
-
-
-@dataclass
 class CascadeLog:
-    """Generation-stamped record of region movement, for replay and plots.
+    """Region centers after every instance step, as columns, for replay and plots.
 
-    The epoch and generation of each evaluation are the trajectory's
-    ``epoch`` and ``generation`` columns.
+    Row r of ``centers`` (rows, D) is the center of instance
+    ``instance[r]`` after its step in generation ``generation[r]``.  Epoch
+    e started at generation ``epoch_starts[e]`` from the means
+    ``epoch_means[e]``, a (k, D) array.  The epoch and generation of each
+    evaluation are the trajectory's ``epoch`` and ``generation`` columns.
     """
 
-    dimension: int
-    snapshots: list[RegionSnapshot] = field(default_factory=list)
-    # (epoch, first generation, list of initial means)
-    epoch_starts: list[tuple[int, int, list[np.ndarray]]] = field(default_factory=list)
+    generation: np.ndarray
+    instance: np.ndarray
+    centers: np.ndarray
+    epoch_starts: np.ndarray
+    epoch_means: np.ndarray
     total_rejections: int = 0
 
     def write(self, path: str | Path) -> None:
-        """One CSV line per snapshot, centers as ``trajectory.format_rows`` writes them."""
-        coords = ",".join(f"x{i}" for i in range(self.dimension))
-        centers = np.asarray([snap.center for snap in self.snapshots], dtype=float)
-        rows = format_rows(centers.reshape(len(self.snapshots), self.dimension))
-        lines = [f"generation,instance,{coords}"]
-        lines += [
-            f"{snap.generation},{snap.instance},{row}" for snap, row in zip(self.snapshots, rows)
-        ]
+        """One CSV line per row, centers as ``trajectory.format_rows`` writes them."""
+        coords = ",".join(f"x{i}" for i in range(self.centers.shape[1]))
+        rows = zip(self.generation.tolist(), self.instance.tolist(), format_rows(self.centers))
+        lines = [f"generation,instance,{coords}"] + [f"{g},{i},{row}" for g, i, row in rows]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -163,8 +160,10 @@ def init_diverse_means(
     """Sample k uniform points pairwise at least ``d_min`` apart.
 
     Points are accepted one at a time by rejection against those already
-    accepted.  Raises InfeasibleInitialization when ``d_min`` exceeds the
-    box diameter or a point exceeds the per-point draw cap.
+    accepted.  When a point exceeds the per-point draw cap, the k points
+    are picked by ``_dispersed_means`` instead.  Raises
+    InfeasibleInitialization when ``d_min`` exceeds the box diameter or
+    even the dispersed points are closer than ``d_min``.
     """
     if d_min > box.diameter:
         raise InfeasibleInitialization(
@@ -179,41 +178,33 @@ def init_diverse_means(
                 means.append(x)
                 break
         else:
-            raise InfeasibleInitialization(
-                f"no point at distance >= {d_min} from {len(means)} accepted means "
-                f"within {rejection_cap} draws"
-            )
+            return _dispersed_means(k, box, d_min, rng)
     return means
 
 
-def update_tabu_center(
-    instance: CascadeInstance,
-    population: list[EvaluatedPoint],
-    strategy: str = CENTER_POPULATION_BEST,
-) -> np.ndarray:
-    """Move the instance's tabu center according to the chosen strategy.
+def _dispersed_means(k: int, box: Box, d_min: float, rng: np.random.Generator) -> list[np.ndarray]:
+    """k points by farthest-point (max-min) dispersion (Gonzalez, 1985).
 
-    population_best uses the best point of the current generation (ties by
-    lowest eval_index), best_so_far the best point the instance has ever
-    evaluated, distribution_mean the current CMA-ES mean.
+    The pool holds 4096 random box corners, the box center and 4096
+    uniform points.  The first corner is the first pick, and each next
+    pick is the pool point farthest from the picks so far, so the last
+    pick's distance is the closest pair's.  Unlike sequential rejection,
+    this finds spread-out sets such as the corners and center of a square.
     """
-    if strategy == CENTER_POPULATION_BEST:
-        if not population:
-            raise NoPopulation("population_best needs a non-empty population")
-        best = min(population, key=fitness_key)
-        instance.center = best.x.copy()
-    elif strategy == CENTER_BEST_SO_FAR:
-        best = instance.best_point
-        if best is None:
-            if not population:
-                raise NoPopulation("instance has not evaluated any point yet")
-            best = min(population, key=fitness_key)
-        instance.center = best.x.copy()
-    elif strategy == CENTER_DISTRIBUTION_MEAN:
-        instance.center = np.array(instance.state.mean, copy=True)
-    else:
-        raise ValueError(f"unknown center strategy {strategy!r}")
-    return instance.center
+    n = 4096
+    corners = np.where(rng.random((n, box.dimension)) < 0.5, box.lower, box.upper)
+    pool = np.vstack([corners, (box.lower + box.upper) / 2, box.sample_uniform(rng, n)])
+    picks, gap, closest = [0], distances(pool, pool[0]), math.inf
+    while len(picks) < k:
+        picks.append(int(np.argmax(gap)))
+        closest = gap[picks[-1]]
+        gap = np.minimum(gap, distances(pool, pool[picks[-1]]))
+    if not closest >= d_min:
+        raise InfeasibleInitialization(
+            f"no {k} points at distance >= {d_min}: sequential rejection hit its draw cap "
+            f"and the closest pair of a farthest-point set is {closest:.6g} apart"
+        )
+    return [pool[i].copy() for i in picks]
 
 
 def run_ds(
@@ -225,13 +216,16 @@ def run_ds(
 
     Returns the evaluation trajectory, plus the region log when
     ``return_log`` is true.  The trajectory holds exactly ``config.budget``
-    points unless initialization is infeasible, which raises.  A k below 1
-    or an unknown center strategy raises ValueError.
+    points unless initialization is infeasible, which raises.  A k below 1,
+    a NaN d_min or an unknown center strategy raises ValueError.
     """
     if config.center_strategy not in CENTER_STRATEGIES:
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
+    if math.isnan(config.d_min):
+        # no distance is >= NaN: every instance past the first would be starved
+        raise ValueError("d_min must not be NaN")
     dim = fn.dimension
     box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
     params = CmaParams.defaults(dim)
@@ -249,62 +243,62 @@ def run_ds(
     init_rng = np.random.default_rng(init_ss)
     seed_rng = np.random.default_rng(seed_ss)
 
-    log = CascadeLog(dimension=dim)
     # the rows of each instance step that evaluated any, and the step's
     # (rows, instance, epoch, generation)
     xs_blocks: list[np.ndarray] = [np.empty((0, dim))]
     fs_blocks: list[np.ndarray] = [np.empty(0)]
     steps: list[tuple[int, int, int, int]] = []
+    # the region log: (generation, instance) and the center after every
+    # instance step, and each epoch's first generation and means
+    logged: list[tuple[int, int]] = []
+    logged_centers: list[np.ndarray] = []
+    epoch_starts: list[int] = []
+    epoch_means: list[np.ndarray] = []
+    rejections_total = 0
     evals = 0
     generation = 0
-    epoch = 0
 
-    def spawn_epoch(epoch_index: int) -> list[CascadeInstance]:
-        means = init_diverse_means(k, box, d_min, init_rng)
-        log.epoch_starts.append((epoch_index, generation, [m.copy() for m in means]))
+    def spawn_epoch() -> tuple[list[CascadeInstance], np.ndarray]:
+        # row i is instance i's tabu center; instance i avoids rows :i
+        centers = np.array(init_diverse_means(k, box, d_min, init_rng))
+        epoch_starts.append(generation)
+        epoch_means.append(centers.copy())
         fresh = []
         for i in range(k):
-            state = init_cma(dim, means[i], params, int(seed_rng.integers(2**63)), box)
-            fresh.append(CascadeInstance(index=i, state=state, center=means[i].copy()))
-        return fresh
+            state = init_cma(dim, centers[i], params, int(seed_rng.integers(2**63)), box)
+            fresh.append(CascadeInstance(i, state))
+        return fresh, centers
 
     def freeze(inst: CascadeInstance, cause: str) -> None:
-        inst.stopped = True
         inst.stop_cause = cause
-        if inst.best_point is not None:
-            inst.center = inst.best_point.x.copy()
+        if inst.best_x is not None:
+            centers[inst.index] = inst.best_x
 
-    instances = spawn_epoch(epoch)
+    instances, centers = spawn_epoch()
 
     while evals < budget:
-        if all(inst.stopped for inst in instances):
+        if all(inst.stop_cause is not None for inst in instances):
             # full restart: fresh instances from fresh diverse means
-            epoch += 1
-            instances = spawn_epoch(epoch)
-        for pos, inst in enumerate(instances):
+            instances, centers = spawn_epoch()
+        for i, inst in enumerate(instances):
             if evals >= budget:
                 break
-            if not inst.stopped:
+            if inst.stop_cause is None:
                 # earlier centers hold still while this instance samples
-                centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
                 xs, rejections = ask_clear(
-                    inst.state, box, min(lam, budget - evals), centers, d_min, 100 * lam
+                    inst.state, box, min(lam, budget - evals), centers[:i], d_min, 100 * lam
                 )
-                log.total_rejections += rejections
+                rejections_total += rejections
                 if len(xs):
                     fs = np.asarray(fn.evaluate_many(xs), dtype=float)
                     xs_blocks.append(xs)
                     fs_blocks.append(fs)
-                    steps.append((len(xs), inst.index, epoch, generation))
+                    steps.append((len(xs), i, len(epoch_starts) - 1, generation))
                     # the step's best, the earliest row among ties
-                    b = int(np.argmin(fitness_keys(fs)))
-                    best = EvaluatedPoint(
-                        x=xs[b].copy(), f=float(fs[b]), eval_index=evals + b, instance_id=inst.index
-                    )
-                    if inst.best_point is None or fitness_key(best) < fitness_key(
-                        inst.best_point
-                    ):
-                        inst.best_point = best
+                    keys = fitness_keys(fs)
+                    b = int(np.argmin(keys))
+                    if inst.best_x is None or keys[b] < inst.best_key:
+                        inst.best_x, inst.best_key = xs[b], keys[b]
                 evals += len(xs)
                 # the budget ran out before lambda clear candidates were found
                 out_of_budget = len(xs) < lam and evals >= budget
@@ -313,20 +307,20 @@ def run_ds(
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
                     else:
-                        # the step's best is the population_best center
-                        update_tabu_center(inst, [best], config.center_strategy)
+                        centers[i] = (
+                            xs[b]
+                            if config.center_strategy == CENTER_POPULATION_BEST
+                            else inst.best_x
+                            if config.center_strategy == CENTER_BEST_SO_FAR
+                            else inst.state.mean
+                        )
                 elif not out_of_budget:
                     # the rejection cap starved this instance: stop it for good
                     freeze(inst, STALLED)
                 # with the budget gone and fewer than mu points, the partial
                 # population is discarded and the run simply ends
-            log.snapshots.append(
-                RegionSnapshot(
-                    generation=generation,
-                    instance=inst.index,
-                    center=inst.center.copy(),
-                )
-            )
+            logged.append((generation, i))
+            logged_centers.append(centers[i].copy())
         generation += 1
 
     rows, instance, epochs, generations = np.array(steps, dtype=np.int64).reshape(-1, 4).T
@@ -340,6 +334,15 @@ def run_ds(
         algorithm_id="ds",
         config=config.snapshot(),
     )
-    if return_log:
-        return trajectory, log
-    return trajectory
+    if not return_log:
+        return trajectory
+    log_generation, log_instance = np.array(logged, dtype=np.int64).reshape(-1, 2).T
+    log = CascadeLog(
+        generation=log_generation,
+        instance=log_instance,
+        centers=np.array(logged_centers).reshape(-1, dim),
+        epoch_starts=np.array(epoch_starts, dtype=np.int64),
+        epoch_means=np.array(epoch_means),
+        total_rejections=rejections_total,
+    )
+    return trajectory, log

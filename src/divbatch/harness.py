@@ -3,16 +3,16 @@
 A cell of the grid is (function, algorithm, seed): generate a portfolio,
 select a batch, compute loss metrics, and record the outcome.  A cell
 whose generation raised is recorded with ``error`` set, never fatal; an
-incomplete batch is not an error and only has ``complete`` false.
-Portfolio generation and batch selection are timed separately with
-process CPU time.  ``export_plot_data`` writes the seed-mean curves of a
-list of records; a cascade's region log is written by ``CascadeLog.write``.
+incomplete batch is not an error and only has ``complete`` false.  A
+record holds no timings, so rerunning a grid rewrites every persisted
+file (trajectories, batches and records) byte for byte.
+``export_plot_data`` writes the seed-mean curves of a list of records; a
+cascade's region log is written by ``CascadeLog.write``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -72,8 +72,6 @@ class RunRecord:
     leader_loss: float
     batch_losses: list[float]
     cum_avg: list[float]
-    cpu_seconds: float
-    select_cpu_seconds: float
 
     def batch_average(self) -> float:
         return float(np.mean(self.batch_losses)) if self.batch_losses else float("nan")
@@ -144,7 +142,6 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
         d_min=cfg.d_min,
         method=cfg.method,
     )
-    start = time.process_time()
     try:
         trajectory = _generate(algorithm, fn, cfg, seed)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the grid
@@ -156,15 +153,10 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
             leader_loss=float("nan"),
             batch_losses=[],
             cum_avg=[],
-            cpu_seconds=time.process_time() - start,
-            select_cpu_seconds=0.0,
         )
         return record, None, None
-    cpu_seconds = time.process_time() - start
 
-    start = time.process_time()
     batch = SELECTORS[cfg.method](trajectory, cfg.k, cfg.d_min)
-    select_cpu_seconds = time.process_time() - start
 
     leader_loss, batch_losses, cum_avg = compute_metrics(batch, fn)
     record = RunRecord(
@@ -174,8 +166,6 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
         leader_loss=leader_loss,
         batch_losses=batch_losses,
         cum_avg=cum_avg,
-        cpu_seconds=cpu_seconds,
-        select_cpu_seconds=select_cpu_seconds,
     )
     return record, trajectory, batch
 

@@ -99,7 +99,11 @@ def _sweep(
     ``xs`` holds the fitness-sorted points.  Everything strictly closer
     than ``d_min`` to a picked point is cleared, as is ``banned``; the best
     remaining point is picked next, until k are picked or none is left.
+    Every selector sweeps, so this is where a k below 1, which no batch
+    with a leader can meet, raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     alive = np.ones(len(xs), dtype=bool)
     for i in picked:
         alive &= distances(xs, xs[i]) >= d_min

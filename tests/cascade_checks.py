@@ -1,18 +1,19 @@
-"""Shared replay helpers for cascade runs with region logs, a flat objective,
-one-candidate reference loops for the block sampler and its drivers, the
-sampler's stream position, and the reference generation update
-``reference_tell``."""
+"""Shared replay helpers for cascade runs with region logs, a flat and a
+tied objective, one-candidate reference loops for the block sampler and
+its drivers, the sampler's stream position, and the reference generation
+update ``reference_tell``."""
 
 from __future__ import annotations
 
 import copy
 import math
 import warnings
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from divbatch import Box, CascadeInstance, CascadeLog, CmaParams, EvaluatedPoint, RegionSnapshot
-from divbatch import Trajectory, init_cma, init_diverse_means, tell, update_tabu_center
+from divbatch import Box, CmaParams, EvaluatedPoint, Trajectory, init_cma, init_diverse_means, tell
 from divbatch.boxes import distances
 from divbatch.cascade import CENTER_STRATEGIES, STALLED
 from divbatch.cma import (
@@ -51,6 +52,26 @@ class FlatFunction:
         return np.full(len(xs), 7.0)
 
 
+class TiedFunction:
+    """Sphere rounded down to whole numbers and NaN where x0 > 2: a
+    population often ties on its best value, so the eval_index tie-break
+    of the ``population_best`` center matters."""
+
+    def __init__(self, dimension=2):
+        self.dimension = dimension
+        self.lower_bounds = np.full(dimension, -5.0)
+        self.upper_bounds = np.full(dimension, 5.0)
+        self.function_id = "tied"
+        self.eval_count = 0
+
+    def evaluate(self, x):
+        return float(self.evaluate_many(np.asarray(x)[None])[0])
+
+    def evaluate_many(self, xs):
+        self.eval_count += len(xs)
+        return np.where(xs[:, 0] > 2.0, np.nan, np.floor(np.add.reduce(xs * xs, axis=1)))
+
+
 def clearance_violations(trajectory, log, d_min):
     """Points of instance i that sit closer than d_min to the region center
     of an earlier instance, as that center stood in the point's generation.
@@ -58,7 +79,8 @@ def clearance_violations(trajectory, log, d_min):
     Returns a list of (eval_index, offending_instance) pairs; an empty list
     means the cascade constraint held for every evaluated point.
     """
-    centers = {(s.generation, s.instance): s.center for s in log.snapshots}
+    rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
+    centers = {(generation, instance): center for generation, instance, center in rows}
     bad = []
     rows = zip(trajectory.xs, trajectory.instance_id.tolist(), trajectory.generation.tolist())
     for eval_index, (x, instance, generation) in enumerate(rows):
@@ -71,7 +93,7 @@ def clearance_violations(trajectory, log, d_min):
 def epoch_mean_violations(log, d_min):
     """Epochs whose initial means are not pairwise at least d_min apart."""
     bad = []
-    for epoch, _, means in log.epoch_starts:
+    for epoch, means in enumerate(log.epoch_means):
         for a in range(len(means)):
             for b in range(a + 1, len(means)):
                 if float(distances(means[a], means[b])) < d_min:
@@ -131,11 +153,27 @@ def reference_ask_clear(state, box, room, centers, d_min, cap):
     return np.array(kept).reshape(len(kept), state.params.dimension), rejected
 
 
+@dataclass
+class ReferenceInstance:
+    """One instance of ``reference_run_ds``: its tabu center and best point."""
+
+    index: int
+    state: CmaState
+    center: np.ndarray
+    best: EvaluatedPoint | None = None
+    stop_cause: str | None = None
+
+
 def reference_run_ds(config, fn):
     """``run_ds`` as a one-candidate loop: ask, filter, evaluate per candidate.
 
-    Returns (trajectory, log, instances), where ``instances`` lists every
-    instance of every epoch in creation order.
+    Each center is chosen from the generation's whole accepted population:
+    its ``fitness_key`` minimum (population_best), the instance's best
+    point (best_so_far) or the CMA-ES mean (distribution_mean).
+
+    Returns (trajectory, log, instances): ``log`` holds the columns of a
+    ``CascadeLog``, and ``instances`` lists every instance of every epoch
+    in creation order.
     """
     if config.center_strategy not in CENTER_STRATEGIES:
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
@@ -149,15 +187,16 @@ def reference_run_ds(config, fn):
     init_ss, seed_ss = np.random.SeedSequence(config.seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
     seed_rng = np.random.default_rng(seed_ss)
-    log = CascadeLog(dimension=dim)
     points, stamps, created = [], [], []
-    evals = generation = epoch = 0
+    log_rows, epoch_starts, epoch_means = [], [], []
+    total_rejections = evals = generation = epoch = 0
 
-    def spawn_epoch(epoch_index):
+    def spawn_epoch():
         means = init_diverse_means(k, box, d_min, init_rng)
-        log.epoch_starts.append((epoch_index, generation, [m.copy() for m in means]))
+        epoch_starts.append(generation)
+        epoch_means.append([m.copy() for m in means])
         fresh = [
-            CascadeInstance(
+            ReferenceInstance(
                 index=i,
                 state=init_cma(dim, means[i], params, int(seed_rng.integers(2**63)), box),
                 center=means[i].copy(),
@@ -168,20 +207,19 @@ def reference_run_ds(config, fn):
         return fresh
 
     def freeze(inst, cause):
-        inst.stopped = True
         inst.stop_cause = cause
-        if inst.best_point is not None:
-            inst.center = inst.best_point.x.copy()
+        if inst.best is not None:
+            inst.center = inst.best.x.copy()
 
-    instances = spawn_epoch(epoch)
+    instances = spawn_epoch()
     while evals < budget:
-        if all(inst.stopped for inst in instances):
+        if all(inst.stop_cause is not None for inst in instances):
             epoch += 1
-            instances = spawn_epoch(epoch)
+            instances = spawn_epoch()
         for pos, inst in enumerate(instances):
             if evals >= budget:
                 break
-            if not inst.stopped:
+            if inst.stop_cause is None:
                 centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
                 accepted, rejections, out_of_budget = [], 0, False
                 while len(accepted) < lam:
@@ -199,25 +237,25 @@ def reference_run_ds(config, fn):
                         points.append(point)
                         accepted.append(point)
                         stamps.append((epoch, generation))
-                        if inst.best_point is None or fitness_key(point) < fitness_key(
-                            inst.best_point
-                        ):
-                            inst.best_point = point
+                        if inst.best is None or fitness_key(point) < fitness_key(inst.best):
+                            inst.best = point
                     else:
                         rejections += 1
-                log.total_rejections += rejections
+                total_rejections += rejections
                 if len(accepted) >= mu:
                     xs = np.array([p.x for p in accepted])
                     tell(inst.state, xs, np.array([p.f for p in accepted]))
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
+                    elif config.center_strategy == "population_best":
+                        inst.center = min(accepted, key=fitness_key).x.copy()
+                    elif config.center_strategy == "best_so_far":
+                        inst.center = inst.best.x.copy()
                     else:
-                        update_tabu_center(inst, accepted, config.center_strategy)
+                        inst.center = np.array(inst.state.mean, copy=True)
                 elif not out_of_budget:
                     freeze(inst, STALLED)
-            log.snapshots.append(
-                RegionSnapshot(generation=generation, instance=inst.index, center=inst.center.copy())
-            )
+            log_rows.append((generation, inst.index, inst.center.copy()))
         generation += 1
     epochs, generations = np.array(stamps, dtype=np.int64).reshape(-1, 2).T
     trajectory = Trajectory.from_points(
@@ -227,6 +265,14 @@ def reference_run_ds(config, fn):
         config=config.snapshot(),
         epoch=epochs,
         generation=generations,
+    )
+    log = SimpleNamespace(
+        generation=np.array([g for g, _, _ in log_rows], dtype=np.int64),
+        instance=np.array([i for _, i, _ in log_rows], dtype=np.int64),
+        centers=np.array([c for _, _, c in log_rows]).reshape(len(log_rows), dim),
+        epoch_starts=np.array(epoch_starts, dtype=np.int64),
+        epoch_means=np.array(epoch_means),
+        total_rejections=total_rejections,
     )
     return trajectory, log, created
 

@@ -16,23 +16,14 @@ from cascade_checks import FlatFunction, clearance_violations, epoch_mean_violat
 from divbatch import (
     Box,
     CENTER_STRATEGIES,
-    CascadeInstance,
     DsConfig,
-    EvaluatedPoint,
     InfeasibleInitialization,
-    NoPopulation,
-    RegionSnapshot,
-    init_cma,
     init_diverse_means,
     make_function,
     run_ds,
-    update_tabu_center,
 )
+from divbatch.boxes import distances
 from divbatch.cascade import _clear_of
-
-
-def point(x, f, idx, inst=0):
-    return EvaluatedPoint(x=np.asarray(x, dtype=float), f=f, eval_index=idx, instance_id=inst)
 
 
 def test_init_diverse_means_single_point():
@@ -59,9 +50,33 @@ def test_init_diverse_means_rejects_oversized_distance():
 
 
 def test_init_diverse_means_raises_when_the_cap_is_exhausted():
-    # 30 points pairwise >= 13 apart cannot fit in [-5, 5]^2
-    with pytest.raises(InfeasibleInitialization):
+    # 30 points pairwise >= 13 apart cannot fit in [-5, 5]^2, so the
+    # farthest-point fallback falls short too, and says by how much
+    with pytest.raises(InfeasibleInitialization, match="closest pair .* is 1.7"):
         init_diverse_means(30, Box.cube(2), 13.0, np.random.default_rng(0), rejection_cap=2000)
+
+
+@pytest.mark.parametrize(
+    "k, dim, d_min",
+    [
+        # the corners and the center of the square, 7.07 apart
+        (5, 2, 7.0),
+        # three corners of the square, at half its diagonal
+        (3, 2, 0.5 * 10 * 2**0.5),
+        # ten corners of the 10-cube that differ in at least three
+        # coordinates, 17.3 apart (a binary code of distance 3)
+        (10, 10, 16.0),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_init_diverse_means_meets_feasible_requests_past_the_draw_cap(k, dim, d_min, seed):
+    box = Box.cube(dim)
+    means = init_diverse_means(k, box, d_min, np.random.default_rng(seed), rejection_cap=1000)
+    assert len(means) == k
+    for a in range(k):
+        assert box.contains(means[a])
+        for b in range(a + 1, k):
+            assert distances(means[a], means[b]) >= d_min
 
 
 def test_candidate_boundary_is_valid():
@@ -76,43 +91,6 @@ def test_instance_zero_is_never_constrained():
     assert _clear_of(np.zeros(2), np.empty((0, 2)), 100.0)
 
 
-def make_instance(dim=2, mean=None):
-    mean = np.zeros(dim) if mean is None else mean
-    state = init_cma(dim, mean, seed=0)
-    return CascadeInstance(index=0, state=state, center=mean.copy())
-
-
-def test_center_update_population_best_breaks_ties_by_eval_index():
-    inst = make_instance()
-    pop = [point([1, 1], 2.0, 5), point([2, 2], 1.0, 7), point([3, 3], 1.0, 9)]
-    center = update_tabu_center(inst, pop, "population_best")
-    assert np.array_equal(inst.center, [2.0, 2.0])
-    assert center is inst.center
-
-
-def test_center_update_best_so_far_prefers_the_instance_record():
-    inst = make_instance()
-    inst.best_point = point([9, 9], -1.0, 1)
-    update_tabu_center(inst, [point([1, 1], 5.0, 3)], "best_so_far")
-    assert np.array_equal(inst.center, [9.0, 9.0])
-
-
-def test_center_update_distribution_mean_copies_the_mean():
-    inst = make_instance(mean=np.array([0.5, -0.5]))
-    update_tabu_center(inst, [], "distribution_mean")
-    assert np.array_equal(inst.center, [0.5, -0.5])
-    inst.state.mean[0] = 99.0
-    assert inst.center[0] == 0.5
-
-
-def test_center_update_rejects_empty_population_and_bad_strategy():
-    inst = make_instance()
-    with pytest.raises(NoPopulation):
-        update_tabu_center(inst, [], "population_best")
-    with pytest.raises(ValueError):
-        update_tabu_center(inst, [point([0, 0], 1.0, 0)], "nope")
-
-
 def test_run_ds_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         run_ds(DsConfig(k=2, d_min=1.0, budget=50, center_strategy="nope"), FlatFunction())
@@ -123,6 +101,15 @@ def test_run_ds_rejects_fewer_than_one_instance(k):
     # with no instances every epoch would be spent at once, forever
     with pytest.raises(ValueError, match="k must be >= 1"):
         run_ds(DsConfig(k=k, d_min=1.0, budget=10), make_function("sphere", 2, 0))
+
+
+def test_run_ds_rejects_a_nan_d_min_before_drawing():
+    # no distance is >= NaN, so every later instance would stall after
+    # 100 * lambda draws a generation; the means would take 100,000 draws
+    fn = make_function("sphere", 2, 0)
+    with pytest.raises(ValueError, match="d_min must not be NaN"):
+        run_ds(DsConfig(k=3, d_min=float("nan"), budget=100), fn)
+    assert fn.eval_count == 0
 
 
 @pytest.mark.parametrize("budget", [37, 100, 203])
@@ -207,8 +194,9 @@ def test_population_best_centers_replay_from_the_trajectory():
     pops = defaultdict(list)
     for p, generation in zip(traj.points, traj.generation.tolist()):
         pops[(p.instance_id, generation)].append(p)
-    snapshot = {(s.generation, s.instance): s.center for s in log.snapshots}
-    running_best: dict[int, EvaluatedPoint] = {}
+    rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
+    snapshot = {(generation, instance): center for generation, instance, center in rows}
+    running_best = {}
     checked = 0
     for (inst, generation), pop in sorted(pops.items(), key=lambda kv: kv[0][1]):
         for p in pop:
@@ -236,7 +224,7 @@ def test_stalled_instance_freezes_at_its_best_point():
     assert 0 < len(per[1]) < 50
     assert len(traj) == 300
     best1 = min(per[1], key=lambda p: (p.f, p.eval_index))
-    last_center = [s.center for s in log.snapshots if s.instance == 1][-1]
+    last_center = log.centers[log.instance == 1][-1]
     assert np.array_equal(last_center, best1.x)
 
 
@@ -245,19 +233,22 @@ def test_stall_with_zero_evaluations_keeps_the_initial_center():
     traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=4), fn, return_log=True)
     assert all(p.instance_id == 0 for p in traj.points)
     assert len(traj) == 300
-    (_, _, means) = log.epoch_starts[0]
-    last_center = [s.center for s in log.snapshots if s.instance == 1][-1]
-    assert np.array_equal(last_center, means[1])
+    last_center = log.centers[log.instance == 1][-1]
+    assert np.array_equal(last_center, log.epoch_means[0, 1])
 
 
 def test_flat_function_restarts_until_the_budget_is_gone():
     fn = FlatFunction()
     traj, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn, return_log=True)
     assert len(traj) == 60
-    assert len(log.epoch_starts) >= 3
+    epochs = len(log.epoch_starts)
+    assert epochs >= 3
+    assert log.epoch_means.shape == (epochs, 2, 2)
     assert epoch_mean_violations(log, 1.0) == []
-    epochs = sorted({e for e, _, _ in log.epoch_starts})
-    assert epochs == list(range(len(epochs)))
+    # row e of the epoch columns is epoch e, the trajectory's epoch stamp
+    assert np.unique(traj.epoch).tolist() == list(range(epochs))
+    starts = [int(traj.generation[traj.epoch == e][0]) for e in range(epochs)]
+    assert log.epoch_starts.tolist() == starts
 
 
 def test_restart_on_a_real_function():
@@ -296,21 +287,23 @@ def test_region_log_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] in {"0", "1"}
-    assert [float(v) for v in first[2:]] == list(log.snapshots[0].center)
-    assert len(lines) == 1 + len(log.snapshots)
+    assert [float(v) for v in first[2:]] == log.centers[0].tolist()
+    assert len(lines) == 1 + len(log.centers) == 1 + len(log.generation) == 1 + len(log.instance)
 
 
 def test_region_log_bytes_are_one_repr_per_coordinate(tmp_path):
     fn = make_function("rastrigin_sep", 3, 0)
     _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn, return_log=True)
-    last = log.snapshots[-1].generation
-    log.snapshots.append(RegionSnapshot(last + 1, 0, np.array([1e-300, 1e300, -0.0])))
+    last = int(log.generation[-1])
+    log.generation = np.append(log.generation, last + 1)
+    log.instance = np.append(log.instance, 0)
+    log.centers = np.vstack([log.centers, [1e-300, 1e300, -0.0]])
     path = tmp_path / "regions.csv"
     log.write(path)
     lines = ["generation,instance,x0,x1,x2"]
-    for snap in log.snapshots:
-        center = ",".join(repr(float(v)) for v in snap.center)
-        lines.append(f"{snap.generation},{snap.instance},{center}")
+    for generation, instance, center in zip(log.generation, log.instance, log.centers):
+        center = ",".join(repr(float(v)) for v in center)
+        lines.append(f"{generation},{instance},{center}")
     assert path.read_text() == "\n".join(lines) + "\n"
     assert lines[-1] == f"{last + 1},0,1e-300,1e+300,-0.0"
 

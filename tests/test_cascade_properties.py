@@ -1,14 +1,17 @@
 """Property tests: run_ds invariants on small cascades, and the block
 step of run_ds and run_cma_single against one-candidate reference loops.
 Seeded runs of all four generators are pinned to the columns they gave
-when each evaluation was stored as its own point.
+when each evaluation was stored as its own point, and seeded region logs
+to the bytes they had when the log was a list of per-step objects.
 
 Runs cover dimensions 2 to 4, one to three instances, budgets below and
 above one full round, every center strategy, and a flat objective that
-stops every instance after one generation and so forces restarts.  For
-the invariants ``d_min`` stays at most 3, where three instances always
-fit in [-5, 5]^D; the reference comparison also draws ``d_min`` near the
-feasibility edge, where later instances stall at the 100 * lambda cap.
+stops every instance after one generation and so forces restarts; a
+tied objective, whose populations often share their best value, has its
+own reference comparison.  For the invariants ``d_min`` stays at most 3,
+where three instances always fit in [-5, 5]^D; the reference comparison
+also draws ``d_min`` near the feasibility edge, where later instances
+stall at the 100 * lambda cap.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import divbatch.baselines
 import divbatch.cascade
 from cascade_checks import (
     FlatFunction,
+    TiedFunction,
     clearance_violations,
     epoch_mean_violations,
     reference_run_cma_single,
@@ -93,6 +97,20 @@ def bits(points):
     ]
 
 
+def assert_equals_the_reference(config, fn, traj, log, instances):
+    """``run_ds``'s trajectory, region log and stop causes are the reference loop's."""
+    ref_traj, ref_log, ref_instances = reference_run_ds(config, fn)
+    assert bits(traj.points) == bits(ref_traj.points)
+    assert np.array_equal(traj.epoch, ref_traj.epoch)
+    assert np.array_equal(traj.generation, ref_traj.generation)
+    assert log.total_rejections == ref_log.total_rejections
+    assert [i.stop_cause for i in instances] == [i.stop_cause for i in ref_instances]
+    for column in ("generation", "instance", "centers", "epoch_starts", "epoch_means"):
+        ours, theirs = getattr(log, column), getattr(ref_log, column)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), column
+        assert ours.tobytes() == theirs.tobytes(), column
+
+
 @st.composite
 def edge_runs(draw):
     """Like ``cascade_runs``, with ``d_min`` also near the feasibility edge."""
@@ -127,20 +145,22 @@ def test_block_step_equals_the_one_candidate_loop(run):
         traj, log = run_ds(config, objective(function_id, dim), return_log=True)
         states = recorded(monkeypatch, divbatch.baselines, "init_cma")
         cma_points = run_cma_single(objective(function_id, dim), config.budget, config.seed).points
-    ref_traj, ref_log, ref_instances = reference_run_ds(config, objective(function_id, dim))
-    assert bits(traj.points) == bits(ref_traj.points)
-    assert np.array_equal(traj.epoch, ref_traj.epoch)
-    assert np.array_equal(traj.generation, ref_traj.generation)
-    assert log.total_rejections == ref_log.total_rejections
-    assert [i.stop_cause for i in instances] == [i.stop_cause for i in ref_instances]
-    assert [(s.generation, s.instance, s.center.tobytes()) for s in log.snapshots] == [
-        (s.generation, s.instance, s.center.tobytes()) for s in ref_log.snapshots
-    ]
+    assert_equals_the_reference(config, objective(function_id, dim), traj, log, instances)
     ref_points, ref_causes = reference_run_cma_single(
         objective(function_id, dim), config.budget, config.seed
     )
     assert bits(cma_points) == bits(ref_points)
     assert [s.stop_reason for s in states] == ref_causes
+
+
+@pytest.mark.parametrize("strategy", CENTER_STRATEGIES)
+@pytest.mark.parametrize("dim, k, d_min, seed", [(2, 2, 1.0, 0), (2, 3, 2.0, 1), (3, 3, 1.5, 2)])
+def test_tied_populations_equal_the_one_candidate_loop(strategy, dim, k, d_min, seed):
+    config = DsConfig(k=k, d_min=d_min, budget=300, center_strategy=strategy, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
+        traj, log = run_ds(config, TiedFunction(dim), return_log=True)
+    assert_equals_the_reference(config, TiedFunction(dim), traj, log, instances)
 
 
 # SHA-256 of the trajectory CSVs these seeded runs gave when every
@@ -183,3 +203,40 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
     assert np.array_equal(runs["ds"].generation, ref_ds.generation)
     ref_cma, _ = reference_run_cma_single(fn(), 400, seed=2)
     assert column_bits(runs["cma"]) == column_bits(Trajectory.from_points(ref_cma))
+
+
+# SHA-256 of the region-log CSVs these seeded runs gave when the log held
+# one snapshot object per instance step; the sphere and flat runs restart,
+# and in the d_min=9 run instance 1 stalls
+REGION_LOG_RUNS = {
+    "sphere": (lambda: make_function("sphere", 2, 0), dict(k=2, d_min=2.0, budget=2000, seed=0)),
+    "flat": (lambda: FlatFunction(2), dict(k=2, d_min=1.0, budget=60, seed=0)),
+    "stall": (lambda: make_function("sphere", 2, 0), dict(k=2, d_min=9.0, budget=300, seed=0)),
+    "rastrigin_sep": (
+        lambda: make_function("rastrigin_sep", 3, 0),
+        dict(k=3, d_min=1.0, budget=300, seed=2),
+    ),
+}
+REGION_LOG_DIGESTS = {
+    ("sphere", "population_best"): "b7b1217ea62b5b01c53046708456f86e5154456d9f3dc0addcd5c4b0ac1a7e56",
+    ("sphere", "best_so_far"): "c3472c8581f4f7f556b51ffaf81454ac5fbdf1cabac7400816fcb732dc6565fc",
+    ("sphere", "distribution_mean"): "89d151b8dff35200349a79b3d6561f165bb627743f16cdd6e6110d562dc77547",
+    ("flat", "population_best"): "3186eee8993b2fe06177521b16fc127157f02caab5d6e8e18cd641b0a29a143d",
+    ("stall", "population_best"): "6e7c1f16785daeb871561ab2389027af37c6fb92f1e10a6a1846040f918db553",
+    ("stall", "best_so_far"): "0cfd6faa1dce2fedc3b905d721bf3a092a70f8799edcb922d287132659b23634",
+    ("stall", "distribution_mean"): "ddb635aef8ea9246fa44171ff1ad531ca950c44e0c70b17a6065dc96c54ccc4a",
+    ("rastrigin_sep", "population_best"): "59cd737817aa125f1fb4f754143fd957852306e9f4b50158bdd0cbf2cb7b8ee9",
+    ("rastrigin_sep", "best_so_far"): "36c3b1f3bc3fd32f818b8d7444f1cb3add55f94026a1a958e9e275226b423f82",
+    ("rastrigin_sep", "distribution_mean"): "934651df9bd51b72a02369c20a1e55e6a87868844ee17753813ef532f784cdc4",
+}
+
+
+@pytest.mark.parametrize("run, strategy", sorted(REGION_LOG_DIGESTS))
+def test_region_logs_keep_their_bytes(tmp_path, run, strategy):
+    make_fn, kwargs = REGION_LOG_RUNS[run]
+    _, log = run_ds(DsConfig(center_strategy=strategy, **kwargs), make_fn(), return_log=True)
+    if run in ("sphere", "flat"):
+        assert len(log.epoch_starts) > 1
+    path = tmp_path / "regions.csv"
+    log.write(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REGION_LOG_DIGESTS[run, strategy]

@@ -194,6 +194,14 @@ def test_selectors_reject_empty_portfolios():
             select([], 3, 1.0)
 
 
+@pytest.mark.parametrize("select", [clearing_select, greedy_select, exact_select])
+@pytest.mark.parametrize("k", [0, -1])
+def test_selectors_reject_fewer_than_one_member(select, k):
+    # an empty batch marked complete would reach the metrics and raise there
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        select(ABCD, k, 1.0)
+
+
 def test_verify_batch_boundary_cases():
     ok = clearing_select([pt(0.0, 0.0, 0), pt(1.0, 1.0, 1)], 2, 1.0)
     assert verify_batch(ok, 1.0)
