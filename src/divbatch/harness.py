@@ -95,6 +95,15 @@ class ExperimentConfig:
     out_dir: str | Path | None = None
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        # refused here, before a cell runs, so a bad grid never half-runs
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.method not in SELECTORS:
+            raise ValueError(
+                f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
+            )
+
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
     """(leader_loss, batch_losses, cum_avg) for a batch.

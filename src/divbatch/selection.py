@@ -11,8 +11,9 @@ Three selectors with increasing cost: ``clearing_select`` (one
 best-first sweep), ``greedy_select`` (repairs the clearing batch by
 dropping one member and re-sweeping; it is never smaller than the
 clearing batch and, at equal size, never has a higher fitness sum), and
-``exact_select`` (branch and bound over fitness-sorted subsets from the
-clearing incumbent, provably optimal within its caps).
+``exact_select`` (one branch-and-bound search over fitness-sorted subsets
+from the clearing incumbent, keeping the largest feasible set and then
+the lowest fitness sum, provably optimal within its caps).
 
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
@@ -260,82 +261,55 @@ def exact_select(
 ) -> Batch:
     """Optimal batch by branch and bound, subject to node and time caps.
 
-    Searches fitness-sorted subsets containing the leader, pruning on a
-    fitness-sum lower bound and on candidate-count infeasibility, with the
-    clearing batch as the starting incumbent.  When no k-subset is
-    feasible, smaller sizes are tried in turn, so the result is the best
-    feasible batch of maximum size.  A NaN fitness counts as +inf, so a
-    batch holding one is kept when no batch of that size has a finite
-    sum.  ``proved_optimal`` reports whether the search ran to completion
-    within the caps.
+    One depth-first search over fitness-sorted subsets containing the
+    leader, with the clearing batch as the starting incumbent.  Every node
+    is a feasible set, so each is a candidate: the largest set wins, then
+    the lowest fitness sum, and the first one found wins a tie.  A branch
+    is pruned when it cannot reach the incumbent's size, or when it cannot
+    grow past that size and a fitness-sum lower bound shows it cannot beat
+    the incumbent's sum.  The result is the best feasible batch of maximum
+    size.  A NaN fitness counts as +inf, so a batch holding one is kept
+    when no batch of that size has a finite sum.  ``proved_optimal``
+    reports whether the search ran to completion within the caps.
     """
     ranked = _ranked(portfolio)
     xs, fs = ranked[0], fitness_keys(ranked[1])
-    n = len(fs)
     masks = _compat_masks(xs, d_min)
-    clearing_members = _sweep(xs, [], k, d_min)
+    best = _sweep(xs, [], k, d_min)
+    best_sum = float(fs[best].sum())
 
     deadline = time.perf_counter() + time_cap
     nodes = 0
-    aborted = False
 
-    def search(size: int) -> tuple[list[int] | None, float]:
-        nonlocal nodes, aborted
-        best_set: list[int] | None = None
-        best_sum = float("inf")
-        if len(clearing_members) == size:
-            best_set = clearing_members
-            best_sum = float(fs[clearing_members].sum())
-        chosen = [0]
+    def search(rem: int, members: list[int], total: float) -> bool:
+        """Visit the set ``members`` and its extensions by ``rem``; True once a cap is hit."""
+        nonlocal best, best_sum, nodes
+        nodes += 1
+        if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
+            return True
+        size = len(members)
+        if size > len(best) or (size == len(best) and total < best_sum):
+            best, best_sum = members.copy(), total
+        if size == k:
+            return False
+        while rem:
+            reach = size + rem.bit_count()
+            if reach < len(best):
+                return False
+            if (reach == len(best) or len(best) == k) and (
+                total + _smallest_fitness_sum(rem, len(best) - size, fs) >= best_sum
+            ):
+                return False
+            b = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            members.append(b)
+            if search(rem & masks[b], members, total + float(fs[b])):
+                return True
+            members.pop()
+        return False
 
-        def dfs(cand: int, count: int, cur_sum: float) -> None:
-            nonlocal best_set, best_sum, nodes, aborted
-            if aborted:
-                return
-            nodes += 1
-            if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
-                aborted = True
-                return
-            if count == size:
-                if best_set is None or cur_sum < best_sum:
-                    best_sum = cur_sum
-                    best_set = chosen.copy()
-                return
-            need = size - count
-            rem = cand
-            while rem:
-                if rem.bit_count() < need:
-                    return
-                if best_set is not None and (
-                    cur_sum + _smallest_fitness_sum(rem, need, fs) >= best_sum
-                ):
-                    return
-                b = (rem & -rem).bit_length() - 1
-                rem &= rem - 1
-                chosen.append(b)
-                dfs(rem & masks[b], count + 1, cur_sum + float(fs[b]))
-                chosen.pop()
-                if aborted:
-                    return
-
-        if size == 1:
-            return [0], float(fs[0])
-        dfs(masks[0], 1, float(fs[0]))
-        return best_set, best_sum
-
-    result: list[int] | None = None
-    for size in range(min(k, n), 0, -1):
-        found, _ = search(size)
-        if found is not None:
-            result = sorted(found)
-            break
-        if aborted:
-            break
-
-    if result is None:
-        # caps hit before any feasible set was proven; fall back to clearing
-        result = clearing_members
-    return _batch(ranked, result, k, d_min, "exact", proved=not aborted)
+    aborted = search(masks[0], [0], float(fs[0]))
+    return _batch(ranked, best, k, d_min, "exact", proved=not aborted)
 
 
 def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:

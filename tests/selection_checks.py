@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 
 from divbatch.boxes import distances
+from divbatch.selection import (
+    Batch,
+    _batch,
+    _compat_masks,
+    _ranked,
+    _smallest_fitness_sum,
+    _sweep,
+)
+from divbatch.trajectory import fitness_keys
 
 
 def feasible(points, subset, d_min):
@@ -33,9 +43,10 @@ def compat_masks_reference(xs, d_min):
 def enumerate_best(points, k, d_min):
     """Optimal forced-leader selection by exhaustive enumeration.
 
-    ``points`` must be fitness-sorted with the leader at index 0.  Like the
-    branch-and-bound selector, sizes k, k-1, ... are tried in turn and the
-    first size with any feasible subset wins.  Returns (size, fitness_sum).
+    ``points`` must be fitness-sorted with the leader at index 0.  Sizes
+    k, k-1, ... are tried in turn and the first size with any feasible
+    subset wins, so like the branch-and-bound selector it finds the best
+    batch of the largest feasible size.  Returns (size, fitness_sum).
     """
     n = len(points)
     for size in range(min(k, n), 0, -1):
@@ -67,3 +78,93 @@ def random_instance(seed):
         for i in range(n)
     ]
     return points, k, d_min
+
+
+# The branch and bound that restarts once per batch size, from k down to 1,
+# and falls back to clearing when its caps stop it before any size is
+# proved.  Uncapped, the one-pass ``exact_select`` must pick what it picks.
+def reference_exact_select(
+    portfolio,
+    k: int,
+    d_min: float,
+    node_cap: int = 10_000_000,
+    time_cap: float = 60.0,
+) -> Batch:
+    """Optimal batch by branch and bound, subject to node and time caps.
+
+    Searches fitness-sorted subsets containing the leader, pruning on a
+    fitness-sum lower bound and on candidate-count infeasibility, with the
+    clearing batch as the starting incumbent.  When no k-subset is
+    feasible, smaller sizes are tried in turn, so the result is the best
+    feasible batch of maximum size.  A NaN fitness counts as +inf, so a
+    batch holding one is kept when no batch of that size has a finite
+    sum.  ``proved_optimal`` reports whether the search ran to completion
+    within the caps.
+    """
+    ranked = _ranked(portfolio)
+    xs, fs = ranked[0], fitness_keys(ranked[1])
+    n = len(fs)
+    masks = _compat_masks(xs, d_min)
+    clearing_members = _sweep(xs, [], k, d_min)
+
+    deadline = time.perf_counter() + time_cap
+    nodes = 0
+    aborted = False
+
+    def search(size: int) -> tuple[list[int] | None, float]:
+        nonlocal nodes, aborted
+        best_set: list[int] | None = None
+        best_sum = float("inf")
+        if len(clearing_members) == size:
+            best_set = clearing_members
+            best_sum = float(fs[clearing_members].sum())
+        chosen = [0]
+
+        def dfs(cand: int, count: int, cur_sum: float) -> None:
+            nonlocal best_set, best_sum, nodes, aborted
+            if aborted:
+                return
+            nodes += 1
+            if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
+                aborted = True
+                return
+            if count == size:
+                if best_set is None or cur_sum < best_sum:
+                    best_sum = cur_sum
+                    best_set = chosen.copy()
+                return
+            need = size - count
+            rem = cand
+            while rem:
+                if rem.bit_count() < need:
+                    return
+                if best_set is not None and (
+                    cur_sum + _smallest_fitness_sum(rem, need, fs) >= best_sum
+                ):
+                    return
+                b = (rem & -rem).bit_length() - 1
+                rem &= rem - 1
+                chosen.append(b)
+                dfs(rem & masks[b], count + 1, cur_sum + float(fs[b]))
+                chosen.pop()
+                if aborted:
+                    return
+
+        if size == 1:
+            return [0], float(fs[0])
+        dfs(masks[0], 1, float(fs[0]))
+        return best_set, best_sum
+
+    result: list[int] | None = None
+    for size in range(min(k, n), 0, -1):
+        found, _ = search(size)
+        if found is not None:
+            result = sorted(found)
+            break
+        if aborted:
+            break
+
+    if result is None:
+        # caps hit before any feasible set was proven; fall back to clearing
+        result = clearing_members
+    return _batch(ranked, result, k, d_min, "exact", proved=not aborted)

@@ -185,6 +185,23 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
     assert not (tmp_path / "out" / "trajectories" / "sphere__ds__s0.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"k": 0}, "k must be >= 1, got 0"),
+        ({"k": -2}, "k must be >= 1, got -2"),
+        ({"method": "nope"}, "method must be one of .* got 'nope'"),
+    ],
+)
+def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message):
+    # unchecked, k=0 fails the ds cells one by one and then raises out of
+    # the first random cell's selector; an unknown method raises KeyError
+    # only after the first cell's generation
+    with pytest.raises(ValueError, match=message):
+        small_config(tmp_path, **change)
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_persist_byte_identical_files(tmp_path):
     for run in ("a", "b"):
         run_experiment(small_config(tmp_path / run, seeds=[0]))

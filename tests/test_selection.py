@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from divbatch import (
     clearing_select,
     exact_select,
     greedy_select,
+    selection,
     verify_batch,
     write_batch,
 )
@@ -181,11 +183,61 @@ def test_exact_returns_the_largest_feasible_size():
     assert batch.points[0].eval_index == 0
 
 
+def sphere_instance(seed, n, k, d_min):
+    """Points in the square [-5, 5]^2 with f = |x|^2: the best ones crowd the centre."""
+    xs = np.random.default_rng(seed).uniform(-5, 5, (n, 2))
+    points = [
+        EvaluatedPoint(x=x, f=float(x @ x), eval_index=i, instance_id=0) for i, x in enumerate(xs)
+    ]
+    return points, k, d_min
+
+
+def uncapped_search(points, k, d_min):
+    """An uncapped ``exact_select`` batch and its node count, the calls of its inner ``search``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "search" and frame.f_globals is vars(selection):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        batch = exact_select(points, k, d_min)
+    finally:
+        sys.setprofile(None)
+    return batch, calls
+
+
+CAPPED_INSTANCES = [
+    random_instance(12),
+    # a complete clearing batch that exact improves on
+    sphere_instance(0, 60, 8, 3.0),
+    # clearing stops at 9 of 10 members, exact finds 10
+    sphere_instance(0, 60, 10, 3.0),
+    # clearing stops at 7 of 9 members, and 7 is the most that fit
+    sphere_instance(1, 50, 9, 3.3),
+]
+
+
 def test_exact_caps_disable_the_optimality_claim():
-    points, k, d_min = random_instance(12)
-    batch = exact_select(points, k, d_min, node_cap=1)
-    assert not batch.proved_optimal
-    assert verify_batch(batch, d_min, points)
+    for points, k, d_min in CAPPED_INSTANCES:
+        uncapped, nodes = uncapped_search(points, k, d_min)
+        clearing = clearing_select(points, k, d_min)
+        for cap in (1, 2, 3, 5, 10, 100, 1000):
+            batch = exact_select(points, k, d_min, node_cap=cap)
+            assert verify_batch(batch, d_min, points)
+            assert len(batch) >= len(clearing)
+            if len(batch) == len(clearing):
+                assert batch.fitness_sum() <= clearing.fitness_sum()
+            # the search is deterministic, so a cap is hit exactly when it
+            # is below the uncapped node count
+            assert batch.proved_optimal == (cap >= nodes), (nodes, cap)
+            if batch.proved_optimal:
+                assert [p.eval_index for p in batch.points] == [
+                    p.eval_index for p in uncapped.points
+                ]
 
 
 def test_selectors_reject_empty_portfolios():

@@ -2,10 +2,12 @@
 
 Portfolios mix tied fitness values, duplicate points (coordinates come
 from a small integer grid), NaN fitness, batch sizes larger than the
-portfolio and distance requirements from 0 upwards.  The exact selector's
-compatibility masks are checked bit for bit against the per-row distance
-kernel on integer grids, duplicates, non-finite coordinates and distance
-requirements.
+portfolio and distance requirements from 0 upwards.  Uncapped, the exact
+selector picks what the per-size search it replaced picks, also where
+fitness holds ±inf and k exceeds the most members that fit.  The exact
+selector's compatibility masks are checked bit for bit against the
+per-row distance kernel on integer grids, duplicates, non-finite
+coordinates and distance requirements.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from divbatch import DsConfig, EvaluatedPoint, Trajectory, make_function, run_ds
 from divbatch import clearing_select, exact_select, greedy_select, verify_batch
 from divbatch.boxes import distances
 from divbatch.trajectory import fitness_key
-from selection_checks import compat_masks_reference
+from selection_checks import compat_masks_reference, reference_exact_select
 
 SELECTORS = (clearing_select, greedy_select, exact_select)
 
@@ -34,7 +36,7 @@ distance_requirements = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.
 
 
 @st.composite
-def selection_problems(draw):
+def selection_problems(draw, fitness=fitness_values):
     """(points, k, d_min) with shuffled eval_index stamps."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 10))
@@ -42,7 +44,7 @@ def selection_problems(draw):
     points = [
         EvaluatedPoint(
             x=np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim))),
-            f=draw(fitness_values),
+            f=draw(fitness),
             eval_index=stamp,
             instance_id=0,
         )
@@ -121,6 +123,26 @@ def test_a_proved_optimal_exact_batch_is_never_worse_than_greedy(problem):
     exact = exact_select(points, k, d_min)
     if exact.proved_optimal:
         assert no_worse(exact, greedy_select(points, k, d_min))
+
+
+@st.composite
+def oracle_problems(draw):
+    """Selection problems with ±inf fitness too, and with k often set to the
+    most members that fit, or one more, so the search must settle for less."""
+    fitness = st.one_of(fitness_values, st.sampled_from([math.inf, -math.inf]))
+    points, k, d_min = draw(selection_problems(fitness=fitness))
+    most = len(reference_exact_select(points, len(points), d_min))
+    return points, draw(st.sampled_from([k, most, most + 1])), d_min
+
+
+@PROPERTY_SETTINGS
+@given(oracle_problems())
+def test_exact_picks_what_the_per_size_search_picks(problem):
+    points, k, d_min = problem
+    batch = exact_select(points, k, d_min)
+    oracle = reference_exact_select(points, k, d_min)
+    assert [p.eval_index for p in batch.points] == [p.eval_index for p in oracle.points]
+    assert (batch.complete, batch.proved_optimal) == (oracle.complete, oracle.proved_optimal)
 
 
 # a mask block holds _MASK_BLOCK_FLOATS // n rows, so each of these sizes
