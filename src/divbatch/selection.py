@@ -18,16 +18,14 @@ the lowest fitness sum, provably optimal within its caps).
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
 the last bit at exactly ``d_min``.  Custom metrics are not supported.
-The exact selector's pairwise compatibility masks are built in blocks of
-rows: a Gram-matrix screen (one matrix product per block) decides every
-pair whose squared distance is clear of ``d_min**2`` by more than a
-rounding band, and ``boxes.distances`` decides the pairs inside the band,
-so the masks hold the kernel's bits.
+The exact selector builds a point's compatibility mask with the same
+kernel, when its search first extends a set that ends in that point.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,12 +157,11 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
     size, never has a higher fitness sum.
     """
     ranked = _ranked(portfolio)
-    xs = ranked[0]
-    # NaN counts as +inf, so a batch with a NaN member still compares
-    fs = fitness_keys(ranked[1]).tolist()
+    # NaN counts as +inf, and ``_sum_key`` compares a sum holding -inf and +inf
+    xs, fs = ranked[0], fitness_keys(ranked[1]).tolist()
 
-    def rank(members: list[int]) -> tuple[int, float]:
-        return -len(members), sum(fs[i] for i in members)
+    def rank(members: list[int]) -> tuple:
+        return -len(members), _sum_key([fs[i] for i in members])
 
     members = _sweep(xs, [], k, d_min)
     improved = True
@@ -179,77 +176,31 @@ def greedy_select(portfolio, k: int, d_min: float) -> Batch:
     return _batch(ranked, members, k, d_min, "greedy")
 
 
-# pairs per row block of the masks: 256 KB per float temporary
-_MASK_BLOCK_FLOATS = 1 << 15
+def _compat_masks(xs: np.ndarray, i: int, d_min: float) -> int:
+    """Mask row i above the diagonal: bit j > i is set iff ``distances(xs[j], xs[i]) >= d_min``."""
+    ok = distances(xs[i + 1 :], xs[i]) >= d_min
+    return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little") << (i + 1)
 
 
-# huge or non-finite coordinates overflow the screen or meet inf - inf;
-# those pairs are left to the kernel, so the warnings carry nothing
-@np.errstate(over="ignore", invalid="ignore")
-def _compat_masks(xs: np.ndarray, d_min: float) -> list[int]:
-    """Bit j of mask i is set iff j != i and ``distances(xs[j], xs[i]) >= d_min``.
-
-    Blocks of rows are screened with the Gram form of the squared distance,
-    ``sq_i + sq_j - 2 x_i.x_j``, one BLAS product per block.  Pairs the
-    screen cannot decide are decided again by ``distances`` itself, so every
-    bit is the one the per-row kernel gives.
-    """
-    n, dim = xs.shape
-    # the screen works in floats; the recheck keeps the caller's array
-    xf = np.asarray(xs, dtype=float)
-    sq = np.add.reduce(xf * xf, axis=1)
-    # signed square: a d_min <= 0 admits every pair at a non-NaN distance
-    thr = d_min * abs(d_min)
-    # The screen is g = (sq_i - 2 x_i.x_j) + (sq_j - thr), and a pair is
-    # decided by g >= 0 where |g| > band = 4 (D + 4) eps (S + |thr|) + tiny,
-    # with eps the machine epsilon, tiny the smallest normal float and
-    # S = sq_i + sq_j, so the squared distance s is at most 2 S.  For any
-    # summation order of the BLAS product, g is within (D + 3) eps S +
-    # 1.5 eps |thr| of s - d_min^2.  The kernel's sum t of squared
-    # differences is within (D + 2) eps s / 2 <= (D + 3) eps S of s, and its
-    # decision sqrt(t) >= d_min holds when t >= d_min^2 and fails when
-    # t < (1 - eps) d_min^2.  So the two agree wherever |g| exceeds
-    # (2 D + 6) eps S + 3 eps |thr|, which the band covers twice over;
-    # tiny covers underflow, whose errors are absolute.  A non-finite g or
-    # band leaves the pair to the kernel.
-    slack = 4 * (dim + 4) * np.finfo(float).eps
-    col_shift = sq - thr
-    row_band = slack * sq
-    col_band = row_band + (slack * abs(thr) + np.finfo(float).tiny)
-    rows = max(1, _MASK_BLOCK_FLOATS // n)
-    masks: list[int] = []
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        diag = (np.arange(stop - start), np.arange(start, stop))
-        g = xf[start:stop] @ xf.T
-        g *= -2.0
-        g += sq[start:stop, None]
-        g += col_shift
-        ok = g >= 0.0
-        np.abs(g, out=g)
-        sure = g > row_band[start:stop, None] + col_band
-        sure &= g < np.inf
-        sure[diag] = True
-        # one row at a time, so the recheck never holds more than the
-        # per-row kernel does, even when d_min is NaN and nothing is sure
-        for r in np.flatnonzero(~sure.all(axis=1)):
-            j = np.flatnonzero(~sure[r])
-            ok[r, j] = distances(xs[j], xs[start + r]) >= d_min
-        ok[diag] = False
-        packed = np.packbits(ok, axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return masks
+def _sum_key(keys: list[float]) -> tuple[int, int, float]:
+    """(+inf count, minus the -inf count, finite sum): ordered as the sum is, never NaN."""
+    pinf, ninf = keys.count(math.inf), keys.count(-math.inf)
+    if pinf or ninf:
+        keys = [f for f in keys if abs(f) < math.inf]
+    return pinf, -ninf, sum(keys)
 
 
-def _smallest_fitness_sum(mask: int, need: int, fs: np.ndarray) -> float:
-    # bits are in fitness order, so the lowest set bits are the cheapest
-    total = 0.0
-    while need > 0 and mask:
-        b = (mask & -mask).bit_length() - 1
-        total += fs[b]
+def _plus(a: tuple[int, int, float], b: tuple[int, int, float]) -> tuple[int, int, float]:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _smallest_fitness_sum(mask: int, need: int, fs: list[float]) -> tuple[int, int, float]:
+    # in fitness order the lowest set bits are the cheapest; need is at most popcount(mask)
+    lowest = []
+    for _ in range(need):
+        lowest.append(fs[(mask & -mask).bit_length() - 1])
         mask &= mask - 1
-        need -= 1
-    return total if need == 0 else float("inf")
+    return _sum_key(lowest)
 
 
 def exact_select(
@@ -264,25 +215,27 @@ def exact_select(
     One depth-first search over fitness-sorted subsets containing the
     leader, with the clearing batch as the starting incumbent.  Every node
     is a feasible set, so each is a candidate: the largest set wins, then
-    the lowest fitness sum, and the first one found wins a tie.  A branch
-    is pruned when it cannot reach the incumbent's size, or when it cannot
-    grow past that size and a fitness-sum lower bound shows it cannot beat
-    the incumbent's sum.  The result is the best feasible batch of maximum
-    size.  A NaN fitness counts as +inf, so a batch holding one is kept
-    when no batch of that size has a finite sum.  ``proved_optimal``
-    reports whether the search ran to completion within the caps.
+    the lowest fitness sum (NaN counted as +inf, compared by ``_sum_key``),
+    and the first one found wins a tie.  A branch is pruned when it cannot
+    reach the incumbent's size, or when it cannot grow past that size and a
+    fitness-sum lower bound shows it cannot beat the incumbent's sum.  A
+    point's mask row, the later points at least ``d_min`` from it by
+    ``boxes.distances``, is built when the search first extends a set that
+    ends in it; the deadline is checked before each new row.
+    ``proved_optimal`` reports whether the search ran to completion within
+    the caps.
     """
     ranked = _ranked(portfolio)
-    xs, fs = ranked[0], fitness_keys(ranked[1])
-    masks = _compat_masks(xs, d_min)
+    xs, fs = ranked[0], fitness_keys(ranked[1]).tolist()
     best = _sweep(xs, [], k, d_min)
-    best_sum = float(fs[best].sum())
+    best_sum = _sum_key([fs[i] for i in best])
 
     deadline = time.perf_counter() + time_cap
     nodes = 0
+    rows: dict[int, int] = {}
 
-    def search(rem: int, members: list[int], total: float) -> bool:
-        """Visit the set ``members`` and its extensions by ``rem``; True once a cap is hit."""
+    def search(rem: int, members: list[int], total: tuple) -> bool:
+        """Visit ``members``, then its extensions by ``rem`` within its last row; True at a cap."""
         nonlocal best, best_sum, nodes
         nodes += 1
         if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
@@ -292,23 +245,30 @@ def exact_select(
             best, best_sum = members.copy(), total
         if size == k:
             return False
+        last = members[-1]
+        if last not in rows:
+            if time.perf_counter() > deadline:
+                return True
+            rows[last] = _compat_masks(xs, last, d_min)
+        rem &= rows[last]
         while rem:
             reach = size + rem.bit_count()
             if reach < len(best):
                 return False
             if (reach == len(best) or len(best) == k) and (
-                total + _smallest_fitness_sum(rem, len(best) - size, fs) >= best_sum
+                _plus(total, _smallest_fitness_sum(rem, len(best) - size, fs)) >= best_sum
             ):
                 return False
             b = (rem & -rem).bit_length() - 1
             rem &= rem - 1
             members.append(b)
-            if search(rem & masks[b], members, total + float(fs[b])):
+            if search(rem, members, _plus(total, _sum_key([fs[b]]))):
                 return True
             members.pop()
         return False
 
-    aborted = search(masks[0], [0], float(fs[0]))
+    # every point after the leader; the leader's row clears the ones too close
+    aborted = search((1 << len(fs)) - 2, [0], _sum_key([fs[0]]))
     return _batch(ranked, best, k, d_min, "exact", proved=not aborted)
 
 

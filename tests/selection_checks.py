@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import numpy as np
 
 from divbatch.boxes import distances
-from divbatch.selection import (
-    Batch,
-    _batch,
-    _compat_masks,
-    _ranked,
-    _smallest_fitness_sum,
-    _sweep,
-)
+from divbatch.selection import Batch, _batch, _ranked, _sweep
 from divbatch.trajectory import fitness_keys
 
 
@@ -40,13 +34,30 @@ def compat_masks_reference(xs, d_min):
     return masks
 
 
+def sum_order(values):
+    """Order of a batch's fitness sum that a NaN (+inf) beside a -inf cannot spoil.
+
+    NaN counts as +inf.  Returns (number of +inf, minus the number of
+    -inf, ``sum`` of the finite values); with finite values it orders as
+    the plain sum does.
+    """
+    values = [math.inf if math.isnan(v) else float(v) for v in values]
+    finite = sum(v for v in values if math.isfinite(v))
+    return values.count(math.inf), -values.count(-math.inf), finite
+
+
+def plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def enumerate_best(points, k, d_min):
     """Optimal forced-leader selection by exhaustive enumeration.
 
     ``points`` must be fitness-sorted with the leader at index 0.  Sizes
     k, k-1, ... are tried in turn and the first size with any feasible
     subset wins, so like the branch-and-bound selector it finds the best
-    batch of the largest feasible size.  Returns (size, fitness_sum).
+    batch of the largest feasible size, its sum ranked by ``sum_order``.
+    Returns (size, fitness_sum).
     """
     n = len(points)
     for size in range(min(k, n), 0, -1):
@@ -54,11 +65,11 @@ def enumerate_best(points, k, d_min):
         for rest in itertools.combinations(range(1, n), size - 1):
             subset = (0,) + rest
             if feasible(points, subset, d_min):
-                total = sum(points[i].f for i in subset)
-                if best is None or total < best:
-                    best = total
+                values = [points[i].f for i in subset]
+                if best is None or sum_order(values) < sum_order(best):
+                    best = values
         if best is not None:
-            return size, best
+            return size, sum(best)
     return 0, 0.0
 
 
@@ -83,6 +94,8 @@ def random_instance(seed):
 # The branch and bound that restarts once per batch size, from k down to 1,
 # and falls back to clearing when its caps stop it before any size is
 # proved.  Uncapped, the one-pass ``exact_select`` must pick what it picks.
+# Its masks come from ``compat_masks_reference`` and its sums are ranked by
+# ``sum_order``, so it shares no mask or sum code with the selector.
 def reference_exact_select(
     portfolio,
     k: int,
@@ -102,25 +115,29 @@ def reference_exact_select(
     within the caps.
     """
     ranked = _ranked(portfolio)
-    xs, fs = ranked[0], fitness_keys(ranked[1])
+    xs, fs = ranked[0], fitness_keys(ranked[1]).tolist()
     n = len(fs)
-    masks = _compat_masks(xs, d_min)
+    masks = compat_masks_reference(xs, d_min)
     clearing_members = _sweep(xs, [], k, d_min)
 
     deadline = time.perf_counter() + time_cap
     nodes = 0
     aborted = False
 
-    def search(size: int) -> tuple[list[int] | None, float]:
+    def cheapest(rem: int, need: int) -> list[float]:
+        # bits are in fitness order, so the lowest set bits are the cheapest
+        return [fs[b] for b in range(n) if rem >> b & 1][:need]
+
+    def search(size: int) -> list[int] | None:
         nonlocal nodes, aborted
         best_set: list[int] | None = None
-        best_sum = float("inf")
+        best_sum = None
         if len(clearing_members) == size:
             best_set = clearing_members
-            best_sum = float(fs[clearing_members].sum())
+            best_sum = sum_order(fs[i] for i in clearing_members)
         chosen = [0]
 
-        def dfs(cand: int, count: int, cur_sum: float) -> None:
+        def dfs(cand: int, count: int, cur_sum: tuple) -> None:
             nonlocal best_set, best_sum, nodes, aborted
             if aborted:
                 return
@@ -139,25 +156,25 @@ def reference_exact_select(
                 if rem.bit_count() < need:
                     return
                 if best_set is not None and (
-                    cur_sum + _smallest_fitness_sum(rem, need, fs) >= best_sum
+                    plus(cur_sum, sum_order(cheapest(rem, need))) >= best_sum
                 ):
                     return
                 b = (rem & -rem).bit_length() - 1
                 rem &= rem - 1
                 chosen.append(b)
-                dfs(rem & masks[b], count + 1, cur_sum + float(fs[b]))
+                dfs(rem & masks[b], count + 1, plus(cur_sum, sum_order([fs[b]])))
                 chosen.pop()
                 if aborted:
                     return
 
         if size == 1:
-            return [0], float(fs[0])
-        dfs(masks[0], 1, float(fs[0]))
-        return best_set, best_sum
+            return [0]
+        dfs(masks[0], 1, sum_order([fs[0]]))
+        return best_set
 
     result: list[int] | None = None
     for size in range(min(k, n), 0, -1):
-        found, _ = search(size)
+        found = search(size)
         if found is not None:
             result = sorted(found)
             break

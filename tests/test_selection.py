@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from divbatch import (
     clearing_select,
     exact_select,
     greedy_select,
+    make_function,
+    run_random,
     selection,
     verify_batch,
     write_batch,
 )
 from divbatch.boxes import distances
 from divbatch.cascade import _clear_of
-from selection_checks import enumerate_best, random_instance
+from divbatch.trajectory import fitness_key
+from selection_checks import enumerate_best, random_instance, reference_exact_select
 
 
 def pt(x1, f, idx):
@@ -86,6 +91,26 @@ def test_exact_keeps_a_full_batch_that_holds_a_nan():
     assert [p.eval_index for p in batch.points] == [
         p.eval_index for p in greedy_select(points, 3, 1.0).points
     ]
+
+
+# x = 0, 10, 9, 11, 30 with f = -inf, 1, 2, 3, NaN: at d_min=1.5 the
+# clearing batch {0, 10, 30} sums -inf + inf, and {0, 9, 11} holds no NaN
+BOTH_INFINITIES = [
+    pt(x, f, i) for i, (x, f) in enumerate(zip([0, 10, 9, 11, 30], [-math.inf, 1, 2, 3, math.nan]))
+]
+
+
+def test_a_sum_holding_both_infinities_still_compares():
+    assert sorted(xs_of(clearing_select(BOTH_INFINITIES, 3, 1.5))) == [0.0, 10.0, 30.0]
+    # dropping 30 leaves {0, 10}, which clears 9 and 11, and dropping 10
+    # refills with 9 beside 30: no one-member repair reaches {0, 9, 11}
+    assert sorted(xs_of(greedy_select(BOTH_INFINITIES, 3, 1.5))) == [0.0, 10.0, 30.0]
+    batch = exact_select(BOTH_INFINITIES, 3, 1.5)
+    assert sorted(xs_of(batch)) == [0.0, 9.0, 11.0]
+    assert batch.complete and batch.proved_optimal
+    assert enumerate_best(sorted(BOTH_INFINITIES, key=fitness_key), 3, 1.5) == (3, -math.inf)
+    oracle = reference_exact_select(BOTH_INFINITIES, 3, 1.5)
+    assert [p.eval_index for p in oracle.points] == [p.eval_index for p in batch.points]
 
 
 def test_greedy_returns_feasible_top_k_unchanged():
@@ -238,6 +263,39 @@ def test_exact_caps_disable_the_optimality_claim():
                 assert [p.eval_index for p in batch.points] == [
                     p.eval_index for p in uncapped.points
                 ]
+
+
+def sphere_portfolio(n):
+    """``run_random``'s n uniform points of the 10-D sphere."""
+    return run_random(make_function("sphere", 10, 0), n, seed=0)
+
+
+def test_exact_builds_mask_rows_only_as_its_search_needs_them(monkeypatch):
+    portfolio = sphere_portfolio(50_000)
+    built = []
+
+    def counting(xs, i, d_min):
+        built.append(i)
+        return build(xs, i, d_min)
+
+    build = selection._compat_masks
+    monkeypatch.setattr(selection, "_compat_masks", counting)
+    start = time.perf_counter()
+    batch = exact_select(portfolio, 5, 10.0, time_cap=5.0)
+    assert time.perf_counter() - start < 5.0 + 3.0
+    assert batch.proved_optimal and batch.complete
+    assert verify_batch(batch, 10.0, portfolio)
+    # all 50,000 rows at once would hold 50,000**2 / 2 bits
+    assert 0 < len(built) < 500
+    assert len(set(built)) == len(built)
+
+
+def test_exact_checks_its_deadline_before_it_builds_a_mask_row():
+    portfolio = sphere_portfolio(50_000)
+    batch = exact_select(portfolio, 5, 10.0, time_cap=0.0)
+    assert not batch.proved_optimal
+    clearing = clearing_select(portfolio, 5, 10.0)
+    assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
 
 
 def test_selectors_reject_empty_portfolios():
