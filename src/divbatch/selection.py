@@ -63,7 +63,13 @@ class Batch:
     proved_optimal: bool = False
 
     def fitness_sum(self) -> float:
-        return float(sum(p.f for p in self.points))
+        """The members' f summed in ``_sum_key`` order, so never NaN.
+
+        +inf if a member's f is NaN or +inf, else -inf if one is -inf,
+        else the plain sum.
+        """
+        pinf, ninf, total = _sum_key(fitness_keys([p.f for p in self.points]).tolist())
+        return math.inf if pinf else -math.inf if ninf else float(total)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -16,10 +16,17 @@ written as shortest round-trip text, so write/read is lossless: Ryu
 (through orjson) formats them, and ``repr`` the values whose notation
 differs between the two (see ``format_rows``).  The ``epoch`` and
 ``generation`` columns are not written.
+
+``read_trajectory`` parses a body made only of JSON numbers, as the
+writer leaves it when every value is finite, with one orjson call
+(``_read_json_numbers``).  Any other file, such as one holding NaN, an
+infinity, blank lines or CR bytes, goes through the token-by-token
+parser, which also names the first bad line of a malformed file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -206,15 +213,66 @@ def _first_bad_token(rows: list[list[str]]) -> tuple[int, ValueError]:
     raise AssertionError("every token parses")
 
 
+# the bytes of JSON numbers, the commas between them and the line ends
+_NUMBER_BYTES = b"0123456789eE.+-,\n"
+
+
+def _read_json_numbers(data: bytes) -> Trajectory | None:
+    """The trajectory in ``data`` parsed by one orjson call, or None if that cannot be trusted.
+
+    Only a file with a well-formed header and a non-empty body of
+    ``_NUMBER_BYTES`` is tried.  The result is kept only if every row has
+    the header's width (a blank line reads as an empty row), both integer
+    columns parse as int64 (so ``1.0``, ``1e3`` and integers outside int64
+    do not pass) and eval_index counts the rows from 0.  JSON reads every
+    other number as ``float`` does, except a bare ``-0``: that is the int
+    0, not -0.0, so a file holding one is left to the other parser.
+    """
+    head, _, body = data.partition(b"\n")
+    dim = head.count(b",") - 2
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if dim < 1 or head != _header(dim).encode() or body.translate(None, _NUMBER_BYTES):
+        return None
+    try:
+        rows = orjson.loads(b"[[" + body[:-1].replace(b"\n", b"],[") + b"]]")
+    except orjson.JSONDecodeError:
+        return None
+    width = dim + 3
+    if set(map(len, rows)) != {width}:
+        return None
+    eval_index = np.array([r[0] for r in rows])
+    instance_id = np.array([r[1] for r in rows])
+    if (
+        eval_index.dtype != np.int64
+        or instance_id.dtype != np.int64
+        or not np.array_equal(eval_index, np.arange(len(rows)))
+    ):
+        return None
+    table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
+    # only a zero can have been read from a bare -0
+    if not table[:, 2:].all() and (b",-0," in body or b",-0\n" in body):
+        return None
+    return Trajectory(xs=table[:, 2:-1].copy(), fs=table[:, -1].copy(), instance_id=instance_id)
+
+
 def read_trajectory(path: str | Path) -> Trajectory:
     """Parse a trajectory CSV, validating layout and eval_index contiguity.
 
-    Blank lines are skipped.  A malformed file raises ``ParseError`` naming
-    the first bad line: a wrong field count, a token ``int`` or ``float``
-    rejects, or an eval_index that breaks contiguity from 0.  An instance_id
-    outside the int64 range is refused too.
+    A file whose body holds only JSON numbers is parsed in one orjson
+    call (``_read_json_numbers``); any other file, or one that call does
+    not accept, is parsed token by token with ``int`` and ``float``, to
+    the same bits.  Blank lines are skipped.  A malformed file raises
+    ``ParseError`` naming the first bad line: a wrong field count, a token
+    ``int`` or ``float`` rejects, or an eval_index that breaks contiguity
+    from 0.  An instance_id outside the int64 range is refused too.
     """
-    lines = Path(path).read_text().splitlines()
+    data = Path(path).read_bytes()
+    parsed = _read_json_numbers(data)
+    if parsed is not None:
+        return parsed
+    # the text ``Path.read_text`` gives: the default encoding, universal newlines
+    lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, missing header")
     header = lines[0].split(",")

@@ -113,6 +113,20 @@ def test_a_sum_holding_both_infinities_still_compares():
     assert [p.eval_index for p in oracle.points] == [p.eval_index for p in batch.points]
 
 
+def test_a_batch_sum_ranks_nan_as_inf():
+    clearing = clearing_select(BOTH_INFINITIES, 3, 1.5)
+    exact = exact_select(BOTH_INFINITIES, 3, 1.5)
+    assert clearing.fitness_sum() == math.inf
+    assert exact.fitness_sum() == -math.inf
+    assert exact.fitness_sum() < clearing.fitness_sum()
+    # without the -inf leader, {10, 30} holds only the NaN
+    assert clearing_select(BOTH_INFINITIES[1:], 3, 1.5).fitness_sum() == math.inf
+    # a finite batch keeps the plain sum in member order, bit for bit
+    points = [pt(x, f, i) for i, (x, f) in enumerate(zip([0, 5, 10], [1.0, 1.0, 1e16]))]
+    batch = clearing_select(points, 3, 1.0)
+    assert batch.fitness_sum() == float(sum(p.f for p in batch.points)) == 1e16 + 2
+
+
 def test_greedy_returns_feasible_top_k_unchanged():
     points = [pt(0.0, 0.0, 0), pt(2.0, 1.0, 1), pt(4.0, 2.0, 2), pt(0.5, 9.0, 3)]
     batch = greedy_select(points, 3, 1.0)

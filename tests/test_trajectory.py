@@ -8,13 +8,23 @@ the same ``ParseError`` for a malformed file.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbatch import EvaluatedPoint, ParseError, Trajectory, read_trajectory, write_trajectory
+from divbatch import (
+    EvaluatedPoint,
+    ParseError,
+    Trajectory,
+    make_function,
+    read_trajectory,
+    run_random,
+    trajectory,
+    write_trajectory,
+)
 from trajectory_checks import column_bits, read_trajectory_reference, write_trajectory_reference
 
 
@@ -40,6 +50,29 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back == traj
     assert np.array_equal(back.xs, traj.xs)
     assert np.array_equal(back.fs, traj.fs)
+
+
+def test_a_finite_file_is_read_in_one_parse_call(tmp_path, monkeypatch):
+    calls = []
+    columns = trajectory._columns
+    monkeypatch.setattr(trajectory, "_columns", lambda rows: calls.append(len(rows)) or columns(rows))
+    traj = run_random(make_function("sphere", 10, 0), 3000, seed=0)
+    path = tmp_path / "t.csv"
+    write_trajectory(traj, path)
+    back = read_trajectory(path)
+    assert calls == []
+    reference = Trajectory.from_points(read_trajectory_reference(path))
+    for got, want in [(back.xs, reference.xs), (back.fs, reference.fs), (back.xs, traj.xs)]:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert back.instance_id.dtype == np.int64 and back.xs.flags.c_contiguous
+    assert np.array_equal(back.instance_id, traj.instance_id)
+    # NaN is not JSON: the token-by-token parser reads this file, to the same bits
+    traj.fs[1234] = math.nan
+    write_trajectory(traj, path)
+    back = read_trajectory(path)
+    assert calls == [3000]
+    assert np.array_equal(back.fs.view(np.int64), traj.fs.view(np.int64))
+    assert column_bits(back) == column_bits(traj)
 
 
 def test_write_then_write_again_is_byte_identical(tmp_path):
@@ -90,6 +123,17 @@ def test_missing_header_raises(tmp_path):
     path.write_text("0,0,1.0,2.0,3.0\n")
     with pytest.raises(ParseError, match="line 1"):
         read_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["eval_index,instance_id,x1,f", "eval_index,instance_id,x0,g", "eval_index,x0,f",
+     "instance_id,eval_index,x0,f", "eval_index,instance_id,x0,f,", "eval_index,instance_id,x0,f\r"],
+)
+def test_an_odd_header_over_a_numeric_body_reads_like_the_reference(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_bytes(header.encode() + b"\n0,0,1.0,2.0\n1,0,1.5,2.5\n")
+    assert outcome(read_trajectory, path) == outcome(read_trajectory_reference, path)
 
 
 def test_empty_file_raises(tmp_path):
@@ -250,12 +294,25 @@ def test_random_bit_patterns_are_written_like_the_reference(tmp_path_factory, di
 
 
 def outcome(read, path):
-    """The ParseError message a reader raises, or the bits of what it reads."""
+    """The ParseError message a reader raises, or the bits of what it reads.
+
+    The row-at-a-time reference returns points: with none, the header
+    gives the dimension, and an instance_id outside int64, which a point
+    keeps, is named here in the columnar reader's words.
+    """
     try:
         result = read(path)
     except ParseError as exc:
         return str(exc)
-    return column_bits(result if isinstance(result, Trajectory) else Trajectory.from_points(result))
+    if isinstance(result, Trajectory):
+        return column_bits(result)
+    if not result:
+        dim = len(Path(path).read_text().splitlines()[0].split(",")) - 3
+        return column_bits(Trajectory(np.empty((0, dim)), np.empty(0), np.empty(0, np.int64)))
+    try:
+        return column_bits(Trajectory.from_points(result))
+    except OverflowError:
+        return f"{path}: an instance_id is outside the int64 range"
 
 
 MALFORMED_BODIES = {
@@ -283,15 +340,29 @@ def test_malformed_files_name_the_reference_line(tmp_path, case):
 # each edit breaks one line of a well-formed file, or inserts a blank line
 EDITS = ("drop field", "extra field", "float index", "bad float", "gap", "bad id", "blank")
 BAD_FLOATS = ("oops", "1.0.0", "", "0x1p3", "1e", "--1", " ", "nan!")
+# tokens that JSON and ``int``/``float`` read differently, each swapped in
+# for one token of a line: integers JSON reads as floats or that int64
+# cannot hold, and tokens JSON refuses, reads as another value, or that
+# are not numbers ("\u0661" is ARABIC-INDIC DIGIT ONE, which ``int`` and
+# ``float`` accept)
+ODD_INTS = ("1.0", "1e3", "-0", str(2**53 + 1), str(2**63), str(2**64), str(-(2**63) - 1))
+ODD_TOKENS = (
+    "01", "1.", ".5", "+1", "1e400", "1e-400", "nan", "-inf", "-0", "true", "null", "[",
+    "1.5\r", "\u0661",
+)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     st.integers(1, 4),
     st.integers(1, 12),
     st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 11), st.integers(0, 7)), max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 6), st.sampled_from(ODD_INTS + ODD_TOKENS)),
+        max_size=2,
+    ),
 )
-def test_edited_files_parse_or_fail_like_the_reference(tmp_path_factory, dim, n, edits):
+def test_edited_files_parse_or_fail_like_the_reference(tmp_path_factory, dim, n, edits, swaps):
     rng = np.random.default_rng(dim * 100 + n)
     points = [
         EvaluatedPoint(rng.standard_normal(dim), float(rng.normal()), i, instance_id=i % 3 - 1)
@@ -318,6 +389,9 @@ def test_edited_files_parse_or_fail_like_the_reference(tmp_path_factory, dim, n,
             tokens[1] = "1.5"
         else:
             blanks.append(row % (n + 1))
+    for row, column, token in swaps:
+        tokens = rows[row % n]
+        tokens[column % len(tokens)] = token
     lines = [",".join(tokens) for tokens in rows]
     for at in sorted(blanks, reverse=True):
         lines.insert(at, "")
