@@ -13,8 +13,10 @@ candidate gets the normals that loop would give it.
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
 advance the distribution.  ``tell`` and the sampler's rounds are cut to
-their arithmetic (the median from ``tell``'s own sort, no clip scan for a
-block inside the box) while giving the bits of the plain NumPy forms.
+their arithmetic while giving the bits of the plain NumPy forms: the
+median comes from ``tell``'s own sort, and a block maps and box-tests
+every draw but clips, tabu-tests and copies only its candidates, scanning
+for the 100th miss only when its misses can reach 100.
 """
 
 from __future__ import annotations
@@ -229,6 +231,12 @@ def ask_clear(
     that stop stay in ``state.z_spare`` and open the next call, so every
     call gets the normals the loop would.  Sampling never changes the
     distribution.
+
+    Each block of draws is mapped and box-tested row by row; the clip,
+    the distance test and the copy run on its candidates only, and the
+    scan for the 100th consecutive miss runs only in a block whose
+    out-of-box draws, with those carried from the last block, can
+    reach 100.
     """
     if state.stop_reason is not None:
         raise AlreadyStopped(f"state already stopped ({state.stop_reason})")
@@ -236,7 +244,7 @@ def ask_clear(
     spare = state.z_spare
     out = np.empty((n, dim))
     done = rejected = drawn = 0
-    # out-of-box draws since the last in-box one, carried across blocks
+    # out-of-box draws since the last candidate, carried across blocks
     misses = 0
     # the first block: the draws the last call's ratio predicts, with slack
     rows = math.ceil(_FIRST_BLOCK_SLACK * n * min(state.draws_per_clear, _FIRST_BLOCK_MAX_RATIO))
@@ -261,25 +269,26 @@ def ask_clear(
             state.eig_vectors, (state.eig_scale * z)[:, :, None]
         )[:, :, 0]
         inside = ((xs >= box.lower) & (xs <= box.upper)).all(axis=1)
-        if inside.all():
-            # every draw is a candidate, and clipping would leave it as it is
-            candidate, last = inside, None
-        else:
+        # the candidate rows: each in-box draw, and each 100th out-of-box
+        # draw after the last candidate, which is clipped; ``xc`` holds the
+        # candidates
+        cand = inside.nonzero()[0]
+        scanned = rows - len(cand) + misses >= _RESAMPLE_TRIES
+        if scanned:
+            # a run of misses can reach 100 in this block (clipping leaves
+            # in-box draws as they are)
             row = np.arange(rows)
-            # the candidates: each in-box draw, and the 100th, 200th, ... draw
-            # out of the box since the last in-box one, which is clipped
             last = np.maximum.accumulate(np.where(inside, row, -1 - misses))
-            candidate = (row - last) % _RESAMPLE_TRIES == 0
-            # clipping leaves in-box draws as they are
-            xs = box.clip(xs)
-        kept, misfits = candidate, ()
+            cand = ((row - last) % _RESAMPLE_TRIES == 0).nonzero()[0]
+            xc = box.clip(xs[cand])
+        else:
+            xc = xs[cand]
+        hits, misfits = cand, ()
         if len(centers):
-            # one center at a time keeps the temporaries at rows x D
-            clear = distances(xs, centers[0]) >= d_min
-            for center in centers[1:]:
-                clear &= distances(xs, center) >= d_min
-            kept, misfits = candidate & clear, (candidate & ~clear).nonzero()[0]
-        hits = kept.nonzero()[0]
+            # a candidate's distances have the bits of its one-row calls
+            clear = (distances(xc[:, None], centers) >= d_min).all(axis=1)
+            hits, misfits = cand[clear], cand[~clear]
+            xc = xc[clear]
         # the draw after which a one-candidate loop would stop
         used = rows
         if len(hits) >= owed:
@@ -287,11 +296,16 @@ def ask_clear(
         if len(misfits) >= allowed:
             used = min(used, misfits[allowed - 1] + 1)
         take = bisect_left(hits, used)
-        out[done : done + take] = xs[hits[:take]]
+        out[done : done + take] = xc[:take]
         done += take
         rejected += bisect_left(misfits, used)
         drawn += used
-        misses = 0 if last is None else used - 1 - last[used - 1]
+        # out-of-box draws of the candidate in progress at the stop
+        if scanned:
+            misses = (used - 1 - last[used - 1]) % _RESAMPLE_TRIES
+        else:
+            j = bisect_left(cand, used)
+            misses = used - 1 - cand[j - 1] if j else misses + used
         # the draws past the stop open the next block, or the next call
         spare = z[used:] if rows >= have else spare[used:]
     state.z_spare = spare

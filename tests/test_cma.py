@@ -209,7 +209,8 @@ def sampler_calls(draw):
     Narrow boxes with a large sigma0 clip most candidates onto a face or a
     corner; centers there, or anywhere in the box, then reject some of them.
     """
-    dim = draw(st.integers(1, 12))
+    # D=40 is the dimension of the loose benchmark grid
+    dim = draw(st.sampled_from([*range(1, 13), 40]))
     width = draw(st.sampled_from([10.0, 1.0, 0.1, 1e-3]))
     box = Box.cube(dim, -width / 2, width / 2)
     mean = np.zeros(dim) if draw(st.booleans()) else box.upper.copy()
@@ -279,6 +280,27 @@ def test_ask_clear_on_in_box_blocks_equals_the_one_candidate_loop(with_centers):
         assert same_stream_position(block, reference)
         total += rejected
     assert total > 0 if with_centers else total == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("with_centers", [True, False])
+def test_ask_clear_carries_miss_runs_across_short_blocks(seed, with_centers):
+    # about 1 draw in 100 is in the box, so a run of 100 misses, whose last
+    # draw is clipped, spans several blocks: a call for 1 to 3 candidates
+    # opens with a block of at most 1.5 * 3 * 8 = 36 rows
+    box = Box.cube(2, -0.05, 0.05)
+    block, reference = twin_states(2, np.zeros(2), box, 0.4, seed)
+    centers = np.array([[0.0, 0.0], [0.05, 0.05]]) if with_centers else np.empty((0, 2))
+    clipped = 0
+    for i in range(40):
+        room, cap = 1 + i % 3, (1, 2, 50, 1)[i % 4]
+        xs, rejected = ask_clear(block, box, room, centers, 0.03, cap)
+        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, 0.03, cap)
+        assert xs.tobytes() == expected.tobytes()
+        assert rejected == expected_rejected
+        assert same_stream_position(block, reference)
+        clipped += int(((xs == box.lower) | (xs == box.upper)).any(axis=1).sum())
+    assert clipped
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
