@@ -111,10 +111,12 @@ def compute_metrics(batch: Batch, fn: ObjectiveFunction):
     ``batch_losses`` are sorted ascending; ``cum_avg[i]`` averages the
     best i+1 of them.
     """
-    if not batch.points:
+    if not len(batch):
         raise EmptyBatch("cannot compute metrics for an empty batch")
-    losses = sorted(fn.loss(p.f) for p in batch.points)
-    leader_loss = fn.loss(batch.points[0].f)
+    # Python floats, so the records CSV holds their repr, not np.float64(...)
+    fs = batch.fs.tolist()
+    losses = sorted(fn.loss(f) for f in fs)
+    leader_loss = fn.loss(fs[0])
     cum_avg = [float(v) for v in np.cumsum(losses) / np.arange(1, len(losses) + 1)]
     return leader_loss, losses, cum_avg
 
@@ -288,20 +290,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
-    lines = [",".join(_RECORD_COLUMNS)]
-    for r in records:
-        d = asdict(r)
-        lines.append(",".join(_format_cell(d[c]) for c in _RECORD_COLUMNS))
+def _write_csv(columns: list[str], rows: list[dict], path: str | Path) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_format_cell(row[c]) for c in columns) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
+    _write_csv(_RECORD_COLUMNS, [asdict(r) for r in records], path)
 
 
 def write_normalized_csv(rows: list[dict], path: str | Path) -> None:
-    columns = ["function", "algorithm", "seed", "batch_avg_loss", "normalized"]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(["function", "algorithm", "seed", "batch_avg_loss", "normalized"], rows, path)
 
 
 def export_plot_data(records: list[RunRecord], path: str | Path) -> None:

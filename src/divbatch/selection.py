@@ -1,11 +1,12 @@
 """Batch subset selection from evaluation portfolios.
 
-Given every point an optimizer evaluated, pick k of them that are pairwise
-at least ``d_min`` apart with fitness values as low as possible.  The
-batch leader is always the portfolio's best point; points are ranked by
-``trajectory.fitness_key``, so a NaN fitness ranks last and never leads.
-Feasibility uses the closed inequality, so a pair at exactly ``d_min`` is
-valid.
+Given the ``Trajectory`` of every point an optimizer evaluated, pick k of
+its rows that are pairwise at least ``d_min`` apart with fitness values as
+low as possible.  The batch leader is always the portfolio's best point;
+rows are ranked by ``trajectory.fitness_key``, so a NaN fitness ranks last
+and never leads.  Feasibility uses the closed inequality, so a pair at
+exactly ``d_min`` is valid.  A ``Batch`` holds its members as columns,
+like the trajectory it was picked from.
 
 Three selectors with increasing cost: ``clearing_select`` (one
 best-first sweep), ``greedy_select`` (repairs the clearing batch by
@@ -51,16 +52,34 @@ class EmptyPortfolio(ValueError):
     """Selection requested from a portfolio with no points."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
-    """A diverse solution batch; ``points[0]`` is the leader."""
+    """A diverse solution batch as columns; row 0 is the leader.
 
-    points: list[EvaluatedPoint]
+    ``xs`` (n x D), ``fs``, ``eval_index`` and ``instance_id`` hold the
+    members in batch order.  ``points`` gives them as ``EvaluatedPoint``
+    views, built on each access.
+    """
+
+    xs: np.ndarray
+    fs: np.ndarray
+    eval_index: np.ndarray
+    instance_id: np.ndarray
     k_requested: int
     d_min: float
     method: str
     complete: bool
     proved_optimal: bool = False
+
+    @property
+    def points(self) -> list[EvaluatedPoint]:
+        """Every member as a point, built on each access; each ``x`` is a row view."""
+        return [
+            EvaluatedPoint(x=x, f=f, eval_index=i, instance_id=j)
+            for x, f, i, j in zip(
+                self.xs, self.fs.tolist(), self.eval_index.tolist(), self.instance_id.tolist()
+            )
+        ]
 
     def fitness_sum(self) -> float:
         """The members' f summed in ``_sum_key`` order, so never NaN.
@@ -68,32 +87,24 @@ class Batch:
         +inf if a member's f is NaN or +inf, else -inf if one is -inf,
         else the plain sum.
         """
-        pinf, ninf, total = _sum_key(fitness_keys([p.f for p in self.points]).tolist())
+        pinf, ninf, total = _sum_key(fitness_keys(self.fs).tolist())
         return math.inf if pinf else -math.inf if ninf else float(total)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.fs)
 
 
-def _ranked(portfolio) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(xs, fs, eval_index, instance_id) of a portfolio's rows in ``fitness_key`` order.
+def _ranked(portfolio: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, fs, eval_index, instance_id) of a trajectory's rows in ``fitness_key`` order.
 
-    A portfolio is a ``Trajectory`` or a list of points; the points are
-    put in eval_index order, so one stable sort by fitness ranks both.
+    Row i is evaluation i, so the stable sort's order is the eval_index.
     """
-    if isinstance(portfolio, Trajectory):
-        xs, fs, ids = portfolio.xs, portfolio.fs, portfolio.instance_id
-        stamps = np.arange(len(fs))
-    else:
-        points = sorted(portfolio, key=lambda p: p.eval_index)
-        xs = np.asarray([p.x for p in points])
-        fs = np.asarray([p.f for p in points], dtype=float)
-        stamps = np.asarray([p.eval_index for p in points], dtype=np.int64)
-        ids = np.asarray([p.instance_id for p in points], dtype=np.int64)
+    fs = np.asarray(portfolio.fs, dtype=float)
     if not len(fs):
         raise EmptyPortfolio("portfolio has no points")
     order = np.argsort(fitness_keys(fs), kind="stable")
-    return xs[order], fs[order], stamps[order], ids[order]
+    xs = np.asarray(portfolio.xs, dtype=float)
+    return xs[order], fs[order], order, portfolio.instance_id[order]
 
 
 def _sweep(
@@ -128,12 +139,9 @@ def _sweep(
 def _batch(
     ranked: tuple, members: list[int], k: int, d_min: float, method: str, proved: bool = False
 ) -> Batch:
-    xs, fs, stamps, ids = (column[members] for column in ranked)
+    # one fancy index per ranked column: xs, fs, eval_index and instance_id
     return Batch(
-        points=[
-            EvaluatedPoint(x=x, f=f, eval_index=i, instance_id=j)
-            for x, f, i, j in zip(xs, fs.tolist(), stamps.tolist(), ids.tolist())
-        ],
+        *(column[members] for column in ranked),
         k_requested=k,
         d_min=d_min,
         method=method,
@@ -142,7 +150,7 @@ def _batch(
     )
 
 
-def clearing_select(portfolio, k: int, d_min: float) -> Batch:
+def clearing_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
     """Pick the best point, clear everything strictly closer than d_min, repeat.
 
     Runs until k points are picked or the portfolio is exhausted; in the
@@ -152,7 +160,7 @@ def clearing_select(portfolio, k: int, d_min: float) -> Batch:
     return _batch(ranked, _sweep(ranked[0], [], k, d_min), k, d_min, "clearing")
 
 
-def greedy_select(portfolio, k: int, d_min: float) -> Batch:
+def greedy_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
     """Repair the clearing batch by dropping one member and refilling.
 
     Starting from the clearing picks, each non-leader member is dropped in
@@ -210,7 +218,7 @@ def _smallest_fitness_sum(mask: int, need: int, fs: list[float]) -> tuple[int, i
 
 
 def exact_select(
-    portfolio,
+    portfolio: Trajectory,
     k: int,
     d_min: float,
     node_cap: int = 10_000_000,
@@ -278,18 +286,17 @@ def exact_select(
     return _batch(ranked, best, k, d_min, "exact", proved=not aborted)
 
 
-def verify_batch(batch: Batch, d_min: float, portfolio=None) -> bool:
+def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None) -> bool:
     """Check pairwise feasibility (closed inequality) and, given the source
     portfolio, the leader rule."""
-    pts = batch.points
-    xs = np.asarray([p.x for p in pts])
-    for i in range(len(pts)):
+    xs = batch.xs
+    for i in range(len(xs)):
         # as in the selectors, a pair is feasible only where ``>=`` holds, so
         # a NaN distance or a NaN d_min fails
         if not np.all(distances(xs[i + 1 :], xs[i]) >= d_min):
             return False
-    if portfolio is not None and pts:
-        if pts[0].eval_index != _ranked(portfolio)[2][0]:
+    if portfolio is not None and len(batch):
+        if batch.eval_index[0] != _ranked(portfolio)[2][0]:
             return False
     return True
 
@@ -302,8 +309,8 @@ def batch_to_dict(batch: Batch) -> dict:
         "complete": batch.complete,
         "proved_optimal": batch.proved_optimal,
         "points": [
-            {"eval_index": p.eval_index, "x": [float(v) for v in p.x], "f": float(p.f)}
-            for p in batch.points
+            {"eval_index": i, "x": x, "f": f}
+            for i, x, f in zip(batch.eval_index.tolist(), batch.xs.tolist(), batch.fs.tolist())
         ],
     }
 

@@ -8,8 +8,9 @@ the restart epoch and the generation each row was evaluated in.  Row i is
 evaluation i, so ``eval_index`` is the row number and is not stored.
 
 ``EvaluatedPoint`` is a view of one row for the API edge: ``best()``,
-batch members and ``Trajectory.points``, which is rebuilt on every access.
-``Trajectory.from_points`` builds the columns from such views.
+``Trajectory.points`` and ``selection.Batch.points``, both rebuilt on
+every access.  ``Trajectory.from_points`` builds the columns from a
+non-empty list of such views; the selectors take a ``Trajectory`` only.
 
 The CSV layout is ``eval_index,instance_id,x0,...,x{D-1},f`` with floats
 written as shortest round-trip text, so write/read is lossless: Ryu
@@ -20,8 +21,8 @@ differs between the two (see ``format_rows``).  The ``epoch`` and
 ``read_trajectory`` parses a body made only of JSON numbers, as the
 writer leaves it when every value is finite, with one orjson call
 (``_read_json_numbers``).  Any other file, such as one holding NaN, an
-infinity, blank lines or CR bytes, goes through the token-by-token
-parser, which also names the first bad line of a malformed file.
+infinity, blank lines or CR bytes, goes through a parser that reads one
+line at a time and names the first bad line of a malformed file.
 """
 
 from __future__ import annotations
@@ -103,12 +104,16 @@ class Trajectory:
 
     @classmethod
     def from_points(cls, points: list[EvaluatedPoint], **fields) -> "Trajectory":
-        """The columns of ``points``, whose eval_index must be their position."""
+        """The columns of ``points``, whose eval_index must be their position.
+
+        Refuses an empty list, whose dimension is unknown.
+        """
+        if not points:
+            raise ValueError("an empty list of points has no dimension")
         if [p.eval_index for p in points] != list(range(len(points))):
             raise ValueError("a trajectory's eval_index must count its rows from 0")
-        dim = len(points[0].x) if points else 0
         return cls(
-            xs=np.asarray([p.x for p in points], dtype=float).reshape(len(points), dim),
+            xs=np.asarray([p.x for p in points], dtype=float).reshape(len(points), -1),
             fs=np.asarray([p.f for p in points], dtype=float),
             instance_id=np.asarray([p.instance_id for p in points], dtype=np.int64),
             **fields,
@@ -193,26 +198,6 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _columns(rows: list[list[str]]) -> tuple[list[int], list[int], list[float]]:
-    """eval_index, instance_id and the floats of ``rows``, column after column."""
-    cols = list(zip(*rows)) or [(), ()]
-    return (
-        list(map(int, cols[0])),
-        list(map(int, cols[1])),
-        list(map(float, chain.from_iterable(cols[2:]))),
-    )
-
-
-def _first_bad_token(rows: list[list[str]]) -> tuple[int, ValueError]:
-    """The first row holding a token ``int`` or ``float`` rejects, and the error."""
-    for r, tokens in enumerate(rows):
-        try:
-            [int(t) for t in tokens[:2]] + [float(t) for t in tokens[2:]]
-        except ValueError as exc:
-            return r, exc
-    raise AssertionError("every token parses")
-
-
 # the bytes of JSON numbers, the commas between them and the line ends
 _NUMBER_BYTES = b"0123456789eE.+-,\n"
 
@@ -261,11 +246,12 @@ def read_trajectory(path: str | Path) -> Trajectory:
 
     A file whose body holds only JSON numbers is parsed in one orjson
     call (``_read_json_numbers``); any other file, or one that call does
-    not accept, is parsed token by token with ``int`` and ``float``, to
-    the same bits.  Blank lines are skipped.  A malformed file raises
+    not accept, is parsed one line at a time with ``int`` and ``float``,
+    to the same bits.  Blank lines are skipped.  A malformed file raises
     ``ParseError`` naming the first bad line: a wrong field count, a token
     ``int`` or ``float`` rejects, or an eval_index that breaks contiguity
-    from 0.  An instance_id outside the int64 range is refused too.
+    from 0, checked in that order.  An instance_id outside the int64 range
+    is refused too.
     """
     data = Path(path).read_bytes()
     parsed = _read_json_numbers(data)
@@ -285,26 +271,28 @@ def read_trajectory(path: str | Path) -> Trajectory:
     ):
         raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
     width = len(header)
-    rows = [line.split(",") for line in lines[1:] if line]
-    # parse up to the first bad row; the checks of the rows before it come first
-    n = next((r for r, tokens in enumerate(rows) if len(tokens) != width), len(rows))
-    error = f"expected {width} fields, got {len(rows[n])}" if n < len(rows) else None
-    try:
-        eval_index, instance_id, values = _columns(rows[:n])
-    except ValueError:
-        n, exc = _first_bad_token(rows[:n])
-        error = str(exc)
-        eval_index, instance_id, values = _columns(rows[:n])
-    if eval_index != list(range(n)):
-        r = next(r for r, e in enumerate(eval_index) if e != r)
-        error = f"eval_index {eval_index[r]} breaks contiguity (expected {r})"
-        n = r
-    if error is not None:
-        lineno = [i for i, line in enumerate(lines) if line][n + 1] + 1
-        raise ParseError(f"{path}: line {lineno}: {error}")
+    instance_id: list[int] = []
+    values: list[float] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        tokens = line.split(",")
+        if len(tokens) != width:
+            raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(tokens)}")
+        try:
+            eval_index, j = int(tokens[0]), int(tokens[1])
+            values += map(float, tokens[2:])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if eval_index != len(instance_id):
+            raise ParseError(
+                f"{path}: line {lineno}: eval_index {eval_index} breaks contiguity "
+                f"(expected {len(instance_id)})"
+            )
+        instance_id.append(j)
     try:
         ids = np.asarray(instance_id, dtype=np.int64)
     except OverflowError:
         raise ParseError(f"{path}: an instance_id is outside the int64 range") from None
-    table = np.asarray(values, dtype=float).reshape(width - 2, n)
-    return Trajectory(xs=np.ascontiguousarray(table[:-1].T), fs=table[-1].copy(), instance_id=ids)
+    table = np.asarray(values, dtype=float).reshape(len(ids), width - 2)
+    return Trajectory(xs=table[:, :-1].copy(), fs=table[:, -1].copy(), instance_id=ids)

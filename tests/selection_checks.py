@@ -10,7 +10,7 @@ import numpy as np
 
 from divbatch.boxes import distances
 from divbatch.selection import Batch, _batch, _ranked, _sweep
-from divbatch.trajectory import fitness_keys
+from divbatch.trajectory import EvaluatedPoint, Trajectory, fitness_keys
 
 
 def feasible(points, subset, d_min):
@@ -74,9 +74,7 @@ def enumerate_best(points, k, d_min):
 
 
 def random_instance(seed):
-    """A small seeded selection problem: (points, k, d_min)."""
-    from divbatch import EvaluatedPoint
-
+    """A small seeded selection problem: (portfolio, k, d_min)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 31))
     dim = int(rng.integers(2, 5))
@@ -88,7 +86,7 @@ def random_instance(seed):
         )
         for i in range(n)
     ]
-    return points, k, d_min
+    return Trajectory.from_points(points), k, d_min
 
 
 # The branch and bound that restarts once per batch size, from k down to 1,

@@ -122,20 +122,20 @@ def test_02_exact_selector_matches_exhaustive_enumeration():
     exact_ok = dominated = 0
     trials = 100
     for seed in range(trials):
-        points, k, d_min = random_instance(seed)
-        ordered = sorted(points, key=lambda p: (p.f, p.eval_index))
+        portfolio, k, d_min = random_instance(seed)
+        ordered = sorted(portfolio.points, key=lambda p: (p.f, p.eval_index))
         size, best_sum = enumerate_best(ordered, k, d_min)
 
-        exact = exact_select(points, k, d_min)
+        exact = exact_select(portfolio, k, d_min)
         if (
             exact.proved_optimal
             and len(exact) == size
             and exact.fitness_sum() == pytest.approx(best_sum, abs=1e-9)
-            and verify_batch(exact, d_min, points)
+            and verify_batch(exact, d_min, portfolio)
         ):
             exact_ok += 1
         for selector in (greedy_select, clearing_select):
-            batch = selector(points, k, d_min)
+            batch = selector(portfolio, k, d_min)
             # a heuristic batch either reaches a smaller feasible size or
             # pays at least the optimal fitness sum at the full size
             if len(batch) < size or batch.fitness_sum() >= best_sum - 1e-9:

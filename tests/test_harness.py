@@ -12,7 +12,6 @@ import pytest
 from divbatch import (
     Batch,
     EmptyBatch,
-    EvaluatedPoint,
     ExperimentConfig,
     RunRecord,
     clearing_select,
@@ -27,14 +26,26 @@ from divbatch import (
 )
 
 
+def batch_of(fs, order, complete=True):
+    """Batch whose members, rows ``order`` of points (i, 0) with f = fs[i], lead with order[0]."""
+    order = np.asarray(order, dtype=np.int64)
+    return Batch(
+        xs=np.column_stack([order.astype(float), np.zeros(len(order))]),
+        fs=np.asarray(fs, dtype=float)[order],
+        eval_index=order,
+        instance_id=np.zeros(len(order), dtype=np.int64),
+        k_requested=len(fs),
+        d_min=1.0,
+        method="clearing",
+        complete=complete,
+    )
+
+
 def small_batch(fs, leader_index=0):
     """Batch whose points have the given raw objective values."""
-    points = [
-        EvaluatedPoint(x=np.array([float(i), 0.0]), f=float(f), eval_index=i, instance_id=0)
-        for i, f in enumerate(fs)
-    ]
-    points.insert(0, points.pop(leader_index))
-    return Batch(points=points, k_requested=len(fs), d_min=1.0, method="clearing", complete=True)
+    order = list(range(len(fs)))
+    order.insert(0, order.pop(leader_index))
+    return batch_of(fs, order)
 
 
 def record(function_id, algorithm, seed, batch_losses, complete=True):
@@ -57,13 +68,19 @@ def record(function_id, algorithm, seed, batch_losses, complete=True):
     )
 
 
-def test_metrics_hand_example():
+def test_metrics_hand_example(tmp_path):
     fn = make_function("sphere", 2, 0)
     batch = small_batch([fn.f_opt + 1, fn.f_opt + 2, fn.f_opt + 3])
     leader, losses, cum_avg = compute_metrics(batch, fn)
     assert leader == pytest.approx(1.0)
     assert losses == pytest.approx([1.0, 2.0, 3.0])
     assert cum_avg == pytest.approx([1.0, 1.5, 2.0])
+    # plain floats: the records CSV holds each value's repr
+    assert all(type(v) is float for v in [leader, *losses, *cum_avg])
+    rec = replace(record("sphere", "ds", 0, losses), leader_loss=leader, cum_avg=cum_avg)
+    path = tmp_path / "records.csv"
+    write_records_csv([rec], path)
+    assert "np." not in path.read_text()
 
 
 def test_metrics_leader_is_first_point_not_best():
@@ -93,7 +110,7 @@ def test_metrics_cum_avg_is_nondecreasing():
 
 def test_metrics_reject_empty_batch():
     fn = make_function("sphere", 2, 0)
-    empty = Batch(points=[], k_requested=3, d_min=1.0, method="clearing", complete=False)
+    empty = batch_of([1.0, 2.0, 3.0], [], complete=False)
     with pytest.raises(EmptyBatch):
         compute_metrics(empty, fn)
 

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from divbatch import (
     exact_select,
     greedy_select,
     make_function,
+    read_trajectory,
     run_random,
     selection,
     verify_batch,
@@ -35,10 +37,15 @@ def pt(x1, f, idx):
     return EvaluatedPoint(x=np.array([x1, 0.0]), f=float(f), eval_index=idx, instance_id=0)
 
 
+def line(x1s, fs):
+    """A portfolio of ``pt`` points, row i evaluated i-th."""
+    return Trajectory.from_points([pt(x1, f, i) for i, (x1, f) in enumerate(zip(x1s, fs))])
+
+
 # A(0, f=0), B(1, f=1), C(2, f=5), D(1.5, f=0.5): the only feasible
 # 3-subset at d_min=1 is {A, B, C}, and a naive best-first sweep dies
 # after {A, D}
-ABCD = [pt(0.0, 0.0, 0), pt(1.0, 1.0, 1), pt(2.0, 5.0, 2), pt(1.5, 0.5, 3)]
+ABCD = line([0.0, 1.0, 2.0, 1.5], [0.0, 1.0, 5.0, 0.5])
 
 
 def xs_of(batch):
@@ -46,15 +53,13 @@ def xs_of(batch):
 
 
 def test_clearing_keeps_far_points():
-    points = [pt(0.0, 1.0, 0), pt(0.5, 2.0, 1), pt(3.0, 3.0, 2)]
-    batch = clearing_select(points, 2, 1.0)
+    batch = clearing_select(line([0.0, 0.5, 3.0], [1.0, 2.0, 3.0]), 2, 1.0)
     assert batch.complete
     assert xs_of(batch) == [0.0, 3.0]
 
 
 def test_clearing_runs_out_of_pool():
-    points = [pt(0.0, 1.0, 0), pt(0.5, 2.0, 1), pt(3.0, 3.0, 2)]
-    batch = clearing_select(points, 3, 1.0)
+    batch = clearing_select(line([0.0, 0.5, 3.0], [1.0, 2.0, 3.0]), 3, 1.0)
     assert not batch.complete
     assert len(batch) == 2
 
@@ -83,7 +88,7 @@ def test_exact_escapes_the_trap_and_proves_it():
 def test_exact_keeps_a_full_batch_that_holds_a_nan():
     # with C's f unknown the only 3-point batch {A, B, C} has no finite
     # sum; it still beats the 2-point {A, D}
-    points = ABCD[:2] + [pt(2.0, float("nan"), 2)] + ABCD[3:]
+    points = line([0.0, 1.0, 2.0, 1.5], [0.0, 1.0, math.nan, 0.5])
     batch = exact_select(points, 3, 1.0)
     assert batch.complete
     assert batch.proved_optimal
@@ -95,9 +100,7 @@ def test_exact_keeps_a_full_batch_that_holds_a_nan():
 
 # x = 0, 10, 9, 11, 30 with f = -inf, 1, 2, 3, NaN: at d_min=1.5 the
 # clearing batch {0, 10, 30} sums -inf + inf, and {0, 9, 11} holds no NaN
-BOTH_INFINITIES = [
-    pt(x, f, i) for i, (x, f) in enumerate(zip([0, 10, 9, 11, 30], [-math.inf, 1, 2, 3, math.nan]))
-]
+BOTH_INFINITIES = line([0, 10, 9, 11, 30], [-math.inf, 1, 2, 3, math.nan])
 
 
 def test_a_sum_holding_both_infinities_still_compares():
@@ -108,7 +111,7 @@ def test_a_sum_holding_both_infinities_still_compares():
     batch = exact_select(BOTH_INFINITIES, 3, 1.5)
     assert sorted(xs_of(batch)) == [0.0, 9.0, 11.0]
     assert batch.complete and batch.proved_optimal
-    assert enumerate_best(sorted(BOTH_INFINITIES, key=fitness_key), 3, 1.5) == (3, -math.inf)
+    assert enumerate_best(sorted(BOTH_INFINITIES.points, key=fitness_key), 3, 1.5) == (3, -math.inf)
     oracle = reference_exact_select(BOTH_INFINITIES, 3, 1.5)
     assert [p.eval_index for p in oracle.points] == [p.eval_index for p in batch.points]
 
@@ -120,45 +123,45 @@ def test_a_batch_sum_ranks_nan_as_inf():
     assert exact.fitness_sum() == -math.inf
     assert exact.fitness_sum() < clearing.fitness_sum()
     # without the -inf leader, {10, 30} holds only the NaN
-    assert clearing_select(BOTH_INFINITIES[1:], 3, 1.5).fitness_sum() == math.inf
+    no_leader = line([10, 9, 11, 30], [1, 2, 3, math.nan])
+    assert clearing_select(no_leader, 3, 1.5).fitness_sum() == math.inf
     # a finite batch keeps the plain sum in member order, bit for bit
-    points = [pt(x, f, i) for i, (x, f) in enumerate(zip([0, 5, 10], [1.0, 1.0, 1e16]))]
-    batch = clearing_select(points, 3, 1.0)
+    batch = clearing_select(line([0, 5, 10], [1.0, 1.0, 1e16]), 3, 1.0)
     assert batch.fitness_sum() == float(sum(p.f for p in batch.points)) == 1e16 + 2
 
 
 def test_greedy_returns_feasible_top_k_unchanged():
-    points = [pt(0.0, 0.0, 0), pt(2.0, 1.0, 1), pt(4.0, 2.0, 2), pt(0.5, 9.0, 3)]
-    batch = greedy_select(points, 3, 1.0)
+    batch = greedy_select(line([0.0, 2.0, 4.0, 0.5], [0.0, 1.0, 2.0, 9.0]), 3, 1.0)
     assert batch.complete
     assert xs_of(batch) == [0.0, 2.0, 4.0]
 
 
 def test_greedy_with_small_portfolio_reduces_to_feasible_subset():
-    points = [pt(0.0, 0.0, 0), pt(0.2, 1.0, 1)]
+    points = line([0.0, 0.2], [0.0, 1.0])
     batch = greedy_select(points, 5, 1.0)
     assert not batch.complete
     assert verify_batch(batch, 1.0, points)
 
 
 def test_leader_is_always_the_portfolio_argmin():
-    points, k, d_min = random_instance(4)
-    best = min(points, key=lambda p: (p.f, p.eval_index))
+    portfolio, k, d_min = random_instance(4)
+    best = min(portfolio.points, key=lambda p: (p.f, p.eval_index))
     for select in (clearing_select, greedy_select, exact_select):
-        batch = select(points, k, d_min)
+        batch = select(portfolio, k, d_min)
         assert batch.points[0].eval_index == best.eval_index
 
 
 def test_leader_ties_break_by_eval_index():
-    points = [pt(0.0, 1.0, 3), pt(5.0, 1.0, 1), pt(9.0, 2.0, 0)]
+    # rows 1 and 3 tie on f = 1
+    points = line([9.0, 5.0, 7.0, 0.0], [2.0, 1.0, 3.0, 1.0])
     for select in (clearing_select, greedy_select, exact_select):
         assert select(points, 2, 1.0).points[0].eval_index == 1
 
 
 def test_nan_fitness_never_leads():
     # (f, eval_index) tuples holding NaN are no total order and would let point 0 lead
-    points = [pt(0.0, float("nan"), 0), pt(3.0, 2.0, 1), pt(6.0, 1.0, 2), pt(9.0, float("nan"), 3)]
-    assert Trajectory.from_points(points).best().eval_index == 2
+    points = line([0.0, 3.0, 6.0, 9.0], [math.nan, 2.0, 1.0, math.nan])
+    assert points.best().eval_index == 2
     for select in (clearing_select, greedy_select, exact_select):
         batch = select(points, 3, 1.0)
         assert [p.eval_index for p in batch.points][:2] == [2, 1], select.__name__
@@ -182,7 +185,7 @@ def test_clearing_matches_an_independent_sweep(seed):
         EvaluatedPoint(x=rng.uniform(-5, 5, 3), f=float(rng.normal()), eval_index=i, instance_id=0)
         for i in range(50)
     ]
-    batch = clearing_select(points, 5, 2.0)
+    batch = clearing_select(Trajectory.from_points(points), 5, 2.0)
     assert [p.eval_index for p in batch.points] == [
         p.eval_index for p in clearing_oracle(points, 5, 2.0)
     ]
@@ -190,23 +193,23 @@ def test_clearing_matches_an_independent_sweep(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_exact_matches_enumeration_and_dominates(seed):
-    points, k, d_min = random_instance(seed)
-    ordered = sorted(points, key=lambda p: (p.f, p.eval_index))
+    portfolio, k, d_min = random_instance(seed)
+    ordered = sorted(portfolio.points, key=lambda p: (p.f, p.eval_index))
     size, best_sum = enumerate_best(ordered, k, d_min)
 
-    exact = exact_select(points, k, d_min)
+    exact = exact_select(portfolio, k, d_min)
     assert exact.proved_optimal
     assert len(exact) == size
     assert exact.fitness_sum() == pytest.approx(best_sum, abs=1e-9)
-    assert verify_batch(exact, d_min, points)
+    assert verify_batch(exact, d_min, portfolio)
 
     for select in (clearing_select, greedy_select):
-        batch = select(points, k, d_min)
-        assert verify_batch(batch, d_min, points)
+        batch = select(portfolio, k, d_min)
+        assert verify_batch(batch, d_min, portfolio)
         if batch.complete and exact.complete:
             assert batch.fitness_sum() >= exact.fitness_sum() - 1e-9
 
-    clearing, greedy = clearing_select(points, k, d_min), greedy_select(points, k, d_min)
+    clearing, greedy = clearing_select(portfolio, k, d_min), greedy_select(portfolio, k, d_min)
     assert len(greedy) >= len(clearing)
     if len(greedy) == len(clearing):
         assert greedy.fitness_sum() <= clearing.fitness_sum()
@@ -214,8 +217,7 @@ def test_exact_matches_enumeration_and_dominates(seed):
 
 def test_exact_returns_the_largest_feasible_size():
     # five collinear points spaced 1 apart: at d_min=2.5 no triple fits
-    points = [pt(float(i), float(i), i) for i in range(5)]
-    batch = exact_select(points, 3, 2.5)
+    batch = exact_select(line(range(5), range(5)), 3, 2.5)
     assert len(batch) == 2
     assert not batch.complete
     assert batch.proved_optimal
@@ -228,7 +230,7 @@ def sphere_instance(seed, n, k, d_min):
     points = [
         EvaluatedPoint(x=x, f=float(x @ x), eval_index=i, instance_id=0) for i, x in enumerate(xs)
     ]
-    return points, k, d_min
+    return Trajectory.from_points(points), k, d_min
 
 
 def uncapped_search(points, k, d_min):
@@ -312,10 +314,13 @@ def test_exact_checks_its_deadline_before_it_builds_a_mask_row():
     assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
 
 
-def test_selectors_reject_empty_portfolios():
+def test_selectors_reject_empty_portfolios(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("eval_index,instance_id,x0,x1,f\n")
+    empty = read_trajectory(path)
     for select in (clearing_select, greedy_select, exact_select):
         with pytest.raises(EmptyPortfolio):
-            select([], 3, 1.0)
+            select(empty, 3, 1.0)
 
 
 @pytest.mark.parametrize("select", [clearing_select, greedy_select, exact_select])
@@ -327,28 +332,33 @@ def test_selectors_reject_fewer_than_one_member(select, k):
 
 
 def test_verify_batch_boundary_cases():
-    ok = clearing_select([pt(0.0, 0.0, 0), pt(1.0, 1.0, 1)], 2, 1.0)
+    ok = clearing_select(line([0.0, 1.0], [0.0, 1.0]), 2, 1.0)
     assert verify_batch(ok, 1.0)
-    dup = ok
-    dup.points = [pt(0.0, 0.0, 0), pt(0.0, 1.0, 1)]
+    dup = replace(ok, xs=np.zeros((2, 2)))
     assert not verify_batch(dup, 1.0)
 
 
 def test_verify_batch_flags_a_nan_distance_and_a_nan_d_min():
     # the selectors keep a pair only where ``distance >= d_min`` holds
-    batch = clearing_select([pt(0.0, 0.0, 0), pt(5.0, 1.0, 1)], 2, 1.0)
-    batch.points = [pt(np.nan, 0.0, 0), pt(5.0, 1.0, 1)]
+    batch = clearing_select(line([0.0, 5.0], [0.0, 1.0]), 2, 1.0)
+    batch.xs = np.array([[np.nan, 0.0], [5.0, 0.0]])
     assert not verify_batch(batch, 1.0)
-    batch.points = [pt(0.0, 0.0, 0), pt(0.1, 1.0, 1)]
+    batch.xs = np.array([[0.0, 0.0], [0.1, 0.0]])
     assert not verify_batch(batch, np.nan)
 
 
 def test_verify_batch_checks_the_leader_against_the_portfolio():
-    points = [pt(0.0, 0.0, 0), pt(3.0, 1.0, 1), pt(6.0, 2.0, 2)]
+    points = line([0.0, 3.0, 6.0], [0.0, 1.0, 2.0])
     batch = clearing_select(points, 2, 1.0)
     assert verify_batch(batch, 1.0, points)
-    batch.points = batch.points[::-1]
-    assert not verify_batch(batch, 1.0, points)
+    flipped = replace(
+        batch,
+        xs=batch.xs[::-1],
+        fs=batch.fs[::-1],
+        eval_index=batch.eval_index[::-1],
+        instance_id=batch.instance_id[::-1],
+    )
+    assert not verify_batch(flipped, 1.0, points)
 
 
 def boundary_pairs(case):
@@ -366,10 +376,12 @@ def boundary_pairs(case):
 @pytest.mark.parametrize("case", ["worked", 2, 10])
 def test_selectors_verifier_and_filter_agree_at_exactly_d_min(case):
     for a, b, d_min in boundary_pairs(case):
-        points = [
-            EvaluatedPoint(x=a, f=0.0, eval_index=0, instance_id=0),
-            EvaluatedPoint(x=b, f=1.0, eval_index=1, instance_id=0),
-        ]
+        points = Trajectory.from_points(
+            [
+                EvaluatedPoint(x=a, f=0.0, eval_index=0, instance_id=0),
+                EvaluatedPoint(x=b, f=1.0, eval_index=1, instance_id=0),
+            ]
+        )
         for select in (clearing_select, greedy_select, exact_select):
             batch = select(points, 2, d_min)
             assert batch.complete, (select.__name__, a, b)
@@ -391,3 +403,17 @@ def test_batch_json_layout(tmp_path):
     assert [set(p) for p in data["points"]] == [{"eval_index", "x", "f"}] * 3
     assert data["points"][0]["x"] == [0.0, 0.0]
     assert data == batch_to_dict(batch)
+
+
+def test_a_batch_holds_columns_and_builds_its_points_on_each_access():
+    batch = exact_select(ABCD, 3, 1.0)
+    assert batch.xs.shape == (3, 2) and batch.fs.tolist() == [0.0, 1.0, 5.0]
+    assert batch.eval_index.tolist() == [0, 1, 2] and batch.instance_id.tolist() == [0, 0, 0]
+    first, second = batch.points, batch.points
+    assert first == second and first is not second
+    assert all(type(p.f) is float and type(p.eval_index) is int for p in first)
+    assert np.shares_memory(first[1].x, batch.xs)
+    with pytest.raises(AttributeError):
+        batch.points = first
+    # columns hold arrays, so batches compare by identity
+    assert batch == batch and batch != exact_select(ABCD, 3, 1.0)

@@ -37,29 +37,28 @@ distance_requirements = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.
 
 @st.composite
 def selection_problems(draw, fitness=fitness_values):
-    """(points, k, d_min) with shuffled eval_index stamps."""
+    """(portfolio, k, d_min): a trajectory of up to 10 points."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 10))
-    stamps = draw(st.permutations(range(n)))
     points = [
         EvaluatedPoint(
             x=np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim))),
             f=draw(fitness),
-            eval_index=stamp,
+            eval_index=i,
             instance_id=0,
         )
-        for stamp in stamps
+        for i in range(n)
     ]
     k = draw(st.integers(1, n + 2))
-    return points, k, draw(distance_requirements)
+    return Trajectory.from_points(points), k, draw(distance_requirements)
 
 
-def best_finite_point(points):
+def best_finite_point(portfolio):
     """The expected leader: lowest finite f, earliest eval_index; NaN only if nothing else."""
-    finite = [p for p in points if not math.isnan(p.f)]
+    finite = [p for p in portfolio.points if not math.isnan(p.f)]
     if finite:
         return min(finite, key=lambda p: (p.f, p.eval_index))
-    return min(points, key=lambda p: p.eval_index)
+    return portfolio.points[0]
 
 
 def ranked_sum(batch):
@@ -79,39 +78,23 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 @PROPERTY_SETTINGS
 @given(selection_problems())
 def test_every_batch_is_feasible_and_led_by_the_best_finite_point(problem):
-    points, k, d_min = problem
-    leader = best_finite_point(points)
+    portfolio, k, d_min = problem
+    leader = best_finite_point(portfolio)
     for select in SELECTORS:
-        batch = select(points, k, d_min)
-        assert 1 <= len(batch) <= min(k, len(points))
+        batch = select(portfolio, k, d_min)
+        assert 1 <= len(batch) <= min(k, len(portfolio))
         assert batch.complete == (len(batch) == k)
-        assert verify_batch(batch, d_min, points), select.__name__
+        assert verify_batch(batch, d_min, portfolio), select.__name__
         assert batch.points[0].eval_index == leader.eval_index, select.__name__
 
 
 @PROPERTY_SETTINGS
 @given(selection_problems())
 def test_greedy_and_exact_are_never_worse_than_clearing(problem):
-    points, k, d_min = problem
-    clearing = clearing_select(points, k, d_min)
-    assert no_worse(greedy_select(points, k, d_min), clearing)
-    assert no_worse(exact_select(points, k, d_min), clearing)
-
-
-def batch_bits(batch):
-    members = [
-        (p.eval_index, p.instance_id, p.x.tobytes(), np.float64(p.f).tobytes()) for p in batch.points
-    ]
-    return members, batch.complete, batch.proved_optimal
-
-
-@PROPERTY_SETTINGS
-@given(selection_problems())
-def test_a_trajectory_and_its_shuffled_points_select_the_same_batch(problem):
-    points, k, d_min = problem
-    trajectory = Trajectory.from_points(sorted(points, key=lambda p: p.eval_index))
-    for select in SELECTORS:
-        assert batch_bits(select(trajectory, k, d_min)) == batch_bits(select(points, k, d_min))
+    portfolio, k, d_min = problem
+    clearing = clearing_select(portfolio, k, d_min)
+    assert no_worse(greedy_select(portfolio, k, d_min), clearing)
+    assert no_worse(exact_select(portfolio, k, d_min), clearing)
 
 
 # traps whose only full batch holds a NaN point are about 1 in 100
@@ -119,10 +102,10 @@ def test_a_trajectory_and_its_shuffled_points_select_the_same_batch(problem):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(selection_problems())
 def test_a_proved_optimal_exact_batch_is_never_worse_than_greedy(problem):
-    points, k, d_min = problem
-    exact = exact_select(points, k, d_min)
+    portfolio, k, d_min = problem
+    exact = exact_select(portfolio, k, d_min)
     if exact.proved_optimal:
-        assert no_worse(exact, greedy_select(points, k, d_min))
+        assert no_worse(exact, greedy_select(portfolio, k, d_min))
 
 
 @st.composite
@@ -130,17 +113,17 @@ def oracle_problems(draw):
     """Selection problems with ±inf fitness too, and with k often set to the
     most members that fit, or one more, so the search must settle for less."""
     fitness = st.one_of(fitness_values, st.sampled_from([math.inf, -math.inf]))
-    points, k, d_min = draw(selection_problems(fitness=fitness))
-    most = len(reference_exact_select(points, len(points), d_min))
-    return points, draw(st.sampled_from([k, most, most + 1])), d_min
+    portfolio, k, d_min = draw(selection_problems(fitness=fitness))
+    most = len(reference_exact_select(portfolio, len(portfolio), d_min))
+    return portfolio, draw(st.sampled_from([k, most, most + 1])), d_min
 
 
 @PROPERTY_SETTINGS
 @given(oracle_problems())
 def test_exact_picks_what_the_per_size_search_picks(problem):
-    points, k, d_min = problem
-    batch = exact_select(points, k, d_min)
-    oracle = reference_exact_select(points, k, d_min)
+    portfolio, k, d_min = problem
+    batch = exact_select(portfolio, k, d_min)
+    oracle = reference_exact_select(portfolio, k, d_min)
     assert [p.eval_index for p in batch.points] == [p.eval_index for p in oracle.points]
     assert (batch.complete, batch.proved_optimal) == (oracle.complete, oracle.proved_optimal)
 

@@ -53,24 +53,31 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_a_finite_file_is_read_in_one_parse_call(tmp_path, monkeypatch):
+    # per read, whether the one orjson call gave up and left the file to the line parser
     calls = []
-    columns = trajectory._columns
-    monkeypatch.setattr(trajectory, "_columns", lambda rows: calls.append(len(rows)) or columns(rows))
+    read_json = trajectory._read_json_numbers
+
+    def spy(data):
+        parsed = read_json(data)
+        calls.append(parsed is None)
+        return parsed
+
+    monkeypatch.setattr(trajectory, "_read_json_numbers", spy)
     traj = run_random(make_function("sphere", 10, 0), 3000, seed=0)
     path = tmp_path / "t.csv"
     write_trajectory(traj, path)
     back = read_trajectory(path)
-    assert calls == []
+    assert calls == [False]
     reference = Trajectory.from_points(read_trajectory_reference(path))
     for got, want in [(back.xs, reference.xs), (back.fs, reference.fs), (back.xs, traj.xs)]:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert back.instance_id.dtype == np.int64 and back.xs.flags.c_contiguous
     assert np.array_equal(back.instance_id, traj.instance_id)
-    # NaN is not JSON: the token-by-token parser reads this file, to the same bits
+    # NaN is not JSON: the line parser reads this file, to the same bits
     traj.fs[1234] = math.nan
     write_trajectory(traj, path)
     back = read_trajectory(path)
-    assert calls == [3000]
+    assert calls == [False, True]
     assert np.array_equal(back.fs.view(np.int64), traj.fs.view(np.int64))
     assert column_bits(back) == column_bits(traj)
 
@@ -90,9 +97,24 @@ def test_header_layout(tmp_path):
     assert path.read_text().splitlines()[0] == "eval_index,instance_id,x0,x1,x2,f"
 
 
+def header_only(tmp_path, dim=2):
+    """The empty trajectory of a file holding only a header."""
+    path = tmp_path / "header.csv"
+    path.write_text("eval_index,instance_id," + ",".join(f"x{i}" for i in range(dim)) + ",f\n")
+    return read_trajectory(path)
+
+
 def test_empty_trajectory_is_refused(tmp_path):
+    empty = header_only(tmp_path, dim=3)
+    assert empty.xs.shape == (0, 3) and empty.fs.shape == (0,)
     with pytest.raises(ValueError):
-        write_trajectory(Trajectory.from_points([]), tmp_path / "t.csv")
+        write_trajectory(empty, tmp_path / "t.csv")
+
+
+def test_from_points_refuses_an_empty_list():
+    # it cannot know the dimension, so an empty portfolio is read from a header
+    with pytest.raises(ValueError, match="no dimension"):
+        Trajectory.from_points([])
 
 
 @pytest.mark.parametrize("shape", [(2, 0), (2,)], ids=["no coordinate column", "1-D xs"])
@@ -180,9 +202,9 @@ def test_best_breaks_ties_by_earliest_index():
     assert Trajectory.from_points(pts).best().eval_index == 1
 
 
-def test_best_of_empty_raises():
+def test_best_of_empty_raises(tmp_path):
     with pytest.raises(ValueError):
-        Trajectory.from_points([]).best()
+        header_only(tmp_path).best()
 
 
 def test_trajectory_equality_ignores_metadata():
