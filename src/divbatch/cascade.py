@@ -49,7 +49,7 @@ import numpy as np
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask_clear, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import Trajectory, fitness_keys, format_rows
+from .trajectory import Trajectory, _write_rows, fitness_keys
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -134,11 +134,13 @@ class CascadeLog:
     total_rejections: int = 0
 
     def write(self, path: str | Path) -> None:
-        """One CSV line per row, centers as ``trajectory.format_rows`` writes them."""
+        """One CSV line per row, centers as ``trajectory.format_rows`` writes them.
+
+        Written in blocks of rows by the trajectory writer's ``_write_rows``.
+        """
         coords = ",".join(f"x{i}" for i in range(self.centers.shape[1]))
-        rows = zip(self.generation.tolist(), self.instance.tolist(), format_rows(self.centers))
-        lines = [f"generation,instance,{coords}"] + [f"{g},{i},{row}" for g, i, row in rows]
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = f"generation,instance,{coords}"
+        _write_rows(path, header, self.generation, self.instance, [self.centers])
 
 
 def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:

@@ -18,11 +18,16 @@ written as shortest round-trip text, so write/read is lossless: Ryu
 differs between the two (see ``format_rows``).  The ``epoch`` and
 ``generation`` columns are not written.
 
-``read_trajectory`` parses a body made only of JSON numbers, as the
-writer leaves it when every value is finite, with one orjson call
-(``_read_json_numbers``).  Any other file, such as one holding NaN, an
-infinity, blank lines or CR bytes, goes through a parser that reads one
-line at a time and names the first bad line of a malformed file.
+Both directions work in blocks of whole rows, so the memory they use
+besides the columns and the file's bytes is one block's, not the file's.
+``write_trajectory`` formats and writes about ``_WRITE_BLOCK_VALUES``
+floats at a time.  ``read_trajectory`` parses a body made only of JSON
+numbers, as the writer leaves it when every value is finite, with one
+orjson call per block of about ``_READ_BLOCK_BYTES`` bytes
+(``_read_json_numbers``), straight into preallocated columns.  Any other
+file, such as one holding NaN, an infinity, blank lines or CR bytes, goes
+through a parser that reads one line at a time, holding the whole text,
+and names the first bad line of a malformed file.
 """
 
 from __future__ import annotations
@@ -172,19 +177,51 @@ def format_rows(table: np.ndarray) -> list[str]:
     return rows
 
 
+# the floats formatted per written block, and the bytes of text per read
+# block: memory in either direction is one block's, not the file's
+_WRITE_BLOCK_VALUES = 1 << 14
+_READ_BLOCK_BYTES = 1 << 16
+
+
+def _write_rows(
+    path: str | Path, header: str, first: np.ndarray, second: np.ndarray, floats: list[np.ndarray]
+) -> None:
+    """Write ``header``, then row r as ``first[r],second[r],`` and its floats.
+
+    ``first`` and ``second`` are int columns; the floats of row r are row
+    r of the arrays in ``floats`` side by side, as ``format_rows`` formats
+    them.  Rows are formatted and written in blocks of about
+    ``_WRITE_BLOCK_VALUES`` floats, so the text in memory is one block's.
+    """
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in floats)
+    step = max(1, _WRITE_BLOCK_VALUES // width)
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for a in range(0, len(first), step):
+            b = a + step
+            rows = zip(
+                first[a:b].tolist(),
+                second[a:b].tolist(),
+                format_rows(np.column_stack([c[a:b] for c in floats])),
+            )
+            out.write("".join([f"{i},{j},{row}\n" for i, j, row in rows]))
+
+
 def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     """Write the rows as CSV, floats as shortest round-trip text (``format_rows``).
 
     Refuses an empty trajectory, ``xs`` that is not 2-D with at least one
     column, and ``xs``, ``fs`` and ``instance_id`` of different lengths:
     the reader would reject the first two files, and the last one would be
-    cut to the shortest column.
+    cut to the shortest column.  The checks come before the file is
+    opened, so a refused write leaves an existing file as it was.  The
+    text is written one block of rows at a time (``_write_rows``).
     """
     if not len(trajectory):
         raise ValueError("refusing to write an empty trajectory")
     xs = np.asarray(trajectory.xs, dtype=float)
     fs = np.asarray(trajectory.fs, dtype=float)
-    ids = np.asarray(trajectory.instance_id).tolist()
+    ids = np.asarray(trajectory.instance_id)
     if xs.ndim != 2 or not xs.shape[1]:
         raise ValueError(f"xs must be 2-D with at least one column, got shape {xs.shape}")
     if not len(xs) == len(fs) == len(ids):
@@ -192,10 +229,7 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
             f"xs, fs and instance_id must have one row per evaluation, "
             f"got {len(xs)}, {len(fs)} and {len(ids)}"
         )
-    rows = format_rows(np.column_stack([xs, fs]))
-    lines = [_header(xs.shape[1])]
-    lines += [f"{i},{j},{row}" for i, (j, row) in enumerate(zip(ids, rows))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, _header(xs.shape[1]), np.arange(len(xs)), ids, [xs, fs])
 
 
 # the bytes of JSON numbers, the commas between them and the line ends
@@ -203,55 +237,85 @@ _NUMBER_BYTES = b"0123456789eE.+-,\n"
 
 
 def _read_json_numbers(data: bytes) -> Trajectory | None:
-    """The trajectory in ``data`` parsed by one orjson call, or None if that cannot be trusted.
+    """The trajectory in ``data`` parsed by orjson, or None if that cannot be trusted.
 
     Only a file with a well-formed header and a non-empty body of
-    ``_NUMBER_BYTES`` is tried.  The result is kept only if every row has
-    the header's width (a blank line reads as an empty row), both integer
-    columns parse as int64 (so ``1.0``, ``1e3`` and integers outside int64
-    do not pass) and eval_index counts the rows from 0.  JSON reads every
-    other number as ``float`` does, except a bare ``-0``: that is the int
-    0, not -0.0, so a file holding one is left to the other parser.
+    ``_NUMBER_BYTES`` is tried.  The body is checked, then parsed, in
+    blocks of about ``_READ_BLOCK_BYTES`` bytes (whole lines for the
+    parse), never copied whole.  A block is kept only if one orjson call
+    parses it, every row has the header's width (a blank line reads as an
+    empty row), both integer columns parse as int64 (so ``1.0``, ``1e3``
+    and integers outside int64 do not pass) and eval_index goes on
+    counting the rows from 0.  JSON reads every other number as ``float``
+    does, except a bare ``-0``: that is the int 0, not -0.0, so a file
+    holding one is left to the other parser.  Each block goes straight
+    into the preallocated columns, so the memory used besides ``data``
+    and the result is one block's.
     """
-    head, _, body = data.partition(b"\n")
+    start = data.find(b"\n") + 1
+    head = data[: start - 1] if start else b""
     dim = head.count(b",") - 2
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if dim < 1 or head != _header(dim).encode() or body.translate(None, _NUMBER_BYTES):
+    # a row per line end, and one more when the last line has none
+    n = data.count(b"\n", start) + (not data.endswith(b"\n"))
+    if dim < 1 or head != _header(dim).encode() or not n:
         return None
-    try:
-        rows = orjson.loads(b"[[" + body[:-1].replace(b"\n", b"],[") + b"]]")
-    except orjson.JSONDecodeError:
+    # the byte check first, so that a NaN near the end costs no parsing
+    blocks = range(start, len(data), _READ_BLOCK_BYTES)
+    if any(data[i : i + _READ_BLOCK_BYTES].translate(None, _NUMBER_BYTES) for i in blocks):
         return None
     width = dim + 3
-    if set(map(len, rows)) != {width}:
-        return None
-    eval_index = np.array([r[0] for r in rows])
-    instance_id = np.array([r[1] for r in rows])
-    if (
-        eval_index.dtype != np.int64
-        or instance_id.dtype != np.int64
-        or not np.array_equal(eval_index, np.arange(len(rows)))
-    ):
-        return None
-    table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
-    # only a zero can have been read from a bare -0
-    if not table[:, 2:].all() and (b",-0," in body or b",-0\n" in body):
-        return None
-    return Trajectory(xs=table[:, 2:-1].copy(), fs=table[:, -1].copy(), instance_id=instance_id)
+    xs, fs, instance_id = np.empty((n, dim)), np.empty(n), np.empty(n, dtype=np.int64)
+    row = 0
+    while start < len(data):
+        # whole lines: up to the last line end in the block, or past the
+        # block's end when one line is longer than a block
+        stop = (
+            data.rfind(b"\n", start, start + _READ_BLOCK_BYTES) + 1
+            or data.find(b"\n", start + _READ_BLOCK_BYTES) + 1
+            or len(data)
+        )
+        block = data[start:stop]
+        start = stop
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        try:
+            rows = orjson.loads(b"[[" + block[:-1].replace(b"\n", b"],[") + b"]]")
+        except orjson.JSONDecodeError:
+            return None
+        if set(map(len, rows)) != {width}:
+            return None
+        end = row + len(rows)
+        eval_index = np.array([r[0] for r in rows])
+        ids = np.array([r[1] for r in rows])
+        if (
+            eval_index.dtype != np.int64
+            or ids.dtype != np.int64
+            or not np.array_equal(eval_index, np.arange(row, end))
+        ):
+            return None
+        table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+        table = table.reshape(-1, width)
+        # only a zero can have been read from a bare -0
+        if not table[:, 2:].all() and (b",-0," in block or b",-0\n" in block):
+            return None
+        xs[row:end], fs[row:end], instance_id[row:end] = table[:, 2:-1], table[:, -1], ids
+        row = end
+    return Trajectory(xs=xs, fs=fs, instance_id=instance_id)
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
     """Parse a trajectory CSV, validating layout and eval_index contiguity.
 
-    A file whose body holds only JSON numbers is parsed in one orjson
-    call (``_read_json_numbers``); any other file, or one that call does
-    not accept, is parsed one line at a time with ``int`` and ``float``,
-    to the same bits.  Blank lines are skipped.  A malformed file raises
-    ``ParseError`` naming the first bad line: a wrong field count, a token
-    ``int`` or ``float`` rejects, or an eval_index that breaks contiguity
-    from 0, checked in that order.  An instance_id outside the int64 range
-    is refused too.
+    A file whose body holds only JSON numbers is parsed one block of
+    lines at a time, one orjson call per block, into preallocated columns
+    (``_read_json_numbers``): besides the file's bytes and the result, it
+    holds one block.  Any other file, or one those calls do not accept,
+    is parsed one line at a time with ``int`` and ``float``, to the same
+    bits, from its whole decoded text.  Blank lines are skipped.  A
+    malformed file raises ``ParseError`` naming the first bad line: a
+    wrong field count, a token ``int`` or ``float`` rejects, or an
+    eval_index that breaks contiguity from 0, checked in that order.  An
+    instance_id outside the int64 range is refused too.
     """
     data = Path(path).read_bytes()
     parsed = _read_json_numbers(data)

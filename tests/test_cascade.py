@@ -21,6 +21,7 @@ from divbatch import (
     init_diverse_means,
     make_function,
     run_ds,
+    trajectory,
 )
 from divbatch.boxes import distances
 from divbatch.cascade import _clear_of
@@ -307,3 +308,16 @@ def test_region_log_bytes_are_one_repr_per_coordinate(tmp_path):
     assert path.read_text() == "\n".join(lines) + "\n"
     assert lines[-1] == f"{last + 1},0,1e-300,1e+300,-0.0"
 
+
+
+@pytest.mark.parametrize("values", [1, 3, 7])
+def test_region_log_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, values):
+    # 1 to 3 rows of 3 centers per written block against the whole log in one
+    fn = make_function("rastrigin_sep", 3, 0)
+    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn, return_log=True)
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    log.write(whole)
+    assert len(log.centers) * 3 < trajectory._WRITE_BLOCK_VALUES
+    monkeypatch.setattr(trajectory, "_WRITE_BLOCK_VALUES", values)
+    log.write(blocks)
+    assert blocks.read_bytes() == whole.read_bytes()

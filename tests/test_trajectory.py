@@ -2,12 +2,17 @@
 
 The columnar writer and reader are compared with row-at-a-time oracles
 (``trajectory_checks``): the same bytes written, the same bits read, and
-the same ``ParseError`` for a malformed file.
+the same ``ParseError`` for a malformed file.  Both work in blocks of
+rows; the comparisons run again with blocks of a few rows or bytes, so
+that blank lines, ragged rows, bad tokens and a bare ``-0`` fall at a
+block's edge.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -73,11 +78,14 @@ def test_a_finite_file_is_read_in_one_parse_call(tmp_path, monkeypatch):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert back.instance_id.dtype == np.int64 and back.xs.flags.c_contiguous
     assert np.array_equal(back.instance_id, traj.instance_id)
-    # NaN is not JSON: the line parser reads this file, to the same bits
+    # NaN is not JSON: the line parser reads this file, to the same bits,
+    # and the byte check turns it away before any block is parsed
     traj.fs[1234] = math.nan
     write_trajectory(traj, path)
+    loads = []
+    monkeypatch.setattr(trajectory.orjson, "loads", lambda doc: loads.append(doc))
     back = read_trajectory(path)
-    assert calls == [False, True]
+    assert calls == [False, True] and not loads
     assert np.array_equal(back.fs.view(np.int64), traj.fs.view(np.int64))
     assert column_bits(back) == column_bits(traj)
 
@@ -138,6 +146,51 @@ def test_columns_of_different_lengths_are_refused(tmp_path, rows):
     with pytest.raises(ValueError, match="one row per evaluation"):
         write_trajectory(traj, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda tmp_path: header_only(tmp_path),
+        lambda _: Trajectory(xs=np.zeros(2), fs=np.zeros(2), instance_id=np.zeros(2, np.int64)),
+        lambda _: Trajectory(xs=np.ones((3, 2)), fs=np.ones(2), instance_id=np.zeros(3, np.int64)),
+    ],
+    ids=["empty", "1-D xs", "columns of different lengths"],
+)
+def test_a_refused_write_leaves_an_existing_file_untouched(tmp_path, refused):
+    path = tmp_path / "t.csv"
+    write_trajectory(random_trajectory(5, 2, seed=4), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_trajectory(refused(tmp_path), path)
+    assert path.read_bytes() == before
+
+
+def test_io_memory_is_one_block_not_the_file(tmp_path):
+    # the traced peak of a write, and of a read beyond the file's bytes and
+    # the columns it returns, stays at one block's, whatever the file's size
+    n, dim = 20_000, 40
+    rng = np.random.default_rng(0)
+    traj = Trajectory(
+        xs=rng.uniform(-5, 5, (n, dim)), fs=rng.normal(size=n), instance_id=rng.integers(0, 5, n)
+    )
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory(traj, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_trajectory(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert column_bits(back) == column_bits(traj)
+    columns = back.xs.nbytes + back.fs.nbytes + back.instance_id.nbytes
+    mb = 2**20
+    assert path.stat().st_size > 10 * mb
+    assert write_peak < 4 * mb
+    assert read_peak < path.stat().st_size + columns + 4 * mb
 
 
 def test_missing_header_raises(tmp_path):
@@ -280,9 +333,31 @@ def columnar_trajectories(draw):
     )
 
 
+@contextmanager
+def blocks(write_values, read_bytes):
+    """Writes in blocks of ``write_values`` floats, reads in blocks of ``read_bytes`` bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_WRITE_BLOCK_VALUES", write_values)
+        patch.setattr(trajectory, "_READ_BLOCK_BYTES", read_bytes)
+        yield
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(columnar_trajectories())
 def test_columnar_io_equals_the_row_at_a_time_reference(tmp_path_factory, traj):
+    check_columnar_io(tmp_path_factory, traj)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(columnar_trajectories(), st.integers(1, 3), st.integers(1, 48))
+def test_columnar_io_in_tiny_blocks_equals_the_reference(tmp_path_factory, traj, rows, size):
+    # 1-3 rows per written block and a few bytes per read block, so most
+    # lines of a file sit at a block's edge
+    with blocks(rows * (traj.xs.shape[1] + 1), size):
+        check_columnar_io(tmp_path_factory, traj)
+
+
+def check_columnar_io(tmp_path_factory, traj):
     work = tmp_path_factory.mktemp("io")
     new, ref = work / "new.csv", work / "ref.csv"
     write_trajectory(traj, new)
@@ -357,6 +432,42 @@ def test_malformed_files_name_the_reference_line(tmp_path, case):
     expected = outcome(read_trajectory_reference, path)
     assert isinstance(expected, str), "every case is malformed"
     assert outcome(read_trajectory, path) == expected
+    # and with each line in turn at the end of a read block
+    for size in range(1, path.stat().st_size + 1):
+        with blocks(1, size):
+            assert outcome(read_trajectory, path) == expected, f"{size}-byte blocks"
+
+
+# D=1 bodies read with blocks of every size from 1 byte to the whole
+# file, so each line in turn ends a block, and their outcome under the
+# one-orjson-call-per-block path; a bare -0 must still reach the line
+# parser, as JSON reads it as the int 0
+EDGE_BODIES = {
+    "bare -0 ending a line": (b"0,0,1.5,2.5\n1,0,1.5,-0\n2,1,0.5,1.0\n", False),
+    "bare -0 inside a line": (b"0,0,1.5,2.5\n1,0,-0,3.0\n2,1,0.5,1.0\n", False),
+    "bare -0 ending a last line without a line end": (b"0,0,1.5,2.5\n1,0,1.5,-0", False),
+    "a last line without a line end": (b"0,0,1.5,2.5\n1,0,1e-3,-2.0", True),
+    "a blank line": (b"0,0,1.5,2.5\n\n1,0,1.5,2.0\n", False),
+    "a blank last line": (b"0,0,1.5,2.5\n1,0,1.5,2.0\n\n", False),
+    "a ragged row": (b"0,0,1.5,2.5\n1,0,1.5\n2,0,1.5,2.0\n", False),
+    "a bad token": (b"0,0,1.5,2.5\n1,0,1.5,2.0\n2,0,1.5,1.2.3\n", False),
+    "a float eval_index": (b"0,0,1.5,2.5\n1.0,0,1.5,2.0\n", False),
+    "an index gap": (b"0,0,1.5,2.5\n1,0,1.5,2.0\n3,0,1.5,2.0\n", False),
+    "a well-formed file": (b"0,-1,1.5,2.5\n1,0,-0.0,2.0\n2,4,7,-0.5\n", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_BODIES))
+def test_every_read_block_edge_reads_like_the_reference(tmp_path, case):
+    body, one_call_per_block = EDGE_BODIES[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"eval_index,instance_id,x0,f\n" + body)
+    expected = outcome(read_trajectory_reference, path)
+    for size in range(1, path.stat().st_size + 1):
+        with blocks(1, size):
+            assert outcome(read_trajectory, path) == expected, f"{size}-byte blocks"
+            parsed = trajectory._read_json_numbers(path.read_bytes())
+            assert (parsed is not None) == one_call_per_block, f"{size}-byte blocks"
 
 
 # each edit breaks one line of a well-formed file, or inserts a blank line
@@ -374,8 +485,7 @@ ODD_TOKENS = (
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(
+EDITED_FILES = (
     st.integers(1, 4),
     st.integers(1, 12),
     st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 11), st.integers(0, 7)), max_size=4),
@@ -384,7 +494,24 @@ ODD_TOKENS = (
         max_size=2,
     ),
 )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(*EDITED_FILES)
 def test_edited_files_parse_or_fail_like_the_reference(tmp_path_factory, dim, n, edits, swaps):
+    check_edited_file(tmp_path_factory, dim, n, edits, swaps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(*EDITED_FILES, st.integers(1, 64))
+def test_edited_files_in_tiny_blocks_parse_or_fail_like_the_reference(
+    tmp_path_factory, dim, n, edits, swaps, size
+):
+    with blocks(1, size):
+        check_edited_file(tmp_path_factory, dim, n, edits, swaps)
+
+
+def check_edited_file(tmp_path_factory, dim, n, edits, swaps):
     rng = np.random.default_rng(dim * 100 + n)
     points = [
         EvaluatedPoint(rng.standard_normal(dim), float(rng.normal()), i, instance_id=i % 3 - 1)
