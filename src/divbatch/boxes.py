@@ -14,9 +14,10 @@ def distances(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     This is the one distance kernel of the package: the cascade's tabu
     filter, its initial means and every selector compare its result with
-    ``d_min`` by the closed inequality ``>=``.  A 1-D ``xs`` gives a 0-d
-    result; any row gives the same bits whether it is passed alone or
-    inside a larger array.
+    ``d_min`` by the closed inequality ``>=``, which a NaN distance (from
+    inf - inf or a NaN coordinate) never meets; a square that overflows
+    gives +inf.  A 1-D ``xs`` gives a 0-d result; any row gives the same
+    bits whether it is passed alone or inside a larger array.
     """
     diff = xs - y
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))

@@ -21,13 +21,10 @@ differs between the two (see ``format_rows``).  The ``epoch`` and
 Both directions work in blocks of whole rows, so the memory they use
 besides the columns and the file's bytes is one block's, not the file's.
 ``write_trajectory`` formats and writes about ``_WRITE_BLOCK_VALUES``
-floats at a time.  ``read_trajectory`` parses a body made only of JSON
-numbers, as the writer leaves it when every value is finite, with one
-orjson call per block of about ``_READ_BLOCK_BYTES`` bytes
-(``_read_json_numbers``), straight into preallocated columns.  Any other
-file, such as one holding NaN, an infinity, blank lines or CR bytes, goes
-through a parser that reads one line at a time, holding the whole text,
-and names the first bad line of a malformed file.
+floats at a time.  ``read_trajectory`` walks every file in blocks of about
+``_READ_BLOCK_BYTES`` bytes: one orjson call parses a block of JSON numbers,
+as the writer leaves a finite one, and a block holding NaN, an infinity,
+a blank line or a CR is decoded and parsed one line at a time.
 """
 
 from __future__ import annotations
@@ -236,108 +233,53 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
 _NUMBER_BYTES = b"0123456789eE.+-,\n"
 
 
-def _read_json_numbers(data: bytes) -> Trajectory | None:
-    """The trajectory in ``data`` parsed by orjson, or None if that cannot be trusted.
+def _decode(data: bytes) -> str:
+    """The text ``Path.read_text`` gives: the default encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
-    Only a file with a well-formed header and a non-empty body of
-    ``_NUMBER_BYTES`` is tried.  The body is checked, then parsed, in
-    blocks of about ``_READ_BLOCK_BYTES`` bytes (whole lines for the
-    parse), never copied whole.  A block is kept only if one orjson call
-    parses it, every row has the header's width (a blank line reads as an
-    empty row), both integer columns parse as int64 (so ``1.0``, ``1e3``
-    and integers outside int64 do not pass) and eval_index goes on
-    counting the rows from 0.  JSON reads every other number as ``float``
-    does, except a bare ``-0``: that is the int 0, not -0.0, so a file
-    holding one is left to the other parser.  Each block goes straight
-    into the preallocated columns, so the memory used besides ``data``
-    and the result is one block's.
+
+def _json_block(block: bytes, row: int, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The instance_id column and float fields of ``block`` by one orjson call, or None.
+
+    ``block`` is whole lines from row ``row`` on; the file's last line may
+    lack its line end.  The parse is kept only if the block holds only
+    ``_NUMBER_BYTES``, every row has ``width`` fields (a blank line has
+    none), both integer columns are int64 (not ``1.0``, ``1e3`` or beyond
+    int64), eval_index counts on from ``row`` and no bare ``-0`` was read:
+    JSON reads it as the int 0, not -0.0, and every other number as
+    ``float`` does.
     """
-    start = data.find(b"\n") + 1
-    head = data[: start - 1] if start else b""
-    dim = head.count(b",") - 2
-    # a row per line end, and one more when the last line has none
-    n = data.count(b"\n", start) + (not data.endswith(b"\n"))
-    if dim < 1 or head != _header(dim).encode() or not n:
+    if block.translate(None, _NUMBER_BYTES):
         return None
-    # the byte check first, so that a NaN near the end costs no parsing
-    blocks = range(start, len(data), _READ_BLOCK_BYTES)
-    if any(data[i : i + _READ_BLOCK_BYTES].translate(None, _NUMBER_BYTES) for i in blocks):
+    try:
+        rows = orjson.loads(b"[[" + block.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]")
+    except orjson.JSONDecodeError:
         return None
-    width = dim + 3
-    xs, fs, instance_id = np.empty((n, dim)), np.empty(n), np.empty(n, dtype=np.int64)
-    row = 0
-    while start < len(data):
-        # whole lines: up to the last line end in the block, or past the
-        # block's end when one line is longer than a block
-        stop = (
-            data.rfind(b"\n", start, start + _READ_BLOCK_BYTES) + 1
-            or data.find(b"\n", start + _READ_BLOCK_BYTES) + 1
-            or len(data)
-        )
-        block = data[start:stop]
-        start = stop
-        if not block.endswith(b"\n"):
-            block += b"\n"
-        try:
-            rows = orjson.loads(b"[[" + block[:-1].replace(b"\n", b"],[") + b"]]")
-        except orjson.JSONDecodeError:
-            return None
-        if set(map(len, rows)) != {width}:
-            return None
-        end = row + len(rows)
-        eval_index = np.array([r[0] for r in rows])
-        ids = np.array([r[1] for r in rows])
-        if (
-            eval_index.dtype != np.int64
-            or ids.dtype != np.int64
-            or not np.array_equal(eval_index, np.arange(row, end))
-        ):
-            return None
-        table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
-        table = table.reshape(-1, width)
-        # only a zero can have been read from a bare -0
-        if not table[:, 2:].all() and (b",-0," in block or b",-0\n" in block):
-            return None
-        xs[row:end], fs[row:end], instance_id[row:end] = table[:, 2:-1], table[:, -1], ids
-        row = end
-    return Trajectory(xs=xs, fs=fs, instance_id=instance_id)
+    if set(map(len, rows)) != {width}:
+        return None
+    eval_index, ids = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    counts_on = np.array_equal(eval_index, np.arange(row, row + len(rows)))
+    if not (eval_index.dtype == ids.dtype == np.int64 and counts_on):
+        return None
+    table = np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
+    # only a zero can have been read from a bare -0
+    if not table[:, 2:].all() and (b",-0," in block or b",-0\n" in block or block.endswith(b",-0")):
+        return None
+    return ids, table[:, 2:]
 
 
-def read_trajectory(path: str | Path) -> Trajectory:
-    """Parse a trajectory CSV, validating layout and eval_index contiguity.
+def _line_block(
+    lines: list[str], lineno: int, row: int, width: int, path: str | Path
+) -> tuple[list[int], np.ndarray]:
+    """The instance_id column and float fields of ``lines`` by ``int`` and ``float``.
 
-    A file whose body holds only JSON numbers is parsed one block of
-    lines at a time, one orjson call per block, into preallocated columns
-    (``_read_json_numbers``): besides the file's bytes and the result, it
-    holds one block.  Any other file, or one those calls do not accept,
-    is parsed one line at a time with ``int`` and ``float``, to the same
-    bits, from its whole decoded text.  Blank lines are skipped.  A
-    malformed file raises ``ParseError`` naming the first bad line: a
-    wrong field count, a token ``int`` or ``float`` rejects, or an
-    eval_index that breaks contiguity from 0, checked in that order.  An
-    instance_id outside the int64 range is refused too.
+    The first of ``lines`` is line ``lineno`` of the file and holds row
+    ``row``; blank lines are skipped.  The first bad line raises
+    ``ParseError``: a wrong field count, a token ``int`` or ``float``
+    rejects, or an eval_index that breaks contiguity, checked in that order.
     """
-    data = Path(path).read_bytes()
-    parsed = _read_json_numbers(data)
-    if parsed is not None:
-        return parsed
-    # the text ``Path.read_text`` gives: the default encoding, universal newlines
-    lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, missing header")
-    header = lines[0].split(",")
-    if (
-        len(header) < 4
-        or header[0] != "eval_index"
-        or header[1] != "instance_id"
-        or header[-1] != "f"
-        or header[2:-1] != [f"x{i}" for i in range(len(header) - 3)]
-    ):
-        raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
-    width = len(header)
-    instance_id: list[int] = []
-    values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    instance_id, values = [], []
+    for lineno, line in enumerate(lines, start=lineno):
         if not line:
             continue
         tokens = line.split(",")
@@ -348,15 +290,71 @@ def read_trajectory(path: str | Path) -> Trajectory:
             values += map(float, tokens[2:])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if eval_index != len(instance_id):
+        if eval_index != row + len(instance_id):
             raise ParseError(
                 f"{path}: line {lineno}: eval_index {eval_index} breaks contiguity "
-                f"(expected {len(instance_id)})"
+                f"(expected {row + len(instance_id)})"
             )
         instance_id.append(j)
+    return instance_id, np.asarray(values, dtype=float).reshape(len(instance_id), width - 2)
+
+
+def read_trajectory(path: str | Path) -> Trajectory:
+    """Parse a trajectory CSV, validating layout and eval_index contiguity.
+
+    After the header, blocks of whole lines of about ``_READ_BLOCK_BYTES``
+    bytes go straight into preallocated columns, each parsed by one orjson
+    call (``_json_block``) or else decoded and parsed by the line rules
+    (``_line_block``) to the same bits, so a read holds one block besides
+    the file's bytes and the result.  A malformed file raises ``ParseError``
+    naming the first bad line; an instance_id outside int64 is refused
+    once every line has passed.  An undecodable byte outranks both.
+    """
+    data = Path(path).read_bytes()
     try:
-        ids = np.asarray(instance_id, dtype=np.int64)
-    except OverflowError:
-        raise ParseError(f"{path}: an instance_id is outside the int64 range") from None
-    table = np.asarray(values, dtype=float).reshape(len(ids), width - 2)
-    return Trajectory(xs=table[:, :-1].copy(), fs=table[:, -1].copy(), instance_id=ids)
+        start = data.find(b"\n") + 1 or len(data)
+        lines = _decode(data[:start]).splitlines()
+        if not lines:
+            raise ParseError(f"{path}: empty file, missing header")
+        dim = lines[0].count(",") - 2
+        if dim < 1 or lines[0] != _header(dim):
+            raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
+        width, row, lineno, outside_int64 = dim + 3, 0, 2, False
+        if len(lines) > 1:  # a lone CR ended the header: walk on from the rest of line 1
+            start, lineno = len(lines[0]), 1
+        # a row per line end, and one more when the last line has none
+        n = data.count(b"\n", start) + (not data.endswith(b"\n"))
+        xs, fs, instance_id = np.empty((n, dim)), np.empty(n), np.empty(n, dtype=np.int64)
+        while start < len(data):
+            # whole lines: up to the last line end in the block, or past the
+            # block's end when one line is longer than a block
+            stop = (
+                data.rfind(b"\n", start, start + _READ_BLOCK_BYTES) + 1
+                or data.find(b"\n", start + _READ_BLOCK_BYTES) + 1
+                or len(data)
+            )
+            block, start = data[start:stop], stop
+            parsed = _json_block(block, row, width)
+            lines = [] if parsed else _decode(block).splitlines()
+            ids, values = parsed or _line_block(lines, lineno, row, width, path)
+            lineno += len(lines) or len(values)
+            end = row + len(values)
+            if end > len(fs):
+                # a lone CR or a form feed splits a line: more rows than line ends
+                xs, fs, instance_id = (
+                    np.resize(c, (2 * end, *c.shape[1:])) for c in (xs, fs, instance_id)
+                )
+            try:
+                instance_id[row:end] = ids
+            except OverflowError:
+                outside_int64 = True
+            xs[row:end], fs[row:end] = values[:, :-1], values[:, -1]
+            row = end
+        if outside_int64:
+            raise ParseError(f"{path}: an instance_id is outside the int64 range")
+        return Trajectory(xs=xs[:row], fs=fs[:row], instance_id=instance_id[:row])
+    except (ParseError, UnicodeDecodeError):
+        # as when the whole text is decoded before any line is parsed: an
+        # undecodable byte is the error, at its position in the file
+        _decode(data)
+        raise

@@ -289,10 +289,6 @@ def _pipeline(out_dir):
     export_plot_data(records, out_dir / "curves.csv")
 
 
-def _strip_cpu_columns(csv_text: str) -> str:
-    return "\n".join(",".join(line.split(",")[:-2]) for line in csv_text.splitlines())
-
-
 def test_09_full_pipeline_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _pipeline(a)
@@ -304,15 +300,9 @@ def test_09_full_pipeline_is_byte_deterministic(tmp_path):
         for name in names:
             if (a / sub / name).read_bytes() != (b / sub / name).read_bytes():
                 mismatches.append(f"{sub}/{name}")
-    for table in ("normalized.csv", "curves.csv"):
+    for table in ("records.csv", "normalized.csv", "curves.csv"):
         if (a / table).read_bytes() != (b / table).read_bytes():
             mismatches.append(table)
-    # the records table carries wall-clock CPU columns (the last two),
-    # which are the only tolerated difference between reruns
-    if _strip_cpu_columns((a / "records.csv").read_text()) != _strip_cpu_columns(
-        (b / "records.csv").read_text()
-    ):
-        mismatches.append("records.csv")
     n_files = 2 * 8 + 3
     ok = not mismatches
     assert _report(

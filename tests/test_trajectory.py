@@ -57,35 +57,49 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.fs, traj.fs)
 
 
-def test_a_finite_file_is_read_in_one_parse_call(tmp_path, monkeypatch):
-    # per read, whether the one orjson call gave up and left the file to the line parser
-    calls = []
-    read_json = trajectory._read_json_numbers
+@contextmanager
+def block_parsers():
+    """Per read block: True if one orjson call took it, the block's lines if the line rules did."""
+    taken = []
+    json_block, line_block = trajectory._json_block, trajectory._line_block
 
-    def spy(data):
-        parsed = read_json(data)
-        calls.append(parsed is None)
+    def json_spy(block, *args):
+        parsed = json_block(block, *args)
+        if parsed is not None:
+            taken.append(True)
         return parsed
 
-    monkeypatch.setattr(trajectory, "_read_json_numbers", spy)
+    def line_spy(lines, *args):
+        taken.append(lines)
+        return line_block(lines, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_json_block", json_spy)
+        patch.setattr(trajectory, "_line_block", line_spy)
+        yield taken
+
+
+def test_a_finite_file_is_read_in_one_parse_call(tmp_path):
+    # one orjson call per read block, and no block left to the line rules
     traj = run_random(make_function("sphere", 10, 0), 3000, seed=0)
     path = tmp_path / "t.csv"
     write_trajectory(traj, path)
-    back = read_trajectory(path)
-    assert calls == [False]
+    with block_parsers() as taken:
+        back = read_trajectory(path)
+    assert len(taken) > 1 and all(block is True for block in taken)
     reference = Trajectory.from_points(read_trajectory_reference(path))
     for got, want in [(back.xs, reference.xs), (back.fs, reference.fs), (back.xs, traj.xs)]:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert back.instance_id.dtype == np.int64 and back.xs.flags.c_contiguous
     assert np.array_equal(back.instance_id, traj.instance_id)
-    # NaN is not JSON: the line parser reads this file, to the same bits,
-    # and the byte check turns it away before any block is parsed
+    # NaN is not JSON: the line rules read the one block holding it, to the same bits
     traj.fs[1234] = math.nan
     write_trajectory(traj, path)
-    loads = []
-    monkeypatch.setattr(trajectory.orjson, "loads", lambda doc: loads.append(doc))
-    back = read_trajectory(path)
-    assert calls == [False, True] and not loads
+    with block_parsers() as taken:
+        back = read_trajectory(path)
+    (lines,) = [block for block in taken if block is not True]
+    nan_rows = [line for line in lines if line.endswith(",nan")]
+    assert len(nan_rows) == 1 and nan_rows[0].startswith("1234,")
     assert np.array_equal(back.fs.view(np.int64), traj.fs.view(np.int64))
     assert column_bits(back) == column_bits(traj)
 
@@ -175,22 +189,27 @@ def test_io_memory_is_one_block_not_the_file(tmp_path):
         xs=rng.uniform(-5, 5, (n, dim)), fs=rng.normal(size=n), instance_id=rng.integers(0, 5, n)
     )
     path = tmp_path / "t.csv"
-    tracemalloc.start()
-    try:
-        write_trajectory(traj, path)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        back = read_trajectory(path)
-        read_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert column_bits(back) == column_bits(traj)
-    columns = back.xs.nbytes + back.fs.nbytes + back.instance_id.nbytes
     mb = 2**20
-    assert path.stat().st_size > 10 * mb
-    assert write_peak < 4 * mb
-    assert read_peak < path.stat().st_size + columns + 4 * mb
+    # then the same file with one NaN and one +inf fitness, whose two
+    # blocks the line rules read
+    for non_finite in ({}, {123: math.nan, 17_000: math.inf}):
+        for row, f in non_finite.items():
+            traj.fs[row] = f
+        tracemalloc.start()
+        try:
+            write_trajectory(traj, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = read_trajectory(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert column_bits(back) == column_bits(traj)
+        columns = back.xs.nbytes + back.fs.nbytes + back.instance_id.nbytes
+        assert path.stat().st_size > 10 * mb
+        assert write_peak < 4 * mb
+        assert read_peak < path.stat().st_size + columns + 4 * mb
 
 
 def test_missing_header_raises(tmp_path):
@@ -422,6 +441,10 @@ MALFORMED_BODIES = {
     "gap before a wrong field count": ["0,0,1,2,3", "5,0,1,2,3", "2,0,1,2"],
     "bad instance_id before a gap": ["0,0,1,2,3", "1,-,1,2,3", "7,0,1,2,3"],
     "bad float and bad index on one line": ["0,0,1,2,3", "9,0,1,2,zz"],
+    # the int64 range is checked once every line has passed
+    "instance_id outside int64 before a wrong field count": [
+        "0,9223372036854775808,1.5,2.5,3.0", "1,0,1.5,2.0,3.0", "2,0,1.5,2.0",
+    ],
 }
 
 
@@ -439,9 +462,9 @@ def test_malformed_files_name_the_reference_line(tmp_path, case):
 
 
 # D=1 bodies read with blocks of every size from 1 byte to the whole
-# file, so each line in turn ends a block, and their outcome under the
-# one-orjson-call-per-block path; a bare -0 must still reach the line
-# parser, as JSON reads it as the int 0
+# file, so each line in turn ends a block, and whether one orjson call
+# takes every block; a bare -0 must still reach the line rules, as JSON
+# reads it as the int 0
 EDGE_BODIES = {
     "bare -0 ending a line": (b"0,0,1.5,2.5\n1,0,1.5,-0\n2,1,0.5,1.0\n", False),
     "bare -0 inside a line": (b"0,0,1.5,2.5\n1,0,-0,3.0\n2,1,0.5,1.0\n", False),
@@ -454,6 +477,11 @@ EDGE_BODIES = {
     "a float eval_index": (b"0,0,1.5,2.5\n1.0,0,1.5,2.0\n", False),
     "an index gap": (b"0,0,1.5,2.5\n1,0,1.5,2.0\n3,0,1.5,2.0\n", False),
     "a well-formed file": (b"0,-1,1.5,2.5\n1,0,-0.0,2.0\n2,4,7,-0.5\n", True),
+    # more rows than line ends: ``str.splitlines`` also splits at these
+    "rows split by a lone CR": (b"0,0,1.5,2.5\r1,0,1.5,2.0\r2,0,1.0,0.5\n", False),
+    "rows split by a form feed and a vertical tab": (
+        b"0,0,1.5,2.5\x0c1,0,1.5,2.0\n2,0,1.0,0.5\x0b3,0,1.0,0.5\n", False
+    ),
 }
 
 
@@ -464,10 +492,32 @@ def test_every_read_block_edge_reads_like_the_reference(tmp_path, case):
     path.write_bytes(b"eval_index,instance_id,x0,f\n" + body)
     expected = outcome(read_trajectory_reference, path)
     for size in range(1, path.stat().st_size + 1):
+        with blocks(1, size), block_parsers() as taken:
+            assert outcome(read_trajectory, path) == expected, f"{size}-byte blocks"
+        assert all(block is True for block in taken) == one_call_per_block, f"{size}-byte blocks"
+
+
+def test_rows_on_the_header_line_read_like_the_reference(tmp_path):
+    # a lone CR ends the header's line before its first line end
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"eval_index,instance_id,x0,f\r0,0,1.5,2.5\r\n1,0,1.5,2.0\n2,0,1.0,0.5\n")
+    expected = outcome(read_trajectory_reference, path)
+    assert not isinstance(expected, str) and expected[3] == (3, 1)
+    for size in range(1, path.stat().st_size + 1):
         with blocks(1, size):
             assert outcome(read_trajectory, path) == expected, f"{size}-byte blocks"
-            parsed = trajectory._read_json_numbers(path.read_bytes())
-            assert (parsed is not None) == one_call_per_block, f"{size}-byte blocks"
+
+
+def test_an_undecodable_byte_outranks_an_earlier_bad_line(tmp_path):
+    # the reference decodes the whole file before it parses a line
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"eval_index,instance_id,x0,f\n0,0,1.5\n1,0,1.5,2.0\n2,0,\xff,1.0\n")
+    with pytest.raises(UnicodeDecodeError) as expected:
+        read_trajectory_reference(path)
+    for size in range(1, path.stat().st_size + 1):
+        with blocks(1, size), pytest.raises(UnicodeDecodeError) as got:
+            read_trajectory(path)
+        assert str(got.value) == str(expected.value), f"{size}-byte blocks"
 
 
 # each edit breaks one line of a well-formed file, or inserts a blank line
