@@ -15,12 +15,17 @@ def distances(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     This is the one distance kernel of the package: the cascade's tabu
     filter, its initial means and every selector compare its result with
     ``d_min`` by the closed inequality ``>=``, which a NaN distance (from
-    inf - inf or a NaN coordinate) never meets; a square that overflows
-    gives +inf.  A 1-D ``xs`` gives a 0-d result; any row gives the same
-    bits whether it is passed alone or inside a larger array.
+    inf - inf or a NaN coordinate) never meets.  Each distance is the
+    square root of one einsum sum of the squared differences over the last
+    axis, with einsum's default ``optimize=False``, which never hands the
+    sum to BLAS.  Its values can differ from ``np.linalg.norm`` or
+    ``np.add.reduce`` in the last ulps.  A square that overflows gives +inf
+    without a floating-point warning.  A 1-D ``xs`` gives a 0-d result; any
+    row gives the same bits whether it is passed alone or inside a larger
+    array, because every shape takes this one formula.
     """
     diff = xs - y
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return np.sqrt(np.einsum("...j,...j->...", diff, diff))
 
 
 @dataclass(frozen=True)

@@ -281,8 +281,14 @@ def exact_select(
             members.pop()
         return False
 
-    # every point after the leader; the leader's row clears the ones too close
-    aborted = search((1 << len(fs)) - 2, [0], _sum_key([fs[0]]))
+    try:
+        # every point after the leader; the leader's row clears the ones too close
+        aborted = search((1 << len(fs)) - 2, [0], _sum_key([fs[0]]))
+    finally:
+        # ``search`` refers to itself through its closure; breaking that
+        # cycle frees the mask rows, xs and fs on return, not at the next
+        # cyclic collection
+        search = None
     return _batch(ranked, best, k, d_min, "exact", proved=not aborted)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import math
 import sys
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 from divbatch import (
+    DsConfig,
     EmptyPortfolio,
     EvaluatedPoint,
+    SELECTORS,
     Trajectory,
     batch_to_dict,
     clearing_select,
@@ -21,6 +25,8 @@ from divbatch import (
     greedy_select,
     make_function,
     read_trajectory,
+    run_cma_single,
+    run_ds,
     run_random,
     selection,
     verify_batch,
@@ -314,6 +320,20 @@ def test_exact_checks_its_deadline_before_it_builds_a_mask_row():
     assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
 
 
+def test_exact_leaves_no_garbage_cycle():
+    # a cycle would keep the call's mask rows, xs and fs alive until the
+    # cyclic collector happens to run
+    portfolio = run_cma_single(make_function("discus", 10, 0), 3000, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        batch = exact_select(portfolio, 5, 10.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert batch.proved_optimal
+
+
 def test_selectors_reject_empty_portfolios(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("eval_index,instance_id,x0,x1,f\n")
@@ -417,3 +437,50 @@ def test_a_batch_holds_columns_and_builds_its_points_on_each_access():
         batch.points = first
     # columns hold arrays, so batches compare by identity
     assert batch == batch and batch != exact_select(ABCD, 3, 1.0)
+
+
+# The selection-output gate: fixed portfolios, each with its d_min and the
+# SHA-256 of its batch JSONs as written when the distance kernel summed its
+# squares with np.add.reduce.  On the cma discus portfolio exact builds
+# 1,222 mask rows; on the D=40 one clearing picks from as deep as rank 1,520.
+SELECTION_GATE = {
+    "cma-discus-d10": (
+        lambda: run_cma_single(make_function("discus", 10, 0), 3000, 0),
+        10.0,
+        {
+            "clearing": "54e17de81a6b432e0809069d046d00ae599ee8f1069ef20f4f697f03024b5c95",
+            "exact": "32cfa3690ae8eea8ef38714df4c42f9b88882c2fe58170611dcec7a5e4126736",
+        },
+    ),
+    "ds-sphere-d10": (
+        lambda: run_ds(DsConfig(k=5, d_min=10.0, budget=3000, seed=0), make_function("sphere", 10, 0)),
+        10.0,
+        {
+            "clearing": "016b04ad574a936d3ab540df037906b716037f2b88bb1829c673fd49bac51bc1",
+            "exact": "4a429f8aba5f50aabe0a4bc560b62dd244d409ec19a60a8d252f7b529beafdd1",
+        },
+    ),
+    "random-rastrigin_sep-d10": (
+        lambda: run_random(make_function("rastrigin_sep", 10, 0), 3000, 0),
+        10.0,
+        {
+            "clearing": "e60c0a2f2c932296cdd6f2d9fb8fa8b7e8ee3bf904540c7ae941c212a1dd7d74",
+            "exact": "6edc7de0606f1511a337d48865ed8b0a80aa9b695f75e462fb83c7ea7124b8ed",
+        },
+    ),
+    "cma-rastrigin_sep-d40": (
+        lambda: run_cma_single(make_function("rastrigin_sep", 40, 0), 3000, 0),
+        10.0,
+        {"clearing": "e54e498644799db0b2eb000586216219c41fafd8611434aae77dc89b9847f6ef"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SELECTION_GATE)
+def test_selection_outputs_keep_their_digests(tmp_path, name):
+    generate, d_min, digests = SELECTION_GATE[name]
+    portfolio = generate()
+    for method, digest in digests.items():
+        path = tmp_path / f"{method}.json"
+        write_batch(SELECTORS[method](portfolio, 5, d_min), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, method)

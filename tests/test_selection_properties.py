@@ -152,7 +152,8 @@ def mask_problems(draw):
     kind = draw(st.sampled_from(["pair", "special", "scaled"]))
     if kind == "pair":
         # grid pairs share squared distances, so many sit at exactly d_min;
-        # inf - inf and overflowing squares are meant
+        # the kernel's subtraction warns on inf - inf or an overflowing
+        # difference, which are meant (its overflowing squares stay silent)
         with np.errstate(invalid="ignore", over="ignore"):
             d_min = float(distances(xs[rng.integers(n)], xs[rng.integers(n)]))
     elif kind == "special":
@@ -165,7 +166,8 @@ def mask_problems(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mask_problems())
 def test_compat_masks_equal_the_per_row_kernel(problem):
-    # the non-finite and huge coordinates make inf - inf and overflowing squares on purpose
+    # the non-finite coordinates make inf - inf on purpose, which warns in
+    # the kernel's subtraction, as a difference that overflows would
     with np.errstate(invalid="ignore", over="ignore"):
         assert_rows_equal_the_reference(*problem)
 
