@@ -3,9 +3,10 @@
 A cell of the grid is (function, algorithm, seed): generate a portfolio,
 select a batch, compute loss metrics, and record the outcome.  A cell
 whose generation raised is recorded with ``error`` set, never fatal; an
-incomplete batch is not an error and only has ``complete`` false.  A
-record holds no timings, so rerunning a grid rewrites every persisted
-file (trajectories, batches and records) byte for byte.
+incomplete batch is not an error and only has ``complete`` false.  Each
+cell writes its files (trajectory, batch, record) when it finishes, in
+the process that ran it.  A record holds no timings, so rerunning a grid
+rewrites every persisted file byte for byte.
 ``export_plot_data`` writes the seed-mean curves of a list of records; a
 cascade's region log is written by ``CascadeLog.write``.
 """
@@ -16,14 +17,17 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import DsConfig, run_ds
 from .baselines import run_cma_indep, run_cma_single, run_random
-from .objectives import ObjectiveFunction, make_function
-from .selection import Batch, clearing_select, exact_select, greedy_select, write_batch
+from .objectives import InvalidDimension, ObjectiveFunction, UnknownFunction
+from .objectives import function_ids, make_function
+from .selection import Batch, EmptyPortfolio, write_batch
+from .selection import clearing_select, exact_select, greedy_select
 from .trajectory import Trajectory, read_trajectory, write_trajectory
 
 __all__ = [
@@ -97,12 +101,20 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # refused here, before a cell runs, so a bad grid never half-runs
+        # and never leaves earlier cells' files behind
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.method not in SELECTORS:
             raise ValueError(
                 f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
             )
+        if self.budget < 1:
+            raise EmptyPortfolio(f"budget must be >= 1, got {self.budget}")
+        if self.dimension < 2:
+            raise InvalidDimension(f"dimension must be >= 2, got {self.dimension}")
+        unknown = [fid for fid in self.functions if fid not in function_ids()]
+        if unknown:
+            raise UnknownFunction(f"unknown function ids {unknown!r}")
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
@@ -181,46 +193,12 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
     return record, trajectory, batch
 
 
-def _run_cell_task(args):
-    cfg_dict, function_id, algorithm, seed = args
-    return _run_cell(ExperimentConfig(**cfg_dict), function_id, algorithm, seed)
-
-
-def _cell_name(function_id: str, algorithm: str, seed: int) -> str:
-    return f"{function_id}__{algorithm}__s{seed}"
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Run every grid cell, optionally persisting artifacts under out_dir.
-
-    Persists ``trajectories/<cell>.csv``, ``batches/<cell>.json`` and
-    ``records/<cell>.json`` per cell.  Cells are independent, so they can
-    run in parallel (``workers``) with identical results.
-    """
-    cells = [
-        (fid, algo, seed)
-        for fid in cfg.functions
-        for algo in cfg.algorithms
-        for seed in cfg.seeds
-    ]
-    if cfg.workers > 1:
-        cfg_dict = asdict(cfg)
-        args = [(cfg_dict, *cell) for cell in cells]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_run_cell_task, args))
-    else:
-        outcomes = [_run_cell(cfg, *cell) for cell in cells]
-
-    records = []
-    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    if out_dir is not None:
-        for sub in ("trajectories", "batches", "records"):
-            (out_dir / sub).mkdir(parents=True, exist_ok=True)
-    for (function_id, algorithm, seed), (record, trajectory, batch) in zip(cells, outcomes):
-        records.append(record)
-        if out_dir is None:
-            continue
-        name = _cell_name(function_id, algorithm, seed)
+def _persist_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int) -> RunRecord:
+    """Run one cell, write its files under ``cfg.out_dir`` if set, and return its record."""
+    record, trajectory, batch = _run_cell(cfg, function_id, algorithm, seed)
+    if cfg.out_dir is not None:
+        out_dir = Path(cfg.out_dir)
+        name = f"{function_id}__{algorithm}__s{seed}"
         if trajectory is not None:
             write_trajectory(trajectory, out_dir / "trajectories" / f"{name}.csv")
         if batch is not None:
@@ -228,7 +206,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         (out_dir / "records" / f"{name}.json").write_text(
             json.dumps(asdict(record), indent=2) + "\n"
         )
-    return records
+    return record
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
+    """Run every grid cell, optionally persisting artifacts under out_dir.
+
+    Persists ``trajectories/<cell>.csv``, ``batches/<cell>.json`` and
+    ``records/<cell>.json`` per cell, as soon as that cell finishes and in
+    the process that ran it.  Cells are independent, so they can run in
+    parallel (``workers``) with identical files; the records come back in
+    cell order either way.
+    """
+    if cfg.out_dir is not None:
+        for sub in ("trajectories", "batches", "records"):
+            (Path(cfg.out_dir) / sub).mkdir(parents=True, exist_ok=True)
+    cells = list(product(cfg.functions, cfg.algorithms, cfg.seeds))
+    # one column per argument; an empty grid leaves only the empty cfg column
+    columns = ([cfg] * len(cells), *zip(*cells))
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            return list(pool.map(_persist_cell, *columns))
+    return list(map(_persist_cell, *columns))
 
 
 def read_records_dir(path: str | Path) -> list[RunRecord]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,11 @@ import pytest
 from divbatch import (
     Batch,
     EmptyBatch,
+    EmptyPortfolio,
     ExperimentConfig,
+    InvalidDimension,
     RunRecord,
+    UnknownFunction,
     clearing_select,
     compute_metrics,
     export_plot_data,
@@ -24,6 +29,7 @@ from divbatch import (
     write_normalized_csv,
     write_records_csv,
 )
+from divbatch import harness
 
 
 def batch_of(fs, order, complete=True):
@@ -203,18 +209,24 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "change, message",
+    "change, message, error",
     [
-        ({"k": 0}, "k must be >= 1, got 0"),
-        ({"k": -2}, "k must be >= 1, got -2"),
-        ({"method": "nope"}, "method must be one of .* got 'nope'"),
+        ({"k": 0}, "k must be >= 1, got 0", ValueError),
+        ({"k": -2}, "k must be >= 1, got -2", ValueError),
+        ({"method": "nope"}, "method must be one of .* got 'nope'", ValueError),
+        ({"budget": 0}, "budget must be >= 1, got 0", EmptyPortfolio),
+        ({"budget": -5}, "budget must be >= 1, got -5", EmptyPortfolio),
+        ({"dimension": 1}, "dimension must be >= 2, got 1", InvalidDimension),
+        ({"functions": ["sphere", "nope"]}, "unknown function ids \\['nope'\\]", UnknownFunction),
     ],
 )
-def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message):
+def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message, error):
     # unchecked, k=0 fails the ds cells one by one and then raises out of
     # the first random cell's selector; an unknown method raises KeyError
-    # only after the first cell's generation
-    with pytest.raises(ValueError, match=message):
+    # only after the first cell's generation.  A budget below 1, a
+    # dimension below 2 or an unknown function id would raise out of a
+    # cell after earlier cells had written their files.
+    with pytest.raises(error, match=message):
         small_config(tmp_path, **change)
     assert not (tmp_path / "out").exists()
 
@@ -230,11 +242,39 @@ def test_reruns_persist_byte_identical_files(tmp_path):
             assert a.read_bytes() == b.read_bytes(), a.name
 
 
-def test_parallel_workers_match_serial():
-    serial = run_experiment(small_config(seeds=[0]))
-    parallel = run_experiment(small_config(seeds=[0], workers=2))
-    for a, b in zip(serial, parallel):
-        assert a.batch_losses == b.batch_losses and a.leader_loss == b.leader_loss
+def test_parallel_workers_match_serial(tmp_path):
+    serial = run_experiment(small_config(tmp_path / "serial", seeds=[0]))
+    parallel = run_experiment(small_config(tmp_path / "parallel", seeds=[0], workers=2))
+    assert serial == parallel
+    for sub in ("trajectories", "batches", "records"):
+        first = sorted((tmp_path / "serial" / "out" / sub).iterdir())
+        second = sorted((tmp_path / "parallel" / "out" / sub).iterdir())
+        assert [p.name for p in first] == [p.name for p in second] and len(first) == 4, sub
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_an_empty_grid_returns_no_records(tmp_path):
+    for workers in (1, 2):
+        assert run_experiment(small_config(tmp_path, functions=[], workers=workers)) == []
+
+
+def test_the_grid_keeps_one_cells_outputs_alive_at_a_time(tmp_path, monkeypatch):
+    run_cell = harness._run_cell
+    finished = []
+    alive_at_start = []
+
+    def tracked(*args):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in finished))
+        record, trajectory, batch = run_cell(*args)
+        finished.append(weakref.ref(trajectory))
+        return record, trajectory, batch
+
+    monkeypatch.setattr(harness, "_run_cell", tracked)
+    records = run_experiment(small_config(tmp_path))
+    assert len(records) == len(alive_at_start) == 8
+    assert alive_at_start == [0] * 8
 
 
 def test_records_round_trip_through_directory(tmp_path):
