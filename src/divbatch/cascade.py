@@ -73,13 +73,14 @@ class InfeasibleInitialization(RuntimeError):
     """Mutually distant starting means could not be sampled."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DsConfig:
     """Configuration for one diversity-search run.
 
     ``budget`` is the total number of objective evaluations; candidates
     rejected by the cascade do not count against it.  An instance that
     draws 100 * lambda rejected candidates in one generation stalls.
+    A bad k, d_min or center strategy raises ValueError when it is built.
     """
 
     k: int
@@ -87,6 +88,15 @@ class DsConfig:
     budget: int
     center_strategy: str = CENTER_POPULATION_BEST
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.center_strategy not in CENTER_STRATEGIES:
+            raise ValueError(f"unknown center strategy {self.center_strategy!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if math.isnan(self.d_min):
+            # no distance is >= NaN: every instance past the first would be starved
+            raise ValueError("d_min must not be NaN")
 
     def snapshot(self) -> dict:
         return {
@@ -218,16 +228,8 @@ def run_ds(
 
     Returns the evaluation trajectory, plus the region log when
     ``return_log`` is true.  The trajectory holds exactly ``config.budget``
-    points unless initialization is infeasible, which raises.  A k below 1,
-    a NaN d_min or an unknown center strategy raises ValueError.
+    points unless initialization is infeasible, which raises.
     """
-    if config.center_strategy not in CENTER_STRATEGIES:
-        raise ValueError(f"unknown center strategy {config.center_strategy!r}")
-    if config.k < 1:
-        raise ValueError(f"k must be >= 1, got {config.k}")
-    if math.isnan(config.d_min):
-        # no distance is >= NaN: every instance past the first would be starved
-        raise ValueError("d_min must not be NaN")
     dim = fn.dimension
     box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
     params = CmaParams.defaults(dim)

@@ -26,7 +26,7 @@ from .harness import (
     write_normalized_csv,
     write_records_csv,
 )
-from .objectives import function_ids, function_registry
+from .objectives import function_registry
 from .selection import write_batch
 from .trajectory import read_trajectory
 
@@ -34,18 +34,15 @@ __all__ = ["main"]
 
 
 def _check_dmin(d_min: float) -> None:
-    # NaN and inf slip past a "<= 0" check, and both make every pair infeasible
+    # the library takes d_min = 0; the CLI asks for a distance.  NaN and inf
+    # slip past a "<= 0" check, and both make every pair infeasible
     if not (math.isfinite(d_min) and d_min > 0):
         raise ValueError(f"--dmin must be finite and positive, got {d_min}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.function not in function_ids():
-        raise ValueError(f"unknown function {args.function!r}; see the 'functions' subcommand")
-    if args.dim < 2:
-        raise ValueError("--dim must be >= 2")
-    if args.budget < 1 or args.k < 1 or args.runs < 1:
-        raise ValueError("--budget, --k and --runs must be positive")
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     _check_dmin(args.dmin)
     cfg = ExperimentConfig(
         functions=[args.function],
@@ -71,8 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ValueError("--k must be positive")
+    # every selector refuses a k below 1 before a batch is written
     _check_dmin(args.dmin)
     trajectory = read_trajectory(args.traj)
     batch = SELECTORS[args.method](trajectory, args.k, args.dmin)

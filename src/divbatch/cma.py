@@ -115,10 +115,9 @@ class CmaParams:
     max_iter: int = 0
 
     @classmethod
-    def defaults(cls, dimension: int, lambda_: int | None = None) -> "CmaParams":
+    def defaults(cls, dimension: int) -> "CmaParams":
         d = float(dimension)
-        if lambda_ is None:
-            lambda_ = 4 + int(math.floor(3.0 * math.log(dimension)))
+        lambda_ = 4 + int(math.floor(3.0 * math.log(dimension)))
         mu = lambda_ // 2
         raw = np.log((lambda_ + 1) / 2.0) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
@@ -28,7 +29,8 @@ from .objectives import InvalidDimension, ObjectiveFunction, UnknownFunction
 from .objectives import function_ids, make_function
 from .selection import Batch, EmptyPortfolio, write_batch
 from .selection import clearing_select, exact_select, greedy_select
-from .trajectory import Trajectory, read_trajectory, write_trajectory
+# write_trajectory stays a module attribute: perfbench wraps it by name
+from .trajectory import Trajectory, write_trajectory
 
 __all__ = [
     "ALGORITHMS",
@@ -40,11 +42,9 @@ __all__ = [
     "export_plot_data",
     "normalize_losses",
     "read_records_dir",
-    "read_trajectory",
     "run_experiment",
     "write_normalized_csv",
     "write_records_csv",
-    "write_trajectory",
 ]
 
 ALGORITHMS = ("ds", "random", "cma", "cma-indep")
@@ -94,16 +94,13 @@ class ExperimentConfig:
     d_min: float
     method: str = "clearing"
     center_strategy: str = "population_best"
-    # objective instances stay fixed while run seeds vary
-    instance_seed: int = 0
     out_dir: str | Path | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # refused here, before a cell runs, so a bad grid never half-runs
-        # and never leaves earlier cells' files behind
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        # refused before a cell runs, so a bad grid never half-runs and
+        # leaves no files; DsConfig refuses a bad k, d_min or center rule
+        DsConfig(self.k, self.d_min, self.budget, self.center_strategy)
         if self.method not in SELECTORS:
             raise ValueError(
                 f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
@@ -115,6 +112,9 @@ class ExperimentConfig:
         unknown = [fid for fid in self.functions if fid not in function_ids()]
         if unknown:
             raise UnknownFunction(f"unknown function ids {unknown!r}")
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown!r}")
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
@@ -154,7 +154,8 @@ def _generate(algorithm: str, fn: ObjectiveFunction, cfg: ExperimentConfig, seed
 
 def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int):
     """Returns (record, trajectory, batch); trajectory/batch are None on error."""
-    fn = make_function(function_id, cfg.dimension, cfg.instance_seed)
+    # objective instances stay fixed while run seeds vary
+    fn = make_function(function_id, cfg.dimension, 0)
     base = dict(
         function_id=function_id,
         algorithm=algorithm,
@@ -193,9 +194,15 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
     return record, trajectory, batch
 
 
-def _persist_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int) -> RunRecord:
-    """Run one cell, write its files under ``cfg.out_dir`` if set, and return its record."""
-    record, trajectory, batch = _run_cell(cfg, function_id, algorithm, seed)
+def _persist_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int):
+    """Run one cell and write its files under ``cfg.out_dir`` if set.
+
+    Returns the record and the cell's warnings as (message, category)
+    pairs, which a worker process could not show to the caller itself.
+    """
+    # no simplefilter: the caller's filters, "error" ones too, still apply
+    with warnings.catch_warnings(record=True) as caught:
+        record, trajectory, batch = _run_cell(cfg, function_id, algorithm, seed)
     if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
         name = f"{function_id}__{algorithm}__s{seed}"
@@ -206,7 +213,7 @@ def _persist_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed:
         (out_dir / "records" / f"{name}.json").write_text(
             json.dumps(asdict(record), indent=2) + "\n"
         )
-    return record
+    return record, [(str(w.message), w.category) for w in caught]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
@@ -216,7 +223,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     ``records/<cell>.json`` per cell, as soon as that cell finishes and in
     the process that ran it.  Cells are independent, so they can run in
     parallel (``workers``) with identical files; the records come back in
-    cell order either way.
+    cell order either way.  Each cell's warnings are re-issued here as its
+    record arrives, so a grid that raises still shows the earlier ones.
     """
     if cfg.out_dir is not None:
         for sub in ("trajectories", "batches", "records"):
@@ -224,10 +232,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     cells = list(product(cfg.functions, cfg.algorithms, cfg.seeds))
     # one column per argument; an empty grid leaves only the empty cfg column
     columns = ([cfg] * len(cells), *zip(*cells))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(_persist_cell, *columns))
-    return list(map(_persist_cell, *columns))
+    parallel = cfg.workers > 1
+    records = []
+    with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
+        for record, caught in (pool.map if parallel else map)(_persist_cell, *columns):
+            for message, category in caught:
+                warnings.warn(message, category, stacklevel=1)
+            records.append(record)
+    return records
 
 
 def read_records_dir(path: str | Path) -> list[RunRecord]:

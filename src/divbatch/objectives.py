@@ -41,6 +41,8 @@ N_GAUSS_PEAKS = 21
 class UnknownFunction(KeyError):
     """Requested function id is not registered."""
 
+    __str__ = Exception.__str__  # a KeyError's own str() quotes the message
+
 
 class InvalidDimension(ValueError):
     """Requested dimension is not supported (must be >= 2)."""

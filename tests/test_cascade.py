@@ -8,6 +8,7 @@ invariant replayed from region logs.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -92,25 +93,34 @@ def test_instance_zero_is_never_constrained():
     assert _clear_of(np.zeros(2), np.empty((0, 2)), 100.0)
 
 
+# run_ds takes only a DsConfig, which refuses a bad request when it is built
+
+
 def test_run_ds_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        run_ds(DsConfig(k=2, d_min=1.0, budget=50, center_strategy="nope"), FlatFunction())
+    with pytest.raises(ValueError, match="unknown center strategy 'nope'"):
+        DsConfig(k=2, d_min=1.0, budget=50, center_strategy="nope")
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_run_ds_rejects_fewer_than_one_instance(k):
     # with no instances every epoch would be spent at once, forever
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        run_ds(DsConfig(k=k, d_min=1.0, budget=10), make_function("sphere", 2, 0))
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        DsConfig(k=k, d_min=1.0, budget=10)
 
 
 def test_run_ds_rejects_a_nan_d_min_before_drawing():
     # no distance is >= NaN, so every later instance would stall after
     # 100 * lambda draws a generation; the means would take 100,000 draws
-    fn = make_function("sphere", 2, 0)
     with pytest.raises(ValueError, match="d_min must not be NaN"):
-        run_ds(DsConfig(k=3, d_min=float("nan"), budget=100), fn)
-    assert fn.eval_count == 0
+        DsConfig(k=3, d_min=float("nan"), budget=100)
+
+
+def test_a_built_ds_config_cannot_be_changed():
+    # k=0 set after the checks would make run_ds loop forever
+    config = DsConfig(k=2, d_min=1.0, budget=10)
+    with pytest.raises(FrozenInstanceError):
+        config.k = 0
+    assert config.k == 2
 
 
 @pytest.mark.parametrize("budget", [37, 100, 203])

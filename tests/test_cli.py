@@ -58,8 +58,20 @@ def test_run_ds_smoke(tmp_path, capsys):
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides):
+    # the library's config refuses a bad function, dimension, budget or k
+    # with its own message; the CLI checks only --runs and --dmin itself
+    messages = {
+        "--function": "unknown function ids ['no_such_function']",
+        "--dim": "dimension must be >= 2, got 1",
+        "--budget": "budget must be >= 1, got 0",
+        "--k": "k must be >= 1, got 0",
+        "--dmin": "--dmin must be finite and positive, got 0.0",
+        "--runs": "--runs must be >= 1, got 0",
+    }
+    (flag,) = overrides
     assert main(run_args(tmp_path / "out", **overrides)) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {messages[flag]}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # -inf, -1e3 and -1e-3 look like flags to argparse when they follow --dmin
@@ -125,6 +137,23 @@ def test_select_rejects_a_non_finite_dmin(tmp_path, capsys, dmin):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: --dmin must be finite and positive")
+    assert not batch_path.exists()
+
+
+def test_select_rejects_a_k_below_one_before_writing(tmp_path, capsys):
+    traj_path = tmp_path / "portfolio.csv"
+    write_trajectory(run_random(make_function("sphere", 2, 0), 5, seed=0), traj_path)
+    batch_path = tmp_path / "batch.json"
+    argv = [
+        "select",
+        "--traj", str(traj_path),
+        "--method", "clearing",
+        "--k", "0",
+        "--dmin", "1.0",
+        "--out", str(batch_path),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
     assert not batch_path.exists()
 
 

@@ -218,6 +218,9 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
         ({"budget": -5}, "budget must be >= 1, got -5", EmptyPortfolio),
         ({"dimension": 1}, "dimension must be >= 2, got 1", InvalidDimension),
         ({"functions": ["sphere", "nope"]}, "unknown function ids \\['nope'\\]", UnknownFunction),
+        ({"center_strategy": "nope"}, "unknown center strategy 'nope'", ValueError),
+        ({"d_min": math.nan}, "d_min must not be NaN", ValueError),
+        ({"algorithms": ["ds", "nope"]}, "unknown algorithms \\['nope'\\]", ValueError),
     ],
 )
 def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message, error):
@@ -225,7 +228,8 @@ def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, messag
     # the first random cell's selector; an unknown method raises KeyError
     # only after the first cell's generation.  A budget below 1, a
     # dimension below 2 or an unknown function id would raise out of a
-    # cell after earlier cells had written their files.
+    # cell after earlier cells had written their files.  An unknown center
+    # strategy, a NaN d_min or an unknown algorithm fails cell by cell.
     with pytest.raises(error, match=message):
         small_config(tmp_path, **change)
     assert not (tmp_path / "out").exists()
@@ -252,6 +256,34 @@ def test_parallel_workers_match_serial(tmp_path):
         assert [p.name for p in first] == [p.name for p in second] and len(first) == 4, sub
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_a_failed_cells_warning_reaches_the_caller_at_any_worker_count(tmp_path):
+    texts = {}
+    for workers in (1, 2):
+        # only the ds cells fail: no two means of [-5, 5]^2 are 50 apart
+        cfg = small_config(tmp_path / str(workers), functions=["sphere"], d_min=50.0, workers=workers)
+        with pytest.warns(UserWarning) as caught:
+            run_experiment(cfg)
+        texts[workers] = [str(w.message) for w in caught]
+    assert len(texts[1]) == 2 and all("failed" in text for text in texts[1])
+    assert texts[1] == texts[2]
+
+
+def test_a_grid_that_raises_still_shows_the_earlier_cells_warnings(tmp_path, monkeypatch):
+    run_cell = harness._run_cell
+    calls = []
+
+    def second_raises(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return run_cell(*args)
+
+    monkeypatch.setattr(harness, "_run_cell", second_raises)
+    cfg = small_config(tmp_path, functions=["sphere"], algorithms=["ds"], d_min=50.0)
+    with pytest.warns(UserWarning, match="sphere/ds/seed 0 failed"), pytest.raises(OSError):
+        run_experiment(cfg)
 
 
 def test_an_empty_grid_returns_no_records(tmp_path):
