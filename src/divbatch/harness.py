@@ -81,9 +81,12 @@ class RunRecord:
         return float(np.mean(self.batch_losses)) if self.batch_losses else float("nan")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid definition: the cross product functions x algorithms x seeds."""
+    """Grid definition: the cross product functions x algorithms x seeds.
+
+    Frozen, so no field can change after ``__post_init__`` has checked it.
+    """
 
     functions: list[str]
     algorithms: list[str]

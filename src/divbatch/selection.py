@@ -19,8 +19,13 @@ the lowest fitness sum, provably optimal within its caps).
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
 the last bit at exactly ``d_min``.  Custom metrics are not supported.
-The exact selector builds a point's compatibility mask with the same
-kernel, when its search first extends a set that ends in that point.
+The exact selector searches only the leader and the points at least
+``d_min`` from it, since every other member of a batch is one of them.
+It builds a point's compatibility mask with the same kernel, when its
+search first extends a set that ends in that point, unless the bounding
+box of the later points has no corner ``d_min`` or more from it: no
+later point can then be, because rounding is monotone, so the row is
+known to be empty.
 """
 
 from __future__ import annotations
@@ -115,6 +120,9 @@ def _sweep(
     ``xs`` holds the fitness-sorted points.  Everything strictly closer
     than ``d_min`` to a picked point is cleared, as is ``banned``; the best
     remaining point is picked next, until k are picked or none is left.
+    Every row before a new pick is already cleared, so only the rows from
+    the pick on are tested against it; the kernel gives a row the same
+    bits in any slice, so the picks are those of a full-length test.
     Every selector sweeps, so this is where a k below 1, which no batch
     with a leader can meet, raises ValueError.
     """
@@ -130,8 +138,7 @@ def _sweep(
     while len(picked) < k and alive.any():
         i = int(np.argmax(alive))
         picked.append(i)
-        keep = distances(xs[alive], xs[i]) >= d_min
-        alive[np.flatnonzero(alive)] = keep
+        alive[i:] &= distances(xs[i:], xs[i]) >= d_min
         alive[i] = False
     return picked
 
@@ -196,6 +203,27 @@ def _compat_masks(xs: np.ndarray, i: int, d_min: float) -> int:
     return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little") << (i + 1)
 
 
+def _empty_rows(xs: np.ndarray, d_min: float) -> np.ndarray:
+    """Positions a whose mask row is provably empty without building it.
+
+    The later points ``xs[a + 1 :]`` lie in their bounding box; the
+    box's farthest corner from ``xs[a]`` is, per coordinate, the larger of
+    ``|xs[a] - lo|`` and ``|xs[a] - hi|``.  Row a is empty when that corner
+    is closer than ``d_min``: rounding is monotone and the kernel sums
+    every row in the same order, so no computed distance from ``xs[a]`` to
+    a later point exceeds the corner's.  A NaN or an infinity makes the
+    corner NaN or inf, and such a row is never returned.  The last
+    position, which has no later points, is not returned either.
+    """
+    later = xs[:0:-1]  # the suffix of position a is row a of the reversed accumulations
+    lo = np.minimum.accumulate(later)[::-1]
+    hi = np.maximum.accumulate(later)[::-1]
+    # inf - inf and overflowing differences are meant: they leave the row built
+    with np.errstate(invalid="ignore", over="ignore"):
+        corner = np.maximum(np.abs(xs[:-1] - lo), np.abs(xs[:-1] - hi))
+    return np.flatnonzero(distances(corner, 0.0) < d_min)
+
+
 def _sum_key(keys: list[float]) -> tuple[int, int, float]:
     """(+inf count, minus the -inf count, finite sum): ordered as the sum is, never NaN."""
     pinf, ninf = keys.count(math.inf), keys.count(-math.inf)
@@ -232,21 +260,37 @@ def exact_select(
     the lowest fitness sum (NaN counted as +inf, compared by ``_sum_key``),
     and the first one found wins a tie.  A branch is pruned when it cannot
     reach the incumbent's size, or when it cannot grow past that size and a
-    fitness-sum lower bound shows it cannot beat the incumbent's sum.  A
-    point's mask row, the later points at least ``d_min`` from it by
-    ``boxes.distances``, is built when the search first extends a set that
-    ends in it; the deadline is checked before each new row.
-    ``proved_optimal`` reports whether the search ran to completion within
-    the caps.
+    fitness-sum lower bound shows it cannot beat the incumbent's sum.
+
+    The search runs over the leader's sub-portfolio: the leader and, in
+    rank order, the points its row keeps, which every other member must be
+    among.  After the leader the clearing sweep's live rows are exactly
+    these, so the incumbent, the sets visited and their order are those of
+    a search over the whole portfolio.  A point's mask row, the later
+    points at least ``d_min`` from it by ``boxes.distances``, is built
+    when the search first extends a set that ends in it; the deadline is
+    checked before each new row.  A row is seeded empty, and never built,
+    when the farthest corner of its later points' bounding box is closer
+    than ``d_min`` (``_empty_rows``).  That is exact: no computed distance
+    to a point inside the box exceeds the computed distance to that
+    corner.  ``proved_optimal`` reports whether the search ran to
+    completion within the caps.
     """
     ranked = _ranked(portfolio)
-    xs, fs = ranked[0], fitness_keys(ranked[1]).tolist()
+    # the leader and, in rank order, the points its row keeps: every other
+    # member of any batch is among them
+    compatible = distances(ranked[0], ranked[0][0]) >= d_min
+    compatible[0] = True
+    keep = np.flatnonzero(compatible)
+    xs, fs = ranked[0][keep], fitness_keys(ranked[1][keep]).tolist()
+    # after the leader the live rows are exactly these, so this is the
+    # clearing batch
     best = _sweep(xs, [], k, d_min)
     best_sum = _sum_key([fs[i] for i in best])
 
     deadline = time.perf_counter() + time_cap
     nodes = 0
-    rows: dict[int, int] = {}
+    rows = dict.fromkeys(_empty_rows(xs, d_min).tolist(), 0)
 
     def search(rem: int, members: list[int], total: tuple) -> bool:
         """Visit ``members``, then its extensions by ``rem`` within its last row; True at a cap."""
@@ -282,14 +326,14 @@ def exact_select(
         return False
 
     try:
-        # every point after the leader; the leader's row clears the ones too close
+        # every point after the leader, all of them in the leader's row
         aborted = search((1 << len(fs)) - 2, [0], _sum_key([fs[0]]))
     finally:
         # ``search`` refers to itself through its closure; breaking that
         # cycle frees the mask rows, xs and fs on return, not at the next
         # cyclic collection
         search = None
-    return _batch(ranked, best, k, d_min, "exact", proved=not aborted)
+    return _batch(ranked, keep[best], k, d_min, "exact", proved=not aborted)
 
 
 def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None) -> bool:
@@ -302,7 +346,11 @@ def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None
         if not np.all(distances(xs[i + 1 :], xs[i]) >= d_min):
             return False
     if portfolio is not None and len(batch):
-        if batch.eval_index[0] != _ranked(portfolio)[2][0]:
+        keys = fitness_keys(portfolio.fs)
+        if not len(keys):
+            raise EmptyPortfolio("portfolio has no points")
+        # the first minimum is the first row of the stable sort ``_ranked`` makes
+        if batch.eval_index[0] != int(np.argmin(keys)):
             return False
     return True
 

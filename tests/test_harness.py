@@ -6,7 +6,7 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,15 @@ def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, messag
     with pytest.raises(error, match=message):
         small_config(tmp_path, **change)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_built_grid_config_cannot_be_changed():
+    # k=0 set after the checks would fail the ds cells one by one and then
+    # raise out of the first random cell's selector, mid-grid
+    cfg = small_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.k = 0
+    assert cfg.k == 2
 
 
 def test_reruns_persist_byte_identical_files(tmp_path):

@@ -441,8 +441,8 @@ def test_a_batch_holds_columns_and_builds_its_points_on_each_access():
 
 # The selection-output gate: fixed portfolios, each with its d_min and the
 # SHA-256 of its batch JSONs as written when the distance kernel summed its
-# squares with np.add.reduce.  On the cma discus portfolio exact builds
-# 1,222 mask rows; on the D=40 one clearing picks from as deep as rank 1,520.
+# squares with np.add.reduce.  On the D=40 cma portfolio clearing picks
+# from as deep as rank 1,520.
 SELECTION_GATE = {
     "cma-discus-d10": (
         lambda: run_cma_single(make_function("discus", 10, 0), 3000, 0),
@@ -484,3 +484,23 @@ def test_selection_outputs_keep_their_digests(tmp_path, name):
         path = tmp_path / f"{method}.json"
         write_batch(SELECTORS[method](portfolio, 5, d_min), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, method)
+
+
+def test_exact_builds_only_the_mask_rows_its_bound_leaves(monkeypatch):
+    # 1,222 of the cma discus portfolio's points lie at least d_min from the
+    # leader and no pair of them does: the search visits 1,222 rows, and
+    # the bounding-box bound proves 563 of them empty.  Searching the whole
+    # portfolio, or without the bound, builds 1,222.
+    generate, d_min, _ = SELECTION_GATE["cma-discus-d10"]
+    portfolio = generate()
+    built = []
+
+    def counting(xs, i, d_min):
+        built.append(i)
+        return build(xs, i, d_min)
+
+    build = selection._compat_masks
+    monkeypatch.setattr(selection, "_compat_masks", counting)
+    batch = exact_select(portfolio, 5, d_min)
+    assert batch.proved_optimal and len(batch) == 2
+    assert len(built) == 659

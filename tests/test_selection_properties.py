@@ -7,7 +7,8 @@ selector picks what the per-size search it replaced picks, also where
 fitness holds ±inf and k exceeds the most members that fit.  Each mask
 row the exact selector builds is checked bit for bit against the
 per-row distance kernel on integer grids, duplicates, non-finite and
-subnormal coordinates and distance requirements.
+subnormal coordinates and distance requirements, and so is every row
+the exact selector's bounding-box bound leaves unbuilt as empty.
 """
 
 from __future__ import annotations
@@ -109,11 +110,39 @@ def test_a_proved_optimal_exact_batch_is_never_worse_than_greedy(problem):
 
 
 @st.composite
+def clustered_problems(draw, fitness=fitness_values):
+    """(portfolio, k, d_min): one to three far points, then a cluster of
+    points in a ball of radius below d_min / 2, so pairwise too close.
+
+    The far points lie 2 to 4 d_min from the cluster's centre, so each is
+    compatible with every cluster point; evaluated first, they win fitness
+    ties, and a far leader leaves the cluster in the exact search.
+    """
+    dim = draw(st.integers(1, 3))
+    d_min = draw(st.sampled_from([1.0, 2.0, 3.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.normal(size=(draw(st.integers(1, 3)), dim))
+    radii = rng.uniform(2 * d_min, 4 * d_min, len(directions))
+    far = directions / np.linalg.norm(directions, axis=1, keepdims=True) * radii[:, None]
+    # a cube of half-side r / sqrt(dim) lies inside the ball of radius r
+    half = 0.49 * d_min / math.sqrt(dim)
+    near = rng.uniform(-half, half, (draw(st.integers(2, 9)), dim))
+    points = [
+        EvaluatedPoint(x=x, f=draw(fitness), eval_index=i, instance_id=0)
+        for i, x in enumerate(np.concatenate([far, near]))
+    ]
+    # below 3 members no search needs a cluster point's row
+    return Trajectory.from_points(points), draw(st.integers(3, len(points) + 2)), d_min
+
+
+@st.composite
 def oracle_problems(draw):
     """Selection problems with ±inf fitness too, and with k often set to the
-    most members that fit, or one more, so the search must settle for less."""
+    most members that fit, or one more, so the search must settle for less.
+    Clustered problems make the exact search meet rows its bound seeds."""
     fitness = st.one_of(fitness_values, st.sampled_from([math.inf, -math.inf]))
-    portfolio, k, d_min = draw(selection_problems(fitness=fitness))
+    problems = st.one_of(selection_problems(fitness=fitness), clustered_problems(fitness=fitness))
+    portfolio, k, d_min = draw(problems)
     most = len(reference_exact_select(portfolio, len(portfolio), d_min))
     return portfolio, draw(st.sampled_from([k, most, most + 1])), d_min
 
@@ -170,6 +199,15 @@ def test_compat_masks_equal_the_per_row_kernel(problem):
     # the kernel's subtraction, as a difference that overflows would
     with np.errstate(invalid="ignore", over="ignore"):
         assert_rows_equal_the_reference(*problem)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask_problems())
+def test_every_row_the_bound_seeds_is_empty(problem):
+    xs, d_min = problem
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in selection._empty_rows(xs, d_min).tolist():
+            assert selection._compat_masks(xs, i, d_min) == 0, (i, d_min)
 
 
 def test_compat_masks_of_integer_coordinates_equal_the_per_row_kernel():
