@@ -14,7 +14,8 @@ dropping one member and re-sweeping; it is never smaller than the
 clearing batch and, at equal size, never has a higher fitness sum), and
 ``exact_select`` (one branch-and-bound search over fitness-sorted subsets
 from the clearing incumbent, keeping the largest feasible set and then
-the lowest fitness sum, provably optimal within its caps).
+the lowest fitness sum, provably optimal within the work cap ``WORK_CAP``,
+counted in nodes and distances, never in seconds).
 
 All distances are Euclidean, computed by ``boxes.distances``, so every
 selector and ``verify_batch`` agree on which pairs are feasible, down to
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,14 +245,14 @@ def _smallest_fitness_sum(mask: int, need: int, fs: list[float]) -> tuple[int, i
     return _sum_key(lowest)
 
 
-def exact_select(
-    portfolio: Trajectory,
-    k: int,
-    d_min: float,
-    node_cap: int = 10_000_000,
-    time_cap: float = 60.0,
-) -> Batch:
-    """Optimal batch by branch and bound, subject to node and time caps.
+# The exact search's cap, in work, not seconds, so a capped search returns
+# the same batch on every machine: one unit per node and one per 256
+# distances of a mask row, each about 3-4 µs on a 2-vCPU VM at D=10.
+WORK_CAP = 10_000_000
+
+
+def exact_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
+    """Optimal batch by branch and bound, within the work cap ``WORK_CAP``.
 
     One depth-first search over fitness-sorted subsets containing the
     leader, with the clearing batch as the starting incumbent.  Every node
@@ -260,21 +260,24 @@ def exact_select(
     the lowest fitness sum (NaN counted as +inf, compared by ``_sum_key``),
     and the first one found wins a tie.  A branch is pruned when it cannot
     reach the incumbent's size, or when it cannot grow past that size and a
-    fitness-sum lower bound shows it cannot beat the incumbent's sum.
+    fitness-sum lower bound shows it cannot beat the incumbent's sum.  The
+    search is one loop over an explicit stack, so no recursion limit bounds
+    its depth.
 
     The search runs over the leader's sub-portfolio: the leader and, in
     rank order, the points its row keeps, which every other member must be
     among.  After the leader the clearing sweep's live rows are exactly
     these, so the incumbent, the sets visited and their order are those of
-    a search over the whole portfolio.  A point's mask row, the later
-    points at least ``d_min`` from it by ``boxes.distances``, is built
-    when the search first extends a set that ends in it; the deadline is
-    checked before each new row.  A row is seeded empty, and never built,
-    when the farthest corner of its later points' bounding box is closer
-    than ``d_min`` (``_empty_rows``).  That is exact: no computed distance
-    to a point inside the box exceeds the computed distance to that
-    corner.  ``proved_optimal`` reports whether the search ran to
-    completion within the caps.
+    a search over the whole portfolio.  The leader's mask row is thus every
+    later point.  Another point's row, the later points at least ``d_min``
+    from it by ``boxes.distances``, is built when the search first extends
+    a set that ends in it; the work cap is checked before each new row.  A
+    row is seeded empty, and never built, when the farthest corner of its
+    later points' bounding box is closer than ``d_min`` (``_empty_rows``).
+    That is exact: no computed distance to a point inside the box exceeds
+    the computed distance to that corner.  ``proved_optimal`` reports
+    whether the search ran to completion within ``WORK_CAP``; assign
+    ``divbatch.selection.WORK_CAP`` to change the cap.
     """
     ranked = _ranked(portfolio)
     # the leader and, in rank order, the points its row keeps: every other
@@ -288,52 +291,46 @@ def exact_select(
     best = _sweep(xs, [], k, d_min)
     best_sum = _sum_key([fs[i] for i in best])
 
-    deadline = time.perf_counter() + time_cap
-    nodes = 0
     rows = dict.fromkeys(_empty_rows(xs, d_min).tolist(), 0)
-
-    def search(rem: int, members: list[int], total: tuple) -> bool:
-        """Visit ``members``, then its extensions by ``rem`` within its last row; True at a cap."""
-        nonlocal best, best_sum, nodes
-        nodes += 1
-        if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
-            return True
+    # every later point is at least d_min from the leader, by construction
+    rows[0] = (1 << len(fs)) - 2
+    # stack entry d: member d, the sum of members 0..d and the candidates
+    # left to extend them with; the next set to visit adds b to the stack,
+    # and rem holds its parent's candidates after b
+    members, totals, rems = [], [], []
+    b, total, rem, work = 0, _sum_key([fs[0]]), rows[0], 0
+    while True:
+        work += 1
+        if work > WORK_CAP:
+            break
+        members.append(b)
+        totals.append(total)
         size = len(members)
         if size > len(best) or (size == len(best) and total < best_sum):
             best, best_sum = members.copy(), total
-        if size == k:
-            return False
-        last = members[-1]
-        if last not in rows:
-            if time.perf_counter() > deadline:
-                return True
-            rows[last] = _compat_masks(xs, last, d_min)
-        rem &= rows[last]
-        while rem:
+        if size < k and b not in rows:
+            work += (len(fs) - b - 1) // 256
+            if work > WORK_CAP:
+                break
+            rows[b] = _compat_masks(xs, b, d_min)
+        # a full set has no candidates, and needs no row
+        rems.append(rem & rows[b] if size < k else 0)
+        # back up to the deepest set that has a candidate worth trying
+        while members:
+            rem, size = rems[-1], len(members)
             reach = size + rem.bit_count()
-            if reach < len(best):
-                return False
-            if (reach == len(best) or len(best) == k) and (
-                _plus(total, _smallest_fitness_sum(rem, len(best) - size, fs)) >= best_sum
+            if rem and reach >= len(best) and not (
+                (reach == len(best) or len(best) == k)
+                and _plus(totals[-1], _smallest_fitness_sum(rem, len(best) - size, fs)) >= best_sum
             ):
-                return False
-            b = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            members.append(b)
-            if search(rem, members, _plus(total, _sum_key([fs[b]]))):
-                return True
-            members.pop()
-        return False
-
-    try:
-        # every point after the leader, all of them in the leader's row
-        aborted = search((1 << len(fs)) - 2, [0], _sum_key([fs[0]]))
-    finally:
-        # ``search`` refers to itself through its closure; breaking that
-        # cycle frees the mask rows, xs and fs on return, not at the next
-        # cyclic collection
-        search = None
-    return _batch(ranked, keep[best], k, d_min, "exact", proved=not aborted)
+                break
+            del members[-1], totals[-1], rems[-1]
+        if not members:
+            break
+        b = (rem & -rem).bit_length() - 1
+        rems[-1] = rem = rem & (rem - 1)
+        total = _plus(totals[-1], _sum_key([fs[b]]))
+    return _batch(ranked, keep[best], k, d_min, "exact", proved=work <= WORK_CAP)
 
 
 def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None) -> bool:

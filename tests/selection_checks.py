@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 
 import numpy as np
 
@@ -90,7 +89,7 @@ def random_instance(seed):
 
 
 # The branch and bound that restarts once per batch size, from k down to 1,
-# and falls back to clearing when its caps stop it before any size is
+# and falls back to clearing when its node cap stops it before any size is
 # proved.  Uncapped, the one-pass ``exact_select`` must pick what it picks.
 # Its masks come from ``compat_masks_reference`` and its sums are ranked by
 # ``sum_order``, so it shares no mask or sum code with the selector.
@@ -99,9 +98,8 @@ def reference_exact_select(
     k: int,
     d_min: float,
     node_cap: int = 10_000_000,
-    time_cap: float = 60.0,
 ) -> Batch:
-    """Optimal batch by branch and bound, subject to node and time caps.
+    """Optimal batch by branch and bound, subject to a node cap.
 
     Searches fitness-sorted subsets containing the leader, pruning on a
     fitness-sum lower bound and on candidate-count infeasibility, with the
@@ -110,7 +108,7 @@ def reference_exact_select(
     feasible batch of maximum size.  A NaN fitness counts as +inf, so a
     batch holding one is kept when no batch of that size has a finite
     sum.  ``proved_optimal`` reports whether the search ran to completion
-    within the caps.
+    within the node cap.
     """
     ranked = _ranked(portfolio)
     xs, fs = ranked[0], fitness_keys(ranked[1]).tolist()
@@ -118,7 +116,6 @@ def reference_exact_select(
     masks = compat_masks_reference(xs, d_min)
     clearing_members = _sweep(xs, [], k, d_min)
 
-    deadline = time.perf_counter() + time_cap
     nodes = 0
     aborted = False
 
@@ -140,7 +137,7 @@ def reference_exact_select(
             if aborted:
                 return
             nodes += 1
-            if nodes > node_cap or (nodes % 1024 == 0 and time.perf_counter() > deadline):
+            if nodes > node_cap:
                 aborted = True
                 return
             if count == size:

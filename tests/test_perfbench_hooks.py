@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.install_spans`` replaces module attributes of
 ``divbatch`` by name (``cascade.ask_one``, ``cascade._clear_of``,
-``cascade.tell``, ``baselines.ask_one``, ``baselines.tell`` and more).  A
+``cascade.tell``, ``baselines.ask_one``, ``baselines.tell``,
+``selection._compat_masks``, the exact search's row builder, and more).  A
 simplification that deletes or renames one of them fails here instead of
 breaking ``perfbench/run.py --trace 1``.  ``tell`` must also keep calling
 ``_refresh_eigensystem`` and ``should_stop`` through the module's names,
@@ -31,13 +32,16 @@ def test_every_traced_hook_installs_on_the_package(monkeypatch):
     from workloads import install_spans
 
     before = {name: getattr(divbatch.cascade, name) for name in ("ask_one", "_clear_of", "tell")}
+    compat_masks = divbatch.selection._compat_masks
     patches = Patches()
     try:
         install_spans(patches, divbatch, Tracer())
         assert divbatch.cascade._clear_of is not before["_clear_of"]
+        assert divbatch.selection._compat_masks is not compat_masks
     finally:
         patches.restore()
     assert {name: getattr(divbatch.cascade, name) for name in before} == before
+    assert divbatch.selection._compat_masks is compat_masks
 
 
 def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):

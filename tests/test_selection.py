@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -239,52 +240,68 @@ def sphere_instance(seed, n, k, d_min):
     return Trajectory.from_points(points), k, d_min
 
 
-def uncapped_search(points, k, d_min):
-    """An uncapped ``exact_select`` batch and its node count, the calls of its inner ``search``."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        code = frame.f_code
-        if event == "call" and code.co_name == "search" and frame.f_globals is vars(selection):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        batch = exact_select(points, k, d_min)
-    finally:
-        sys.setprofile(None)
-    return batch, calls
-
-
+# Each instance with the work of its uncapped search: one unit a node, as
+# rows of fewer than 256 distances cost nothing.
 CAPPED_INSTANCES = [
-    random_instance(12),
+    (random_instance(12), 3),
     # a complete clearing batch that exact improves on
-    sphere_instance(0, 60, 8, 3.0),
+    (sphere_instance(0, 60, 8, 3.0), 257),
     # clearing stops at 9 of 10 members, exact finds 10
-    sphere_instance(0, 60, 10, 3.0),
+    (sphere_instance(0, 60, 10, 3.0), 1370),
     # clearing stops at 7 of 9 members, and 7 is the most that fit
-    sphere_instance(1, 50, 9, 3.3),
+    (sphere_instance(1, 50, 9, 3.3), 4032),
 ]
 
 
-def test_exact_caps_disable_the_optimality_claim():
-    for points, k, d_min in CAPPED_INSTANCES:
-        uncapped, nodes = uncapped_search(points, k, d_min)
+def test_exact_caps_disable_the_optimality_claim(monkeypatch):
+    for (points, k, d_min), work in CAPPED_INSTANCES:
+        uncapped = exact_select(points, k, d_min)
         clearing = clearing_select(points, k, d_min)
-        for cap in (1, 2, 3, 5, 10, 100, 1000):
-            batch = exact_select(points, k, d_min, node_cap=cap)
+        for cap in (1, 2, 3, 5, 10, 100, 1000, work - 1, work):
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "WORK_CAP", cap)
+                batch = exact_select(points, k, d_min)
             assert verify_batch(batch, d_min, points)
             assert len(batch) >= len(clearing)
             if len(batch) == len(clearing):
                 assert batch.fitness_sum() <= clearing.fitness_sum()
             # the search is deterministic, so a cap is hit exactly when it
-            # is below the uncapped node count
-            assert batch.proved_optimal == (cap >= nodes), (nodes, cap)
+            # is below the uncapped work; a weaker prune would change that work
+            assert batch.proved_optimal == (cap >= work), (work, cap)
             if batch.proved_optimal:
                 assert [p.eval_index for p in batch.points] == [
                     p.eval_index for p in uncapped.points
                 ]
+
+
+def test_exact_reads_no_clock(monkeypatch):
+    (points, k, d_min), _ = CAPPED_INSTANCES[2]
+    steady = exact_select(points, k, d_min)
+    # a clock that jumps an hour on each reading
+    clock = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    jumping = exact_select(points, k, d_min)
+    assert steady.proved_optimal and jumping.proved_optimal
+    assert jumping.eval_index.tolist() == steady.eval_index.tolist()
+
+
+def test_exact_searches_deeper_than_the_recursion_limit(monkeypatch):
+    # 3,001 points half a unit apart: clearing takes every other one, and
+    # the search first descends along the clearing batch, 1,501 members deep
+    portfolio = line([i / 2 for i in range(3001)], [i / 2 for i in range(3001)])
+    built = []
+
+    def counting(xs, i, d_min):
+        built.append(i)
+        return build(xs, i, d_min)
+
+    build = selection._compat_masks
+    monkeypatch.setattr(selection, "_compat_masks", counting)
+    monkeypatch.setattr(selection, "WORK_CAP", 10_000)
+    batch = exact_select(portfolio, 1501, 1.0)
+    assert batch.complete and verify_batch(batch, 1.0, portfolio)
+    # one row per depth on the way down
+    assert len(built) > sys.getrecursionlimit()
 
 
 def sphere_portfolio(n):
@@ -302,9 +319,9 @@ def test_exact_builds_mask_rows_only_as_its_search_needs_them(monkeypatch):
 
     build = selection._compat_masks
     monkeypatch.setattr(selection, "_compat_masks", counting)
-    start = time.perf_counter()
-    batch = exact_select(portfolio, 5, 10.0, time_cap=5.0)
-    assert time.perf_counter() - start < 5.0 + 3.0
+    # the search takes 8,583 units, 58 rows of about 146 and its nodes
+    monkeypatch.setattr(selection, "WORK_CAP", 10_000)
+    batch = exact_select(portfolio, 5, 10.0)
     assert batch.proved_optimal and batch.complete
     assert verify_batch(batch, 10.0, portfolio)
     # all 50,000 rows at once would hold 50,000**2 / 2 bits
@@ -312,10 +329,14 @@ def test_exact_builds_mask_rows_only_as_its_search_needs_them(monkeypatch):
     assert len(set(built)) == len(built)
 
 
-def test_exact_checks_its_deadline_before_it_builds_a_mask_row():
+def test_exact_checks_its_work_cap_before_it_builds_a_mask_row(monkeypatch):
     portfolio = sphere_portfolio(50_000)
-    batch = exact_select(portfolio, 5, 10.0, time_cap=0.0)
-    assert not batch.proved_optimal
+    built = []
+    monkeypatch.setattr(selection, "_compat_masks", lambda *args: built.append(args))
+    # the first row the search needs costs about 146 units
+    monkeypatch.setattr(selection, "WORK_CAP", 100)
+    batch = exact_select(portfolio, 5, 10.0)
+    assert not built and not batch.proved_optimal
     clearing = clearing_select(portfolio, 5, 10.0)
     assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
 
@@ -488,9 +509,9 @@ def test_selection_outputs_keep_their_digests(tmp_path, name):
 
 def test_exact_builds_only_the_mask_rows_its_bound_leaves(monkeypatch):
     # 1,222 of the cma discus portfolio's points lie at least d_min from the
-    # leader and no pair of them does: the search visits 1,222 rows, and
-    # the bounding-box bound proves 563 of them empty.  Searching the whole
-    # portfolio, or without the bound, builds 1,222.
+    # leader and no pair of them does: the search visits 1,222 rows, the
+    # leader's is known to hold them all, and the bounding-box bound proves
+    # 563 others empty.  Without the bound it builds 1,221.
     generate, d_min, _ = SELECTION_GATE["cma-discus-d10"]
     portfolio = generate()
     built = []
@@ -503,4 +524,4 @@ def test_exact_builds_only_the_mask_rows_its_bound_leaves(monkeypatch):
     monkeypatch.setattr(selection, "_compat_masks", counting)
     batch = exact_select(portfolio, 5, d_min)
     assert batch.proved_optimal and len(batch) == 2
-    assert len(built) == 659
+    assert len(built) == 658
