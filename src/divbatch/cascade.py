@@ -162,61 +162,81 @@ def _clear_of(x: np.ndarray, centers: np.ndarray, d_min: float) -> bool:
     return bool((distances(centers, x) >= d_min).all())
 
 
-def init_diverse_means(
-    k: int,
-    box: Box,
-    d_min: float,
-    rng: np.random.Generator,
-    rejection_cap: int = 100_000,
-) -> list[np.ndarray]:
-    """Sample k uniform points pairwise at least ``d_min`` apart.
+# Stage 1 of ``init_diverse_means`` draws at most this many points for one
+# mean before the k means are picked by ``_dispersed_means`` instead.
+_DRAW_CAP = 100_000
+# A stage-1 block of n draws against i accepted means takes n * i * D
+# differences; no block takes more than this many (one draw always fits).
+_BLOCK_VALUES = 1 << 18
 
-    Points are accepted one at a time by rejection against those already
-    accepted.  When a point exceeds the per-point draw cap, the k points
-    are picked by ``_dispersed_means`` instead.  Raises
-    InfeasibleInitialization when ``d_min`` exceeds the box diameter or
-    even the dispersed points are closer than ``d_min``.
+
+def init_diverse_means(k: int, box: Box, d_min: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample k uniform points pairwise at least ``d_min`` apart, as a (k, D) array.
+
+    Stage 1 accepts the first uniform draw at least ``d_min`` from every
+    mean accepted so far, one mean at a time.  It tests a block of draws
+    in one ``distances`` call, then restores the generator to the block's
+    start and re-draws only the rows up to the accepted one, so the means
+    and the generator's position are those of drawing one point at a
+    time.  Blocks start at one draw and double.  When a mean takes
+    ``_DRAW_CAP`` draws, the k means are picked by ``_dispersed_means``
+    instead.  Raises InfeasibleInitialization when ``d_min`` exceeds the
+    box diameter or even the dispersed points are closer than ``d_min``.
     """
     if d_min > box.diameter:
         raise InfeasibleInitialization(
             f"d_min={d_min} exceeds the box diameter {box.diameter:.6g}"
         )
-    means: list[np.ndarray] = []
-    for _ in range(k):
-        accepted = np.array(means).reshape(len(means), box.dimension)
-        for draws in range(rejection_cap):
-            x = box.sample_uniform(rng)
-            if (distances(accepted, x) >= d_min).all():
-                means.append(x)
+    means = np.empty((k, box.dimension))
+    for i in range(k):
+        n, draws = 1, 0
+        while draws < _DRAW_CAP:
+            n = min(n, _DRAW_CAP - draws, max(1, _BLOCK_VALUES // (max(i, 1) * box.dimension)))
+            start = rng.bit_generator.state
+            block = box.sample_uniform(rng, n)
+            clear = (distances(means[:i], block[:, None]) >= d_min).all(axis=1)
+            j = int(clear.argmax())
+            if clear[j]:
+                if j < n - 1:
+                    # the draws after the accepted one are not taken
+                    rng.bit_generator.state = start
+                    box.sample_uniform(rng, j + 1)
+                means[i] = block[j]
                 break
+            draws += n
+            n *= 2
         else:
             return _dispersed_means(k, box, d_min, rng)
     return means
 
 
-def _dispersed_means(k: int, box: Box, d_min: float, rng: np.random.Generator) -> list[np.ndarray]:
-    """k points by farthest-point (max-min) dispersion (Gonzalez, 1985).
+def _dispersed_means(k: int, box: Box, d_min: float, rng: np.random.Generator) -> np.ndarray:
+    """k points by farthest-point (max-min) dispersion (Gonzalez, 1985), as a (k, D) array.
 
     The pool holds 4096 random box corners, the box center and 4096
     uniform points.  The first corner is the first pick, and each next
     pick is the pool point farthest from the picks so far, so the last
-    pick's distance is the closest pair's.  Unlike sequential rejection,
+    pick's distance is the closest pair's.  The picks are made over the
+    corners and center first and over the whole pool only if those fall
+    short, since uniform points can beat corners that would fit (all
+    corners of a cube at its side apart).  Unlike sequential rejection,
     this finds spread-out sets such as the corners and center of a square.
     """
     n = 4096
     corners = np.where(rng.random((n, box.dimension)) < 0.5, box.lower, box.upper)
     pool = np.vstack([corners, (box.lower + box.upper) / 2, box.sample_uniform(rng, n)])
-    picks, gap, closest = [0], distances(pool, pool[0]), math.inf
-    while len(picks) < k:
-        picks.append(int(np.argmax(gap)))
-        closest = gap[picks[-1]]
-        gap = np.minimum(gap, distances(pool, pool[picks[-1]]))
-    if not closest >= d_min:
-        raise InfeasibleInitialization(
-            f"no {k} points at distance >= {d_min}: sequential rejection hit its draw cap "
-            f"and the closest pair of a farthest-point set is {closest:.6g} apart"
-        )
-    return [pool[i].copy() for i in picks]
+    for candidates in (pool[: n + 1], pool):
+        picks, gap, closest = [0], distances(candidates, candidates[0]), math.inf
+        while len(picks) < k:
+            picks.append(int(np.argmax(gap)))
+            closest = gap[picks[-1]]
+            gap = np.minimum(gap, distances(candidates, candidates[picks[-1]]))
+        if closest >= d_min:
+            return candidates[picks]
+    raise InfeasibleInitialization(
+        f"no {k} points at distance >= {d_min}: sequential rejection hit its draw cap "
+        f"and the closest pair of a farthest-point set is {closest:.6g} apart"
+    )
 
 
 def run_ds(
@@ -264,7 +284,7 @@ def run_ds(
 
     def spawn_epoch() -> tuple[list[CascadeInstance], np.ndarray]:
         # row i is instance i's tabu center; instance i avoids rows :i
-        centers = np.array(init_diverse_means(k, box, d_min, init_rng))
+        centers = init_diverse_means(k, box, d_min, init_rng)
         epoch_starts.append(generation)
         epoch_means.append(centers.copy())
         fresh = []

@@ -246,7 +246,8 @@ def _smallest_fitness_sum(mask: int, need: int, fs: list[float]) -> tuple[int, i
 
 
 # The exact search's cap, in work, not seconds, so a capped search returns
-# the same batch on every machine: one unit per node and one per 256
+# the same batch on every machine: per node one unit and one more per 4096
+# points of the sub-portfolio, as its masks are that wide, and one per 256
 # distances of a mask row, each about 3-4 µs on a 2-vCPU VM at D=10.
 WORK_CAP = 10_000_000
 
@@ -299,8 +300,9 @@ def exact_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
     # and rem holds its parent's candidates after b
     members, totals, rems = [], [], []
     b, total, rem, work = 0, _sum_key([fs[0]]), rows[0], 0
+    node_work = 1 + len(fs) // 4096
     while True:
-        work += 1
+        work += node_work
         if work > WORK_CAP:
             break
         members.append(b)

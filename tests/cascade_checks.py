@@ -1,7 +1,7 @@
 """Shared replay helpers for cascade runs with region logs, a flat and a
-tied objective, one-candidate reference loops for the block sampler and
-its drivers, the sampler's stream position, and the reference generation
-update ``reference_tell``."""
+tied objective, one-draw and one-candidate reference loops for the
+initial means, the block sampler and its drivers, the sampler's stream
+position, and the reference generation update ``reference_tell``."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divbatch import Box, CmaParams, EvaluatedPoint, Trajectory, init_cma, init_diverse_means, tell
+from divbatch import Box, CmaParams, EvaluatedPoint, Trajectory, init_cma, tell
 from divbatch.boxes import distances
-from divbatch.cascade import CENTER_STRATEGIES, STALLED
+from divbatch.cascade import CENTER_STRATEGIES, STALLED, InfeasibleInitialization, _dispersed_means
 from divbatch.cma import (
     _MAX_BLOCK_ROWS,
     _MAX_CONDITION,
@@ -99,6 +99,31 @@ def epoch_mean_violations(log, d_min):
                 if float(distances(means[a], means[b])) < d_min:
                     bad.append(epoch)
     return bad
+
+
+def reference_init_diverse_means(k, box, d_min, rng, cap=100_000):
+    """``cascade.init_diverse_means`` one draw at a time (the initializer
+    before it tested blocks): each mean is the first uniform draw at least
+    ``d_min`` from the means before it, and a mean that takes ``cap``
+    draws hands the k means to ``_dispersed_means``.
+
+    Returns the means as a list of k arrays.
+    """
+    if d_min > box.diameter:
+        raise InfeasibleInitialization(
+            f"d_min={d_min} exceeds the box diameter {box.diameter:.6g}"
+        )
+    means = []
+    for _ in range(k):
+        accepted = np.array(means).reshape(len(means), box.dimension)
+        for _ in range(cap):
+            x = box.sample_uniform(rng)
+            if (distances(accepted, x) >= d_min).all():
+                means.append(x)
+                break
+        else:
+            return list(_dispersed_means(k, box, d_min, rng))
+    return means
 
 
 def reference_ask_one(state, box):
@@ -192,7 +217,7 @@ def reference_run_ds(config, fn):
     total_rejections = evals = generation = epoch = 0
 
     def spawn_epoch():
-        means = init_diverse_means(k, box, d_min, init_rng)
+        means = reference_init_diverse_means(k, box, d_min, init_rng)
         epoch_starts.append(generation)
         epoch_means.append([m.copy() for m in means])
         fresh = [

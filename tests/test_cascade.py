@@ -7,12 +7,14 @@ invariant replayed from region logs.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+import divbatch.cascade
 from cascade_checks import FlatFunction, clearance_violations, epoch_mean_violations
 from divbatch import (
     Box,
@@ -30,7 +32,7 @@ from divbatch.cascade import _clear_of
 
 def test_init_diverse_means_single_point():
     means = init_diverse_means(1, Box.cube(3), 4.0, np.random.default_rng(0))
-    assert len(means) == 1
+    assert means.shape == (1, 3)
     assert Box.cube(3).contains(means[0])
 
 
@@ -53,9 +55,10 @@ def test_init_diverse_means_rejects_oversized_distance():
 
 def test_init_diverse_means_raises_when_the_cap_is_exhausted():
     # 30 points pairwise >= 13 apart cannot fit in [-5, 5]^2, so the
-    # farthest-point fallback falls short too, and says by how much
-    with pytest.raises(InfeasibleInitialization, match="closest pair .* is 1.7"):
-        init_diverse_means(30, Box.cube(2), 13.0, np.random.default_rng(0), rejection_cap=2000)
+    # farthest-point fallback falls short too, and says by how much over
+    # its whole pool (over the corners and center alone it would be 0)
+    with pytest.raises(InfeasibleInitialization, match="closest pair .* is 1.6971 apart"):
+        init_diverse_means(30, Box.cube(2), 13.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -73,12 +76,83 @@ def test_init_diverse_means_raises_when_the_cap_is_exhausted():
 @pytest.mark.parametrize("seed", range(3))
 def test_init_diverse_means_meets_feasible_requests_past_the_draw_cap(k, dim, d_min, seed):
     box = Box.cube(dim)
-    means = init_diverse_means(k, box, d_min, np.random.default_rng(seed), rejection_cap=1000)
-    assert len(means) == k
+    means = init_diverse_means(k, box, d_min, np.random.default_rng(seed))
+    assert means.shape == (k, dim)
     for a in range(k):
         assert box.contains(means[a])
         for b in range(a + 1, k):
             assert distances(means[a], means[b]) >= d_min
+
+
+def cube_corners(dim):
+    return np.array(list(itertools.product((-5.0, 5.0), repeat=dim)))
+
+
+def distance_3_code():
+    """The 16 words of the Hamming [7, 4] code, padded to 10 coordinates,
+    as corners of [-5, 5]^10: any two differ in at least three coordinates."""
+    generator = np.array(
+        [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+    )
+    words = np.array(list(itertools.product((0, 1), repeat=4))) @ generator % 2
+    return np.where(np.hstack([words, np.zeros((16, 3), int)]) == 1, 5.0, -5.0)
+
+
+# Point sets in [-5, 5]^D, each a feasible request at its closest pair's
+# distance: every corner at the side, 10, and with the center added at
+# min(10, 5 sqrt(D)).  Gonzalez's dispersion is only sure to reach half the
+# best closest pair, so each one is a test of the fallback.
+FEASIBLE_SETS = {
+    **{f"corners-{dim}": cube_corners(dim) for dim in range(2, 7)},
+    **{
+        f"corners-center-{dim}": np.vstack([cube_corners(dim), np.zeros(dim)])
+        for dim in range(2, 7)
+    },
+    "distance-3-code": distance_3_code(),
+}
+
+
+def closest_pair(points):
+    return float(distances(points[:, None], points)[np.triu_indices(len(points), 1)].min())
+
+
+@pytest.mark.parametrize("name", sorted(FEASIBLE_SETS))
+@pytest.mark.parametrize("seed", range(5))
+def test_init_diverse_means_meets_constructed_feasible_sets(name, seed):
+    points = FEASIBLE_SETS[name]
+    k, dim = points.shape
+    d_min = closest_pair(points)
+    means = init_diverse_means(k, Box.cube(dim), d_min, np.random.default_rng(seed))
+    assert means.shape == (k, dim)
+    assert all(Box.cube(dim).contains(x) for x in means)
+    assert closest_pair(means) >= d_min
+
+
+@pytest.mark.filterwarnings("ignore:budget .* is below one full round")
+@pytest.mark.parametrize(
+    "k, dim, d_min, budget, seed",
+    [
+        # a third mean at 7.07 from two others takes the whole draw cap
+        (3, 2, 7.07, 1, 52),
+        # all corners of the cube, a request the fallback once refused
+        (8, 3, 10.0, 100, 0),
+    ],
+)
+def test_a_request_past_the_draw_cap_takes_few_distance_calls(
+    monkeypatch, k, dim, d_min, budget, seed
+):
+    # one call per draw would be at least the cap's 100,000
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return distances(*args)
+
+    monkeypatch.setattr(divbatch.cascade, "distances", counting)
+    config = DsConfig(k=k, d_min=d_min, budget=budget, seed=seed)
+    traj = run_ds(config, make_function("sphere", dim, 0))
+    assert len(traj) == budget
+    assert 0 < len(calls) < 1000
 
 
 def test_candidate_boundary_is_valid():

@@ -11,12 +11,15 @@ tied objective, whose populations often share their best value, has its
 own reference comparison.  For the invariants ``d_min`` stays at most 3,
 where three instances always fit in [-5, 5]^D; the reference comparison
 also draws ``d_min`` near the feasibility edge, where later instances
-stall at the 100 * lambda cap.
+stall at the 100 * lambda cap.  The block initializer is compared with
+the one-draw loop it replaced under small draw caps, so the fallback
+decides often.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -30,10 +33,12 @@ from cascade_checks import (
     TiedFunction,
     clearance_violations,
     epoch_mean_violations,
+    reference_init_diverse_means,
     reference_run_cma_single,
     reference_run_ds,
 )
-from divbatch import CENTER_STRATEGIES, DsConfig, Trajectory, make_function
+from divbatch import CENTER_STRATEGIES, Box, DsConfig, InfeasibleInitialization, Trajectory
+from divbatch import make_function
 from divbatch import run_cma_indep, run_cma_single, run_ds, run_random
 from trajectory_checks import column_bits, write_trajectory_reference
 
@@ -109,6 +114,56 @@ def assert_equals_the_reference(config, fn, traj, log, instances):
         ours, theirs = getattr(log, column), getattr(ref_log, column)
         assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), column
         assert ours.tobytes() == theirs.tobytes(), column
+
+
+@st.composite
+def init_problems(draw):
+    """(k, box, d_min, seed, cap, block) for ``init_diverse_means``: ``cap``
+    and ``block`` stand in for its draw cap and block limit, and ``d_min``
+    runs past the box diameter."""
+    dim = draw(st.integers(1, 4))
+    sides = draw(st.lists(st.floats(0.5, 10.0), min_size=dim, max_size=dim))
+    box = Box(np.full(dim, -5.0), -5.0 + np.array(sides))
+    d_min = draw(
+        st.one_of(
+            st.sampled_from([0.0, -1.0, box.diameter, math.nan]),
+            st.floats(0.0, 1.1).map(lambda share: share * box.diameter),
+        )
+    )
+    return (
+        draw(st.integers(0, 8)),
+        box,
+        d_min,
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 64)),
+        draw(st.sampled_from([1, 2, 3, 7, 1 << 18])),
+    )
+
+
+def init_outcome(init, *args):
+    """The means' shape and bytes, or the error's type and message."""
+    try:
+        means = np.array(init(*args))
+    except InfeasibleInitialization as error:
+        return type(error), str(error)
+    return means.shape, means.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(init_problems())
+def test_init_diverse_means_equals_the_one_draw_loop(problem):
+    k, box, d_min, seed, cap, block = problem
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(divbatch.cascade, "_DRAW_CAP", cap)
+        monkeypatch.setattr(divbatch.cascade, "_BLOCK_VALUES", block)
+        outcome = init_outcome(divbatch.cascade.init_diverse_means, k, box, d_min, rng)
+    ref = init_outcome(reference_init_diverse_means, k, box, d_min, ref_rng, cap)
+    if ref[0] != InfeasibleInitialization:
+        # the reference lists k points of D; an empty list is reshaped
+        ref = (k, box.dimension), ref[1]
+    assert outcome == ref
+    assert rng.random(16).tobytes() == ref_rng.random(16).tobytes()
 
 
 @st.composite

@@ -9,6 +9,10 @@ breaking ``perfbench/run.py --trace 1``.  ``tell`` must also keep calling
 ``_refresh_eigensystem`` and ``should_stop`` through the module's names,
 or the traced pass's ``cma.eigh`` and ``cma.stop`` counters read 0.
 
+The traced pass counts ``cascade.init`` spans as the run's epochs, so
+``run_ds`` must start every epoch through the module's
+``init_diverse_means`` name.
+
 The grid workloads time ``harness._run_cell`` as the cell and read the
 rest of ``harness.run_experiment`` as persistence, so the cell's files
 must be written outside ``_run_cell``, through the harness's own
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 import divbatch
+from cascade_checks import FlatFunction
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,6 +64,24 @@ def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):
         patches.restore()
     calls = {name: layer["calls"] for name, layer in tracer.layers().items()}
     assert calls["cma.tell"] == calls["cma.eigh"] == calls["cma.stop"] == 1
+
+
+def test_a_traced_run_records_one_init_span_per_epoch(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Patches, Tracer
+    from workloads import install_spans
+
+    # a flat objective stops every instance after one generation
+    tracer, patches = Tracer(), Patches()
+    try:
+        install_spans(patches, divbatch, tracer)
+        _, log = divbatch.cascade.run_ds(
+            divbatch.DsConfig(k=2, d_min=1.0, budget=60), FlatFunction(2), return_log=True
+        )
+    finally:
+        patches.restore()
+    assert len(log.epoch_starts) > 1
+    assert tracer.layers()["cascade.init"]["calls"] == len(log.epoch_starts)
 
 
 def test_a_grid_writes_its_files_outside_the_probed_cell(monkeypatch, tmp_path):

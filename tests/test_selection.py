@@ -319,7 +319,8 @@ def test_exact_builds_mask_rows_only_as_its_search_needs_them(monkeypatch):
 
     build = selection._compat_masks
     monkeypatch.setattr(selection, "_compat_masks", counting)
-    # the search takes 8,583 units, 58 rows of about 146 and its nodes
+    # the search takes 9,780 units: 58 rows of about 146, and 133 nodes of
+    # 10 each over a sub-portfolio of about 37,000 points
     monkeypatch.setattr(selection, "WORK_CAP", 10_000)
     batch = exact_select(portfolio, 5, 10.0)
     assert batch.proved_optimal and batch.complete
@@ -339,6 +340,18 @@ def test_exact_checks_its_work_cap_before_it_builds_a_mask_row(monkeypatch):
     assert not built and not batch.proved_optimal
     clearing = clearing_select(portfolio, 5, 10.0)
     assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
+
+
+def test_exact_charges_a_node_by_the_width_of_its_masks(monkeypatch):
+    # a far leader and 8,191 points within half a unit of each other: every
+    # row past the leader's is seeded empty, so the search proves the
+    # clearing batch at its first node, which costs 1 + 8,192 // 4,096 units
+    portfolio = line([100.0] + [i / 16382 for i in range(8191)], range(8192))
+    for cap, proved in ((2, False), (3, True)):
+        monkeypatch.setattr(selection, "WORK_CAP", cap)
+        batch = exact_select(portfolio, 2, 1.0)
+        assert batch.proved_optimal == proved, cap
+        assert batch.eval_index.tolist() == [0, 1]
 
 
 def test_exact_leaves_no_garbage_cycle():

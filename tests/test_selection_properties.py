@@ -110,19 +110,20 @@ def test_a_proved_optimal_exact_batch_is_never_worse_than_greedy(problem):
 
 
 @st.composite
-def clustered_problems(draw, fitness=fitness_values):
+def clustered_problems(draw, fitness=fitness_values, far_from=2.0):
     """(portfolio, k, d_min): one to three far points, then a cluster of
     points in a ball of radius below d_min / 2, so pairwise too close.
 
-    The far points lie 2 to 4 d_min from the cluster's centre, so each is
-    compatible with every cluster point; evaluated first, they win fitness
-    ties, and a far leader leaves the cluster in the exact search.
+    The far points lie ``far_from`` to 4 d_min from the cluster's centre;
+    from 1.5 d_min on, each is compatible with every cluster point.
+    Evaluated first, they win fitness ties, and a far leader leaves the
+    cluster in the exact search.
     """
     dim = draw(st.integers(1, 3))
     d_min = draw(st.sampled_from([1.0, 2.0, 3.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     directions = rng.normal(size=(draw(st.integers(1, 3)), dim))
-    radii = rng.uniform(2 * d_min, 4 * d_min, len(directions))
+    radii = rng.uniform(far_from * d_min, 4 * d_min, len(directions))
     far = directions / np.linalg.norm(directions, axis=1, keepdims=True) * radii[:, None]
     # a cube of half-side r / sqrt(dim) lies inside the ball of radius r
     half = 0.49 * d_min / math.sqrt(dim)
@@ -206,6 +207,17 @@ def test_compat_masks_equal_the_per_row_kernel(problem):
 def test_every_row_the_bound_seeds_is_empty(problem):
     xs, d_min = problem
     with np.errstate(invalid="ignore", over="ignore"):
+        for i in selection._empty_rows(xs, d_min).tolist():
+            assert selection._compat_masks(xs, i, d_min) == 0, (i, d_min)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(clustered_problems(), clustered_problems(far_from=1.5)))
+def test_every_row_the_bound_seeds_in_a_clustered_portfolio_is_empty(problem):
+    # with the far points last, a cluster point's later points include
+    # points at d_min or more, whose bounding box the bound must not miss
+    portfolio, _, d_min = problem
+    for xs in (portfolio.xs, portfolio.xs[::-1]):
         for i in selection._empty_rows(xs, d_min).tolist():
             assert selection._compat_masks(xs, i, d_min) == 0, (i, d_min)
 
