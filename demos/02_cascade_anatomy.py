@@ -16,12 +16,12 @@ from divbatch.boxes import distances
 
 fn = make_function("gauss_peaks", dimension=2, seed=0)
 cfg = DsConfig(k=3, d_min=2.0, budget=600, seed=0)
-trajectory, log = run_ds(cfg, fn, return_log=True)
+trajectory, log = run_ds(cfg, fn)
 
 print("one run on the 2-D Gaussian peaks landscape:")
 print("  evaluations :", len(trajectory))
 # the log is columns: one row per instance step, in generation order,
-# and one row per epoch
+# with the number of evaluations the step made, and one row per epoch
 generations = int(log.generation[-1]) + 1
 print("  generations :", generations)
 print("  epochs      :", len(log.epoch_starts))
@@ -30,18 +30,20 @@ print("  first generations of the epochs:", log.epoch_starts.tolist())
 # ## Where the regions went
 #
 # Row r of the log holds instance ``log.instance[r]``'s region center
-# after its step in generation ``log.generation[r]``, and the trajectory
-# stamps every evaluation with its epoch and generation; together they
-# make the distance discipline replayable.
+# after its step in generation ``log.generation[r]``, and the
+# ``log.evaluations[r]`` trajectory rows that step made; repeating each
+# generation that many times gives every evaluation its generation, which
+# makes the distance discipline replayable.
 
 rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
 centers = {(generation, instance): center for generation, instance, center in rows}
+row_generation = np.repeat(log.generation, log.evaluations)
 print("\nregion centers at a quarter and at three quarters of the budget:")
 for fraction in (0.25, 0.75):
     target = fraction * cfg.budget
     # the rows are in generation order, so this counts the evaluations
     # made up to the end of each generation
-    evals = np.searchsorted(trajectory.generation, np.arange(generations), side="right")
+    evals = np.searchsorted(row_generation, np.arange(generations), side="right")
     chosen = int(np.flatnonzero(evals <= target).max(initial=0))
     print(f"  after ~{int(target)} evals (generation {chosen}):")
     for instance in range(cfg.k):
@@ -53,7 +55,7 @@ for fraction in (0.25, 0.75):
 # centers the earlier instances had in that generation.
 
 violations = 0
-rows = zip(trajectory.xs, trajectory.instance_id.tolist(), trajectory.generation.tolist())
+rows = zip(trajectory.xs, trajectory.instance_id.tolist(), row_generation.tolist())
 for x, instance, generation in rows:
     for earlier in range(instance):
         # boxes.distances is the kernel the cascade's filter compares with d_min

@@ -30,9 +30,6 @@ def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
         xs=xs,
         fs=np.asarray(fn.evaluate_many(xs), dtype=float),
         instance_id=np.full(budget, -1, dtype=np.int64),
-        function_id=getattr(fn, "function_id", ""),
-        algorithm_id="random",
-        config={"budget": budget, "seed": seed},
     )
 
 
@@ -72,14 +69,7 @@ def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, 
 def run_cma_single(fn, budget: int, seed: int = 0) -> Trajectory:
     """A single restarted CMA-ES run over the whole budget."""
     xs, fs = _cma_stream(fn, budget, _instance_rng(seed, 0))
-    return Trajectory(
-        xs=xs,
-        fs=fs,
-        instance_id=np.zeros(budget, dtype=np.int64),
-        function_id=getattr(fn, "function_id", ""),
-        algorithm_id="cma",
-        config={"budget": budget, "seed": seed},
-    )
+    return Trajectory(xs=xs, fs=fs, instance_id=np.zeros(budget, dtype=np.int64))
 
 
 def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
@@ -97,7 +87,4 @@ def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
         xs=np.concatenate([xs for xs, _ in streams]),
         fs=np.concatenate([fs for _, fs in streams]),
         instance_id=np.repeat(np.arange(k, dtype=np.int64), shares),
-        function_id=getattr(fn, "function_id", ""),
-        algorithm_id="cma-indep",
-        config={"budget": budget, "k": k, "seed": seed},
     )

@@ -21,10 +21,10 @@ candidate at a time.
 An epoch's tabu centers are one (k, D) array.  Instance i samples clear of
 its rows ``:i`` and then writes its own center into row i: the step's best
 point (``population_best``), the best point it has evaluated
-(``best_so_far``) or its CMA-ES mean (``distribution_mean``).  With
-``return_log`` the run also returns a ``CascadeLog``, the center after
-every instance step as columns plus each epoch's first generation and
-initial means.
+(``best_so_far``) or its CMA-ES mean (``distribution_mean``).  The run
+returns its trajectory and a ``CascadeLog``, the one record of its steps:
+every instance step's generation, instance, evaluation count and center
+after it, as columns, plus each epoch's first generation and means.
 
 When an instance meets a stopping criterion its center freezes at the best
 point it evaluated and keeps repelling the others.  When every instance
@@ -98,15 +98,6 @@ class DsConfig:
             # no distance is >= NaN: every instance past the first would be starved
             raise ValueError("d_min must not be NaN")
 
-    def snapshot(self) -> dict:
-        return {
-            "k": self.k,
-            "d_min": self.d_min,
-            "budget": self.budget,
-            "center_strategy": self.center_strategy,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class CascadeInstance:
@@ -127,17 +118,22 @@ class CascadeInstance:
 
 @dataclass
 class CascadeLog:
-    """Region centers after every instance step, as columns, for replay and plots.
+    """Every instance step of a run, as columns, for replay and plots.
 
-    Row r of ``centers`` (rows, D) is the center of instance
-    ``instance[r]`` after its step in generation ``generation[r]``.  Epoch
-    e started at generation ``epoch_starts[e]`` from the means
-    ``epoch_means[e]``, a (k, D) array.  The epoch and generation of each
-    evaluation are the trajectory's ``epoch`` and ``generation`` columns.
+    Row r is the step of instance ``instance[r]`` in generation
+    ``generation[r]``: it evaluated ``evaluations[r]`` trajectory rows (0
+    for a stopped or starved instance), and ``centers[r]`` of the (rows,
+    D) ``centers`` is the instance's center after it.  Epoch e started at
+    generation ``epoch_starts[e]`` from the means ``epoch_means[e]``, a
+    (k, D) array.  Per trajectory row, the instance is
+    ``np.repeat(instance, evaluations)``, the generation
+    ``np.repeat(generation, evaluations)``, and the epoch that generation's
+    ``np.searchsorted(epoch_starts, generation, side="right") - 1``.
     """
 
     generation: np.ndarray
     instance: np.ndarray
+    evaluations: np.ndarray
     centers: np.ndarray
     epoch_starts: np.ndarray
     epoch_means: np.ndarray
@@ -146,7 +142,8 @@ class CascadeLog:
     def write(self, path: str | Path) -> None:
         """One CSV line per row, centers as ``trajectory.format_rows`` writes them.
 
-        Written in blocks of rows by the trajectory writer's ``_write_rows``.
+        ``evaluations`` is not written.  Written in blocks of rows by the
+        trajectory writer's ``_write_rows``.
         """
         coords = ",".join(f"x{i}" for i in range(self.centers.shape[1]))
         header = f"generation,instance,{coords}"
@@ -239,16 +236,12 @@ def _dispersed_means(k: int, box: Box, d_min: float, rng: np.random.Generator) -
     )
 
 
-def run_ds(
-    config: DsConfig,
-    fn,
-    return_log: bool = False,
-) -> Trajectory | tuple[Trajectory, CascadeLog]:
+def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
     """Run the cascading diversity search until the budget is spent.
 
-    Returns the evaluation trajectory, plus the region log when
-    ``return_log`` is true.  The trajectory holds exactly ``config.budget``
-    points unless initialization is infeasible, which raises.
+    Returns the evaluation trajectory and the run's ``CascadeLog``.  The
+    trajectory holds exactly ``config.budget`` points unless
+    initialization is infeasible, which raises.
     """
     dim = fn.dimension
     box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
@@ -267,15 +260,13 @@ def run_ds(
     init_rng = np.random.default_rng(init_ss)
     seed_rng = np.random.default_rng(seed_ss)
 
-    # the rows of each instance step that evaluated any, and the step's
-    # (rows, instance, epoch, generation)
+    # the rows of each instance step that evaluated any; every instance
+    # step's (generation, instance, evaluations) and center after it; and
+    # each epoch's first generation and means
     xs_blocks: list[np.ndarray] = [np.empty((0, dim))]
     fs_blocks: list[np.ndarray] = [np.empty(0)]
-    steps: list[tuple[int, int, int, int]] = []
-    # the region log: (generation, instance) and the center after every
-    # instance step, and each epoch's first generation and means
-    logged: list[tuple[int, int]] = []
-    logged_centers: list[np.ndarray] = []
+    steps: list[tuple[int, int, int]] = []
+    step_centers: list[np.ndarray] = []
     epoch_starts: list[int] = []
     epoch_means: list[np.ndarray] = []
     rejections_total = 0
@@ -307,6 +298,7 @@ def run_ds(
         for i, inst in enumerate(instances):
             if evals >= budget:
                 break
+            start = evals
             if inst.stop_cause is None:
                 # earlier centers hold still while this instance samples
                 xs, rejections = ask_clear(
@@ -317,7 +309,6 @@ def run_ds(
                     fs = np.asarray(fn.evaluate_many(xs), dtype=float)
                     xs_blocks.append(xs)
                     fs_blocks.append(fs)
-                    steps.append((len(xs), i, len(epoch_starts) - 1, generation))
                     # the step's best, the earliest row among ties
                     keys = fitness_keys(fs)
                     b = int(np.argmin(keys))
@@ -343,30 +334,23 @@ def run_ds(
                     freeze(inst, STALLED)
                 # with the budget gone and fewer than mu points, the partial
                 # population is discarded and the run simply ends
-            logged.append((generation, i))
-            logged_centers.append(centers[i].copy())
+            steps.append((generation, i, evals - start))
+            step_centers.append(centers[i].copy())
         generation += 1
 
-    rows, instance, epochs, generations = np.array(steps, dtype=np.int64).reshape(-1, 4).T
-    trajectory = Trajectory(
-        xs=np.concatenate(xs_blocks),
-        fs=np.concatenate(fs_blocks),
-        instance_id=np.repeat(instance, rows),
-        epoch=np.repeat(epochs, rows),
-        generation=np.repeat(generations, rows),
-        function_id=getattr(fn, "function_id", ""),
-        algorithm_id="ds",
-        config=config.snapshot(),
-    )
-    if not return_log:
-        return trajectory
-    log_generation, log_instance = np.array(logged, dtype=np.int64).reshape(-1, 2).T
+    generations, instance, evaluations = np.array(steps, dtype=np.int64).reshape(-1, 3).T
     log = CascadeLog(
-        generation=log_generation,
-        instance=log_instance,
-        centers=np.array(logged_centers).reshape(-1, dim),
+        generation=generations,
+        instance=instance,
+        evaluations=evaluations,
+        centers=np.array(step_centers).reshape(-1, dim),
         epoch_starts=np.array(epoch_starts, dtype=np.int64),
         epoch_means=np.array(epoch_means),
         total_rejections=rejections_total,
+    )
+    trajectory = Trajectory(
+        xs=np.concatenate(xs_blocks),
+        fs=np.concatenate(fs_blocks),
+        instance_id=np.repeat(instance, evaluations),
     )
     return trajectory, log

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,9 +140,6 @@ class CmaParams:
             c_mu=c_mu,
             max_iter=1000 * dimension**2,
         )
-
-    def with_overrides(self, **changes) -> "CmaParams":
-        return replace(self, **changes)
 
 
 @dataclass

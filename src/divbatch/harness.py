@@ -145,7 +145,7 @@ def _generate(algorithm: str, fn: ObjectiveFunction, cfg: ExperimentConfig, seed
             center_strategy=cfg.center_strategy,
             seed=seed,
         )
-        return run_ds(ds, fn)
+        return run_ds(ds, fn)[0]
     if algorithm == "random":
         return run_random(fn, cfg.budget, seed)
     if algorithm == "cma":

@@ -1,11 +1,13 @@
 """Columnar evaluation histories and their CSV persistence.
 
 A trajectory is the full, ordered evaluation history of one optimizer run,
-held as columns: ``xs`` (T x D coordinates), ``fs`` (T objective values)
-and ``instance_id`` (T ints; -1 for producers without instances, e.g.
-random sampling).  A cascade run also fills ``epoch`` and ``generation``,
-the restart epoch and the generation each row was evaluated in.  Row i is
-evaluation i, so ``eval_index`` is the row number and is not stored.
+held as exactly the columns its file holds: ``xs`` (T x D coordinates),
+``fs`` (T objective values) and ``instance_id`` (T ints; -1 for producers
+without instances, e.g. random sampling).  Row i is evaluation i, so
+``eval_index`` is the row number and is not stored.  What produced the
+run (function, algorithm, config, seed) is the caller's to record; a
+cascade run's restart epoch and generation of each row follow from its
+``cascade.CascadeLog``.
 
 ``EvaluatedPoint`` is a view of one row for the API edge: ``best()``,
 ``Trajectory.points`` and ``selection.Batch.points``, both rebuilt on
@@ -15,8 +17,7 @@ non-empty list of such views; the selectors take a ``Trajectory`` only.
 The CSV layout is ``eval_index,instance_id,x0,...,x{D-1},f`` with floats
 written as shortest round-trip text, so write/read is lossless: Ryu
 (through orjson) formats them, and ``repr`` the values whose notation
-differs between the two (see ``format_rows``).  The ``epoch`` and
-``generation`` columns are not written.
+differs between the two (see ``format_rows``).
 
 Both directions work in blocks of whole rows, so the memory they use
 besides the columns and the file's bytes is one block's, not the file's.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -97,15 +98,9 @@ class Trajectory:
     xs: np.ndarray
     fs: np.ndarray
     instance_id: np.ndarray
-    function_id: str = ""
-    algorithm_id: str = ""
-    config: dict = field(default_factory=dict)
-    # cascade runs only: the restart epoch and generation of each row
-    epoch: np.ndarray | None = None
-    generation: np.ndarray | None = None
 
     @classmethod
-    def from_points(cls, points: list[EvaluatedPoint], **fields) -> "Trajectory":
+    def from_points(cls, points: list[EvaluatedPoint]) -> "Trajectory":
         """The columns of ``points``, whose eval_index must be their position.
 
         Refuses an empty list, whose dimension is unknown.
@@ -118,7 +113,6 @@ class Trajectory:
             xs=np.asarray([p.x for p in points], dtype=float).reshape(len(points), -1),
             fs=np.asarray([p.f for p in points], dtype=float),
             instance_id=np.asarray([p.instance_id for p in points], dtype=np.int64),
-            **fields,
         )
 
     def __len__(self) -> int:
@@ -208,11 +202,13 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     """Write the rows as CSV, floats as shortest round-trip text (``format_rows``).
 
     Refuses an empty trajectory, ``xs`` that is not 2-D with at least one
-    column, and ``xs``, ``fs`` and ``instance_id`` of different lengths:
-    the reader would reject the first two files, and the last one would be
-    cut to the shortest column.  The checks come before the file is
-    opened, so a refused write leaves an existing file as it was.  The
-    text is written one block of rows at a time (``_write_rows``).
+    column, an ``instance_id`` that is not integers in the int64 range
+    (floats, bools, uint64 from 2**63), and ``xs``, ``fs`` and
+    ``instance_id`` of different lengths: the reader would reject the
+    first three files, and the last one would be cut to the shortest
+    column.  The checks come before the file is opened, so a refused write
+    leaves an existing file as it was.  The text is written one block of
+    rows at a time (``_write_rows``).
     """
     if not len(trajectory):
         raise ValueError("refusing to write an empty trajectory")
@@ -221,6 +217,8 @@ def write_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     ids = np.asarray(trajectory.instance_id)
     if xs.ndim != 2 or not xs.shape[1]:
         raise ValueError(f"xs must be 2-D with at least one column, got shape {xs.shape}")
+    if ids.dtype.kind not in "iu" or (ids > np.iinfo(np.int64).max).any():
+        raise ValueError(f"instance_id must be integers in the int64 range, got dtype {ids.dtype}")
     if not len(xs) == len(fs) == len(ids):
         raise ValueError(
             f"xs, fs and instance_id must have one row per evaluation, "

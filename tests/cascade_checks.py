@@ -72,6 +72,16 @@ class TiedFunction:
         return np.where(xs[:, 0] > 2.0, np.nan, np.floor(np.add.reduce(xs * xs, axis=1)))
 
 
+def row_generations(log):
+    """The generation of every trajectory row of a ``run_ds`` run, from its log."""
+    return np.repeat(log.generation, log.evaluations)
+
+
+def row_epochs(log):
+    """The restart epoch of every trajectory row of a ``run_ds`` run, from its log."""
+    return np.searchsorted(log.epoch_starts, row_generations(log), side="right") - 1
+
+
 def clearance_violations(trajectory, log, d_min):
     """Points of instance i that sit closer than d_min to the region center
     of an earlier instance, as that center stood in the point's generation.
@@ -82,7 +92,7 @@ def clearance_violations(trajectory, log, d_min):
     rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
     centers = {(generation, instance): center for generation, instance, center in rows}
     bad = []
-    rows = zip(trajectory.xs, trajectory.instance_id.tolist(), trajectory.generation.tolist())
+    rows = zip(trajectory.xs, trajectory.instance_id.tolist(), row_generations(log).tolist())
     for eval_index, (x, instance, generation) in enumerate(rows):
         for j in range(instance):
             if float(distances(x, centers[(generation, j)])) < d_min:
@@ -197,8 +207,9 @@ def reference_run_ds(config, fn):
     point (best_so_far) or the CMA-ES mean (distribution_mean).
 
     Returns (trajectory, log, instances): ``log`` holds the columns of a
-    ``CascadeLog``, and ``instances`` lists every instance of every epoch
-    in creation order.
+    ``CascadeLog`` plus the epoch and generation stamped on each point as
+    it was evaluated (``point_epoch``, ``point_generation``), and
+    ``instances`` lists every instance of every epoch in creation order.
     """
     if config.center_strategy not in CENTER_STRATEGIES:
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
@@ -244,9 +255,10 @@ def reference_run_ds(config, fn):
         for pos, inst in enumerate(instances):
             if evals >= budget:
                 break
+            accepted = []
             if inst.stop_cause is None:
                 centers = np.array([p.center for p in instances[:pos]]).reshape(pos, dim)
-                accepted, rejections, out_of_budget = [], 0, False
+                rejections, out_of_budget = 0, False
                 while len(accepted) < lam:
                     if evals >= budget:
                         out_of_budget = True
@@ -280,26 +292,21 @@ def reference_run_ds(config, fn):
                         inst.center = np.array(inst.state.mean, copy=True)
                 elif not out_of_budget:
                     freeze(inst, STALLED)
-            log_rows.append((generation, inst.index, inst.center.copy()))
+            log_rows.append((generation, inst.index, len(accepted), inst.center.copy()))
         generation += 1
     epochs, generations = np.array(stamps, dtype=np.int64).reshape(-1, 2).T
-    trajectory = Trajectory.from_points(
-        points,
-        function_id=getattr(fn, "function_id", ""),
-        algorithm_id="ds",
-        config=config.snapshot(),
-        epoch=epochs,
-        generation=generations,
-    )
     log = SimpleNamespace(
-        generation=np.array([g for g, _, _ in log_rows], dtype=np.int64),
-        instance=np.array([i for _, i, _ in log_rows], dtype=np.int64),
-        centers=np.array([c for _, _, c in log_rows]).reshape(len(log_rows), dim),
+        generation=np.array([g for g, _, _, _ in log_rows], dtype=np.int64),
+        instance=np.array([i for _, i, _, _ in log_rows], dtype=np.int64),
+        evaluations=np.array([n for _, _, n, _ in log_rows], dtype=np.int64),
+        centers=np.array([c for _, _, _, c in log_rows]).reshape(len(log_rows), dim),
         epoch_starts=np.array(epoch_starts, dtype=np.int64),
         epoch_means=np.array(epoch_means),
         total_rejections=total_rejections,
+        point_epoch=epochs,
+        point_generation=generations,
     )
-    return trajectory, log, created
+    return Trajectory.from_points(points), log, created
 
 
 def reference_run_cma_single(fn, budget, seed=0):

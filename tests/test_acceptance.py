@@ -92,7 +92,7 @@ def test_01_every_selected_batch_is_feasible_with_the_right_leader():
     start = time.perf_counter()
     dim, budget, k, d_min = 3, 150, 3, 1.0
     generators = {
-        "ds": lambda fn, seed: run_ds(DsConfig(k=k, d_min=d_min, budget=budget, seed=seed), fn),
+        "ds": lambda fn, seed: run_ds(DsConfig(k=k, d_min=d_min, budget=budget, seed=seed), fn)[0],
         "random": lambda fn, seed: run_random(fn, budget, seed),
         "cma": lambda fn, seed: run_cma_single(fn, budget, seed),
         "cma-indep": lambda fn, seed: run_cma_indep(fn, budget, k, seed),
@@ -329,9 +329,7 @@ def test_10_logged_cascade_runs_replay_the_distance_discipline():
     for fid, dim, k, d_min, budget, seeds in CASCADE_REPLAY_RUNS:
         for seed in seeds:
             fn = make_function(fid, dim, 0)
-            trajectory, log = run_ds(
-                DsConfig(k=k, d_min=d_min, budget=budget, seed=seed), fn, return_log=True
-            )
+            trajectory, log = run_ds(DsConfig(k=k, d_min=d_min, budget=budget, seed=seed), fn)
             runs += 1
             bad_points = clearance_violations(trajectory, log, d_min)
             bad_epochs = epoch_mean_violations(log, d_min)

@@ -18,7 +18,6 @@ def test_random_length_and_stamps():
     assert [p.eval_index for p in traj.points] == list(range(25))
     assert all(p.instance_id == -1 for p in traj.points)
     assert all(fn.box.contains(p.x) for p in traj.points)
-    assert traj.algorithm_id == "random"
     assert fn.eval_count == 25
 
 

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 import divbatch.cascade
-from cascade_checks import FlatFunction, clearance_violations, epoch_mean_violations
+from cascade_checks import (
+    FlatFunction,
+    clearance_violations,
+    epoch_mean_violations,
+    row_epochs,
+    row_generations,
+)
 from divbatch import (
     Box,
     CENTER_STRATEGIES,
@@ -150,7 +156,7 @@ def test_a_request_past_the_draw_cap_takes_few_distance_calls(
 
     monkeypatch.setattr(divbatch.cascade, "distances", counting)
     config = DsConfig(k=k, d_min=d_min, budget=budget, seed=seed)
-    traj = run_ds(config, make_function("sphere", dim, 0))
+    traj, _ = run_ds(config, make_function("sphere", dim, 0))
     assert len(traj) == budget
     assert 0 < len(calls) < 1000
 
@@ -200,7 +206,7 @@ def test_a_built_ds_config_cannot_be_changed():
 @pytest.mark.parametrize("budget", [37, 100, 203])
 def test_run_ds_spends_the_budget_exactly(budget):
     fn = make_function("rastrigin_sep", 3, 0)
-    traj = run_ds(DsConfig(k=3, d_min=1.0, budget=budget, seed=0), fn)
+    traj, _ = run_ds(DsConfig(k=3, d_min=1.0, budget=budget, seed=0), fn)
     assert len(traj) == budget
     assert [p.eval_index for p in traj.points] == list(range(budget))
     assert all(0 <= p.instance_id < 3 for p in traj.points)
@@ -208,18 +214,9 @@ def test_run_ds_spends_the_budget_exactly(budget):
     assert fn.eval_count == budget
 
 
-def test_run_ds_metadata():
-    fn = make_function("sphere", 2, 0)
-    traj = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=5), fn)
-    assert traj.algorithm_id == "ds"
-    assert traj.function_id == "sphere"
-    assert traj.config["k"] == 2
-    assert traj.config["seed"] == 5
-
-
 def test_single_instance_never_rejects():
     fn = make_function("griewank", 3, 0)
-    traj, log = run_ds(DsConfig(k=1, d_min=3.0, budget=140, seed=2), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=1, d_min=3.0, budget=140, seed=2), fn)
     assert log.total_rejections == 0
     assert len(traj) == 140
 
@@ -228,7 +225,7 @@ def test_run_ds_is_deterministic():
     fn_a = make_function("schaffers_f7", 3, 1)
     fn_b = make_function("schaffers_f7", 3, 1)
     cfg = DsConfig(k=3, d_min=2.0, budget=150, seed=9)
-    assert run_ds(cfg, fn_a) == run_ds(cfg, fn_b)
+    assert run_ds(cfg, fn_a)[0] == run_ds(cfg, fn_b)[0]
 
 
 class HalfNan:
@@ -245,9 +242,9 @@ class HalfNan:
 
 def test_run_ds_is_deterministic_when_the_objective_returns_nan():
     cfg = DsConfig(k=3, d_min=1.0, budget=200, seed=0)
-    first = run_ds(cfg, HalfNan())
+    first, _ = run_ds(cfg, HalfNan())
     assert any(np.isnan(p.f) for p in first.points)
-    assert run_ds(cfg, HalfNan()) == first
+    assert run_ds(cfg, HalfNan())[0] == first
 
 
 def test_run_ds_warns_when_budget_is_below_one_round():
@@ -268,16 +265,16 @@ def test_clearance_invariant_holds_on_logged_runs():
         ("gauss_peaks", 2, 3, 2.0, 240),
     ]:
         fn = make_function(fid, dim, 0)
-        traj, log = run_ds(DsConfig(k=k, d_min=d_min, budget=budget, seed=3), fn, return_log=True)
+        traj, log = run_ds(DsConfig(k=k, d_min=d_min, budget=budget, seed=3), fn)
         assert clearance_violations(traj, log, d_min) == []
         assert epoch_mean_violations(log, d_min) == []
 
 
 def test_population_best_centers_replay_from_the_trajectory():
     fn = make_function("rastrigin_sep", 3, 4)
-    traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=210, seed=4), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=210, seed=4), fn)
     pops = defaultdict(list)
-    for p, generation in zip(traj.points, traj.generation.tolist()):
+    for p, generation in zip(traj.points, row_generations(log).tolist()):
         pops[(p.instance_id, generation)].append(p)
     rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
     snapshot = {(generation, instance): center for generation, instance, center in rows}
@@ -301,7 +298,7 @@ def test_population_best_centers_replay_from_the_trajectory():
 
 def test_stalled_instance_freezes_at_its_best_point():
     fn = make_function("sphere", 2, 0)
-    traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=0), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=0), fn)
     per = defaultdict(list)
     for p in traj.points:
         per[p.instance_id].append(p)
@@ -315,7 +312,7 @@ def test_stalled_instance_freezes_at_its_best_point():
 
 def test_stall_with_zero_evaluations_keeps_the_initial_center():
     fn = make_function("sphere", 2, 0)
-    traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=4), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=4), fn)
     assert all(p.instance_id == 0 for p in traj.points)
     assert len(traj) == 300
     last_center = log.centers[log.instance == 1][-1]
@@ -324,21 +321,22 @@ def test_stall_with_zero_evaluations_keeps_the_initial_center():
 
 def test_flat_function_restarts_until_the_budget_is_gone():
     fn = FlatFunction()
-    traj, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn)
     assert len(traj) == 60
     epochs = len(log.epoch_starts)
     assert epochs >= 3
     assert log.epoch_means.shape == (epochs, 2, 2)
     assert epoch_mean_violations(log, 1.0) == []
-    # row e of the epoch columns is epoch e, the trajectory's epoch stamp
-    assert np.unique(traj.epoch).tolist() == list(range(epochs))
-    starts = [int(traj.generation[traj.epoch == e][0]) for e in range(epochs)]
+    # row e of the epoch columns is epoch e, the epoch of the rows it evaluated
+    epoch, generation = row_epochs(log), row_generations(log)
+    assert np.unique(epoch).tolist() == list(range(epochs))
+    starts = [int(generation[epoch == e][0]) for e in range(epochs)]
     assert log.epoch_starts.tolist() == starts
 
 
 def test_restart_on_a_real_function():
     fn = make_function("sphere", 2, 0)
-    traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=2000, seed=0), fn, return_log=True)
+    traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=2000, seed=0), fn)
     assert len(log.epoch_starts) >= 2
     assert len(traj) == 2000
     assert clearance_violations(traj, log, 2.0) == []
@@ -348,15 +346,15 @@ def test_restart_on_a_real_function():
 @pytest.mark.parametrize("strategy", CENTER_STRATEGIES)
 def test_center_strategies_all_run_to_budget(strategy):
     fn = make_function("griewank", 3, 2)
-    traj = run_ds(DsConfig(k=2, d_min=2.0, budget=120, seed=1, center_strategy=strategy), fn)
+    traj, _ = run_ds(DsConfig(k=2, d_min=2.0, budget=120, seed=1, center_strategy=strategy), fn)
     assert len(traj) == 120
 
 
 def test_center_strategies_change_the_search():
     fn_a = make_function("rastrigin_sep", 3, 0)
     fn_b = make_function("rastrigin_sep", 3, 0)
-    a = run_ds(DsConfig(k=3, d_min=2.0, budget=200, seed=0), fn_a)
-    b = run_ds(
+    a, _ = run_ds(DsConfig(k=3, d_min=2.0, budget=200, seed=0), fn_a)
+    b, _ = run_ds(
         DsConfig(k=3, d_min=2.0, budget=200, seed=0, center_strategy="distribution_mean"), fn_b
     )
     assert a != b
@@ -364,7 +362,7 @@ def test_center_strategies_change_the_search():
 
 def test_region_log_csv_layout(tmp_path):
     fn = make_function("sphere", 2, 0)
-    _, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn, return_log=True)
+    _, log = run_ds(DsConfig(k=2, d_min=1.0, budget=60, seed=0), fn)
     path = tmp_path / "regions.csv"
     log.write(path)
     lines = path.read_text().splitlines()
@@ -378,7 +376,7 @@ def test_region_log_csv_layout(tmp_path):
 
 def test_region_log_bytes_are_one_repr_per_coordinate(tmp_path):
     fn = make_function("rastrigin_sep", 3, 0)
-    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn, return_log=True)
+    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn)
     last = int(log.generation[-1])
     log.generation = np.append(log.generation, last + 1)
     log.instance = np.append(log.instance, 0)
@@ -398,7 +396,7 @@ def test_region_log_bytes_are_one_repr_per_coordinate(tmp_path):
 def test_region_log_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, values):
     # 1 to 3 rows of 3 centers per written block against the whole log in one
     fn = make_function("rastrigin_sep", 3, 0)
-    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn, return_log=True)
+    _, log = run_ds(DsConfig(k=3, d_min=1.0, budget=300, seed=2), fn)
     whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
     log.write(whole)
     assert len(log.centers) * 3 < trajectory._WRITE_BLOCK_VALUES

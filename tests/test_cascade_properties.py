@@ -36,6 +36,8 @@ from cascade_checks import (
     reference_init_diverse_means,
     reference_run_cma_single,
     reference_run_ds,
+    row_epochs,
+    row_generations,
 )
 from divbatch import CENTER_STRATEGIES, Box, DsConfig, InfeasibleInitialization, Trajectory
 from divbatch import make_function
@@ -72,13 +74,13 @@ def cascade_runs(draw):
 def test_run_ds_spends_the_budget_keeps_clear_and_reruns_equal(run):
     function_id, dim, config = run
     fn = objective(function_id, dim)
-    traj, log = run_ds(config, fn, return_log=True)
+    traj, log = run_ds(config, fn)
     assert len(traj) == config.budget
     assert fn.eval_count == config.budget
     assert [p.eval_index for p in traj.points] == list(range(config.budget))
     assert clearance_violations(traj, log, config.d_min) == []
     assert epoch_mean_violations(log, config.d_min) == []
-    assert run_ds(config, objective(function_id, dim)) == traj
+    assert run_ds(config, objective(function_id, dim))[0] == traj
 
 
 def recorded(monkeypatch, module, name):
@@ -106,11 +108,12 @@ def assert_equals_the_reference(config, fn, traj, log, instances):
     """``run_ds``'s trajectory, region log and stop causes are the reference loop's."""
     ref_traj, ref_log, ref_instances = reference_run_ds(config, fn)
     assert bits(traj.points) == bits(ref_traj.points)
-    assert np.array_equal(traj.epoch, ref_traj.epoch)
-    assert np.array_equal(traj.generation, ref_traj.generation)
+    assert np.array_equal(row_epochs(log), ref_log.point_epoch)
+    assert np.array_equal(row_generations(log), ref_log.point_generation)
     assert log.total_rejections == ref_log.total_rejections
     assert [i.stop_cause for i in instances] == [i.stop_cause for i in ref_instances]
-    for column in ("generation", "instance", "centers", "epoch_starts", "epoch_means"):
+    columns = ("generation", "instance", "evaluations", "centers", "epoch_starts", "epoch_means")
+    for column in columns:
         ours, theirs = getattr(log, column), getattr(ref_log, column)
         assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), column
         assert ours.tobytes() == theirs.tobytes(), column
@@ -197,7 +200,7 @@ def test_block_step_equals_the_one_candidate_loop(run):
     function_id, dim, config = run
     with pytest.MonkeyPatch.context() as monkeypatch:
         instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
-        traj, log = run_ds(config, objective(function_id, dim), return_log=True)
+        traj, log = run_ds(config, objective(function_id, dim))
         states = recorded(monkeypatch, divbatch.baselines, "init_cma")
         cma_points = run_cma_single(objective(function_id, dim), config.budget, config.seed).points
     assert_equals_the_reference(config, objective(function_id, dim), traj, log, instances)
@@ -214,7 +217,7 @@ def test_tied_populations_equal_the_one_candidate_loop(strategy, dim, k, d_min, 
     config = DsConfig(k=k, d_min=d_min, budget=300, center_strategy=strategy, seed=seed)
     with pytest.MonkeyPatch.context() as monkeypatch:
         instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
-        traj, log = run_ds(config, TiedFunction(dim), return_log=True)
+        traj, log = run_ds(config, TiedFunction(dim))
     assert_equals_the_reference(config, TiedFunction(dim), traj, log, instances)
 
 
@@ -239,8 +242,9 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
         return make_function("rastrigin_sep", dim, 0)
 
     ds_config = DsConfig(k=3, d_min=2.0 if dim == 2 else 10.0, budget=400, seed=1)
+    ds, ds_log = run_ds(ds_config, fn())
     runs = {
-        "ds": run_ds(ds_config, fn()),
+        "ds": ds,
         "cma": run_cma_single(fn(), 400, seed=2),
         "cma-indep": run_cma_indep(fn(), 400, 3, seed=3),
         "random": run_random(fn(), 400, seed=4),
@@ -252,10 +256,11 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
         write_trajectory_reference(traj.points, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == ROW_AT_A_TIME_DIGESTS[name, dim], name
-    ref_ds, _, _ = reference_run_ds(ds_config, fn())
-    assert column_bits(runs["ds"]) == column_bits(ref_ds)
-    assert np.array_equal(runs["ds"].epoch, ref_ds.epoch)
-    assert np.array_equal(runs["ds"].generation, ref_ds.generation)
+    ref_ds, ref_log, _ = reference_run_ds(ds_config, fn())
+    assert column_bits(ds) == column_bits(ref_ds)
+    assert np.array_equal(ds_log.evaluations, ref_log.evaluations)
+    assert np.array_equal(row_epochs(ds_log), ref_log.point_epoch)
+    assert np.array_equal(row_generations(ds_log), ref_log.point_generation)
     ref_cma, _ = reference_run_cma_single(fn(), 400, seed=2)
     assert column_bits(runs["cma"]) == column_bits(Trajectory.from_points(ref_cma))
 
@@ -289,7 +294,7 @@ REGION_LOG_DIGESTS = {
 @pytest.mark.parametrize("run, strategy", sorted(REGION_LOG_DIGESTS))
 def test_region_logs_keep_their_bytes(tmp_path, run, strategy):
     make_fn, kwargs = REGION_LOG_RUNS[run]
-    _, log = run_ds(DsConfig(center_strategy=strategy, **kwargs), make_fn(), return_log=True)
+    _, log = run_ds(DsConfig(center_strategy=strategy, **kwargs), make_fn())
     if run in ("sphere", "flat"):
         assert len(log.epoch_starts) > 1
     path = tmp_path / "regions.csv"

@@ -17,13 +17,19 @@ The grid workloads time ``harness._run_cell`` as the cell and read the
 rest of ``harness.run_experiment`` as persistence, so the cell's files
 must be written outside ``_run_cell``, through the harness's own
 ``write_trajectory`` and ``write_batch`` names.
+
+Small grid and re-selection workloads run one untraced and one traced
+pass each, so the benchmark's own output checks (``trajectory_problems``,
+``batch_problems``, ``exact_problems``) hold on every change.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import divbatch
 from cascade_checks import FlatFunction
@@ -75,9 +81,7 @@ def test_a_traced_run_records_one_init_span_per_epoch(monkeypatch):
     tracer, patches = Tracer(), Patches()
     try:
         install_spans(patches, divbatch, tracer)
-        _, log = divbatch.cascade.run_ds(
-            divbatch.DsConfig(k=2, d_min=1.0, budget=60), FlatFunction(2), return_log=True
-        )
+        _, log = divbatch.cascade.run_ds(divbatch.DsConfig(k=2, d_min=1.0, budget=60), FlatFunction(2))
     finally:
         patches.restore()
     assert len(log.epoch_starts) > 1
@@ -125,3 +129,26 @@ def test_a_grid_writes_its_files_outside_the_probed_cell(monkeypatch, tmp_path):
     assert not any("harness.run_cell" in chain for chain in writes)
     assert len(probe.cells) == 2
     assert all(cell.trajectory is not None and cell.batch is not None for cell in probe.cells)
+
+
+@pytest.fixture
+def fresh_imports(monkeypatch):
+    """A workload's set-up imports ``divbatch`` afresh; the tests' modules come back after."""
+    for name in [m for m in sys.modules if m == "divbatch" or m.startswith("divbatch.")]:
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])
+
+
+def test_small_workloads_pass_the_benchmark_checks(monkeypatch, tmp_path, fresh_imports):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+    from workloads import Grid, Reselect
+
+    workloads = (
+        Grid("g", ("ds", "random", "cma"), n_seeds=1, dimension=3, budget=60, k=2, d_min=1.0),
+        Reselect("r", ("sphere",), ("ds", "random"), points=200, dimension=3, k=2, d_min=1.0),
+    )
+    for workload in workloads:
+        ctx = workload.setup(0, tmp_path / workload.name)
+        for tracer in (None, Tracer()):
+            result = workload.run_pass(ctx, tracer)
+            assert result.attempted > 0 and result.failed == 0, result.problems

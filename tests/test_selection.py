@@ -487,7 +487,7 @@ SELECTION_GATE = {
         },
     ),
     "ds-sphere-d10": (
-        lambda: run_ds(DsConfig(k=5, d_min=10.0, budget=3000, seed=0), make_function("sphere", 10, 0)),
+        lambda: run_ds(DsConfig(k=5, d_min=10.0, budget=3000, seed=0), make_function("sphere", 10, 0))[0],
         10.0,
         {
             "clearing": "016b04ad574a936d3ab540df037906b716037f2b88bb1829c673fd49bac51bc1",

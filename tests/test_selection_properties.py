@@ -229,7 +229,7 @@ def test_compat_masks_of_integer_coordinates_equal_the_per_row_kernel():
 
 
 def test_compat_masks_of_a_3000_point_ds_portfolio_equal_the_per_row_kernel():
-    trajectory = run_ds(DsConfig(k=5, d_min=10.0, budget=3000), make_function("ellipsoid", 10, 0))
+    trajectory, _ = run_ds(DsConfig(k=5, d_min=10.0, budget=3000), make_function("ellipsoid", 10, 0))
     xs = np.asarray([p.x for p in sorted(trajectory.points, key=fitness_key)])
     for d_min in (10.0, 2.0, float(distances(xs[0], xs[1]))):
         assert_rows_equal_the_reference(xs, d_min)

@@ -10,6 +10,7 @@ block's edge.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -21,11 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divbatch import (
+    DsConfig,
     EvaluatedPoint,
     ParseError,
     Trajectory,
     make_function,
     read_trajectory,
+    run_cma_indep,
+    run_cma_single,
+    run_ds,
     run_random,
     trajectory,
     write_trajectory,
@@ -55,6 +60,26 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back == traj
     assert np.array_equal(back.xs, traj.xs)
     assert np.array_equal(back.fs, traj.fs)
+
+
+def test_every_field_of_a_generated_trajectory_reads_back(tmp_path):
+    # a trajectory holds exactly what its file holds, so nothing is lost
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["xs", "fs", "instance_id"]
+    fn = make_function("rastrigin_sep", 3, 0)
+    runs = {
+        "ds": run_ds(DsConfig(k=3, d_min=1.0, budget=200, seed=1), fn)[0],
+        "random": run_random(fn, 200, seed=2),
+        "cma": run_cma_single(fn, 200, seed=3),
+        "cma-indep": run_cma_indep(fn, 200, 3, seed=4),
+    }
+    for name, traj in runs.items():
+        path = tmp_path / f"{name}.csv"
+        write_trajectory(traj, path)
+        back = read_trajectory(path)
+        for field in dataclasses.fields(Trajectory):
+            written, read = getattr(traj, field.name), getattr(back, field.name)
+            assert (read.dtype, read.shape) == (written.dtype, written.shape), (name, field.name)
+            assert read.tobytes() == written.tobytes(), (name, field.name)
 
 
 @contextmanager
@@ -180,6 +205,40 @@ def test_a_refused_write_leaves_an_existing_file_untouched(tmp_path, refused):
     assert path.read_bytes() == before
 
 
+# instance_id columns the writer would write as text the reader refuses:
+# ``0.0``, ``True`` and integers past int64
+UNREADABLE_IDS = {
+    "float": np.zeros(2),
+    "bool": np.array([True, False]),
+    "uint64 2**63": np.array([0, 2**63], dtype=np.uint64),
+    "uint64 2**64 - 1": np.array([2**64 - 1, 0], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_IDS))
+def test_instance_ids_the_reader_refuses_are_not_written(tmp_path, case):
+    path = tmp_path / "t.csv"
+    write_trajectory(random_trajectory(5, 2, seed=4), path)
+    before = path.read_bytes()
+    traj = Trajectory(xs=np.ones((2, 2)), fs=np.ones(2), instance_id=UNREADABLE_IDS[case])
+    with pytest.raises(ValueError, match="instance_id must be integers in the int64 range"):
+        write_trajectory(traj, path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "dtype, values",
+    [(np.int32, [0, -1, 2**31 - 1]), (np.uint64, [0, 1, 2**63 - 1])],
+    ids=["int32", "uint64"],
+)
+def test_other_integer_instance_ids_round_trip(tmp_path, dtype, values):
+    ids = np.array(values, dtype=dtype)
+    path = tmp_path / "t.csv"
+    write_trajectory(Trajectory(xs=np.ones((3, 2)), fs=np.ones(3), instance_id=ids), path)
+    back = read_trajectory(path).instance_id
+    assert back.dtype == np.int64 and back.tolist() == ids.tolist()
+
+
 def test_io_memory_is_one_block_not_the_file(tmp_path):
     # the traced peak of a write, and of a read beyond the file's bytes and
     # the columns it returns, stays at one block's, whatever the file's size
@@ -277,16 +336,6 @@ def test_best_breaks_ties_by_earliest_index():
 def test_best_of_empty_raises(tmp_path):
     with pytest.raises(ValueError):
         header_only(tmp_path).best()
-
-
-def test_trajectory_equality_ignores_metadata():
-    a = random_trajectory(5, 2, seed=1)
-    b = random_trajectory(5, 2, seed=1)
-    b.function_id = "whatever"
-    b.algorithm_id = "other"
-    assert a == b
-    c = random_trajectory(5, 2, seed=2)
-    assert a != c
 
 
 def test_a_nan_fitness_point_equals_a_copy_of_itself():
