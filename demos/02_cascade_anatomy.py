@@ -11,7 +11,7 @@
 
 import numpy as np
 
-from divbatch import DsConfig, make_function, run_ds
+from divbatch import DsConfig, fitness_keys, make_function, run_ds
 from divbatch.boxes import distances
 
 fn = make_function("gauss_peaks", dimension=2, seed=0)
@@ -69,15 +69,13 @@ print("\nclearance violations over the whole run:", violations)
 # best point of each instance with what a single unconstrained CMA-ES
 # finds with the same budget.
 
-by_instance = {}
-for p in trajectory.points:
-    if p.instance_id >= 0:
-        best = by_instance.get(p.instance_id)
-        if best is None or p.f < best.f:
-            by_instance[p.instance_id] = p
 print("\nper-instance best losses:")
-for instance, p in sorted(by_instance.items()):
-    print(f"  instance {instance}: loss {fn.loss(p.f):10.4g} at {np.round(p.x, 3)}")
+for instance in np.unique(trajectory.instance_id).tolist():
+    rows = np.flatnonzero(trajectory.instance_id == instance)
+    # the first of the instance's rows with the lowest fitness key
+    best = rows[np.argmin(fitness_keys(trajectory.fs[rows]))]
+    loss, x = fn.loss(trajectory.fs[best]), np.round(trajectory.xs[best], 3)
+    print(f"  instance {instance}: loss {loss:10.4g} at {x}")
 
 # the region log can also be written as a plot-ready CSV, one row per
 # instance and generation

@@ -16,7 +16,6 @@
 import numpy as np
 
 from divbatch import (
-    EvaluatedPoint,
     Trajectory,
     clearing_select,
     exact_select,
@@ -31,16 +30,13 @@ from divbatch import (
 # Points on a line: A(0) is the leader, D(1.5) is second best but blocks
 # both B(1.0) and C(2.0).  The clearing sweep grabs D after A and then
 # finds nothing else, while the smarter selectors notice that {A, B, C}
-# is feasible at size 3.  A list of points becomes a trajectory through
-# ``Trajectory.from_points``; a batch holds its members as columns too.
+# is feasible at size 3.  A trajectory is three columns, row i being
+# evaluation i; a batch holds its members as columns too.
 
-pts = Trajectory.from_points(
-    [
-        EvaluatedPoint(x=np.array([0.0]), f=0.0, eval_index=0, instance_id=-1),
-        EvaluatedPoint(x=np.array([1.0]), f=1.0, eval_index=1, instance_id=-1),
-        EvaluatedPoint(x=np.array([2.0]), f=5.0, eval_index=2, instance_id=-1),
-        EvaluatedPoint(x=np.array([1.5]), f=0.5, eval_index=3, instance_id=-1),
-    ]
+pts = Trajectory(
+    xs=np.array([[0.0], [1.0], [2.0], [1.5]]),
+    fs=np.array([0.0, 1.0, 5.0, 0.5]),
+    instance_id=np.full(4, -1),
 )
 for name, selector in (("clearing", clearing_select), ("greedy", greedy_select), ("exact", exact_select)):
     batch = selector(pts, 3, 1.0)

@@ -177,10 +177,11 @@ def init_diverse_means(k: int, box: Box, d_min: float, rng: np.random.Generator)
     and the generator's position are those of drawing one point at a
     time.  Blocks start at one draw and double.  When a mean takes
     ``_DRAW_CAP`` draws, the k means are picked by ``_dispersed_means``
-    instead.  Raises InfeasibleInitialization when ``d_min`` exceeds the
-    box diameter or even the dispersed points are closer than ``d_min``.
+    instead.  Raises InfeasibleInitialization when k >= 2 and ``d_min``
+    exceeds the box diameter (one mean needs no distance), or when even
+    the dispersed points are closer than ``d_min``.
     """
-    if d_min > box.diameter:
+    if k >= 2 and d_min > box.diameter:
         raise InfeasibleInitialization(
             f"d_min={d_min} exceeds the box diameter {box.diameter:.6g}"
         )

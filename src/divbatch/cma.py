@@ -79,7 +79,7 @@ class InvalidMean(ValueError):
 
 
 class AlreadyStopped(RuntimeError):
-    """ask or ask_one called on a state that has met a stopping criterion."""
+    """ask_clear (so ask and ask_one too) called on a state that has met a stopping criterion."""
 
 
 class InsufficientPopulation(ValueError):
@@ -333,7 +333,7 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     values, lower better.  Any n in [mu, lambda] is accepted; the mu best
     are recombined with the standard weights.  The parents and the stop
     statistics (best, median, range) rank NaN as +inf, as
-    ``trajectory.fitness_key`` does, ties broken by row; a median between
+    ``trajectory.fitness_keys`` does, ties broken by row; a median between
     -inf and +inf ranks as +inf too.
     """
     params = state.params
@@ -347,7 +347,7 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
         raise ValueError(f"xs must have shape ({n}, {params.dimension}), got {xs.shape}")
 
     order = np.argsort(fs, kind="stable")
-    # argsort puts NaN after +inf; ``fitness_key`` ranks NaN as +inf and
+    # argsort puts NaN after +inf; ``fitness_keys`` ranks NaN as +inf and
     # breaks the tie by row
     if fs[order[-1]] != fs[order[-1]]:
         fs = fitness_keys(fs)

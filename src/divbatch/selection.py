@@ -3,7 +3,7 @@
 Given the ``Trajectory`` of every point an optimizer evaluated, pick k of
 its rows that are pairwise at least ``d_min`` apart with fitness values as
 low as possible.  The batch leader is always the portfolio's best point;
-rows are ranked by ``trajectory.fitness_key``, so a NaN fitness ranks last
+rows are ranked by ``trajectory.fitness_keys``, so a NaN fitness ranks last
 and never leads.  Feasibility uses the closed inequality, so a pair at
 exactly ``d_min`` is valid.  A ``Batch`` holds its members as columns,
 like the trajectory it was picked from.
@@ -62,8 +62,8 @@ class Batch:
     """A diverse solution batch as columns; row 0 is the leader.
 
     ``xs`` (n x D), ``fs``, ``eval_index`` and ``instance_id`` hold the
-    members in batch order.  ``points`` gives them as ``EvaluatedPoint``
-    views, built on each access.
+    members in batch order.  The batch is ``complete`` when it holds
+    ``k_requested`` members.
     """
 
     xs: np.ndarray
@@ -73,9 +73,13 @@ class Batch:
     k_requested: int
     d_min: float
     method: str
-    complete: bool
     proved_optimal: bool = False
 
+    @property
+    def complete(self) -> bool:
+        return len(self) == self.k_requested
+
+    # points stays only for perfbench's output checks; nothing in the package reads it
     @property
     def points(self) -> list[EvaluatedPoint]:
         """Every member as a point, built on each access; each ``x`` is a row view."""
@@ -100,7 +104,7 @@ class Batch:
 
 
 def _ranked(portfolio: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(xs, fs, eval_index, instance_id) of a trajectory's rows in ``fitness_key`` order.
+    """(xs, fs, eval_index, instance_id) of a trajectory's rows in ``fitness_keys`` order.
 
     Row i is evaluation i, so the stable sort's order is the eval_index.
     """
@@ -152,7 +156,6 @@ def _batch(
         k_requested=k,
         d_min=d_min,
         method=method,
-        complete=len(members) == k,
         proved_optimal=proved,
     )
 
@@ -345,11 +348,10 @@ def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None
         if not np.all(distances(xs[i + 1 :], xs[i]) >= d_min):
             return False
     if portfolio is not None and len(batch):
-        keys = fitness_keys(portfolio.fs)
-        if not len(keys):
+        if not len(portfolio):
             raise EmptyPortfolio("portfolio has no points")
-        # the first minimum is the first row of the stable sort ``_ranked`` makes
-        if batch.eval_index[0] != int(np.argmin(keys)):
+        # ``best()`` is the first row of the stable sort ``_ranked`` makes
+        if batch.eval_index[0] != portfolio.best():
             return False
     return True
 

@@ -9,10 +9,8 @@ run (function, algorithm, config, seed) is the caller's to record; a
 cascade run's restart epoch and generation of each row follow from its
 ``cascade.CascadeLog``.
 
-``EvaluatedPoint`` is a view of one row for the API edge: ``best()``,
-``Trajectory.points`` and ``selection.Batch.points``, both rebuilt on
-every access.  ``Trajectory.from_points`` builds the columns from a
-non-empty list of such views; the selectors take a ``Trajectory`` only.
+Rows are ranked by ``fitness_keys``: lower f first, NaN as +inf, and
+the earlier row on a tie, so ``best()`` is the first minimum of the keys.
 
 The CSV layout is ``eval_index,instance_id,x0,...,x{D-1},f`` with floats
 written as shortest round-trip text, so write/read is lossless: Ryu
@@ -31,7 +29,6 @@ a blank line or a CR is decoded and parsed one line at a time.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -40,10 +37,8 @@ import numpy as np
 import orjson
 
 __all__ = [
-    "EvaluatedPoint",
     "ParseError",
     "Trajectory",
-    "fitness_key",
     "fitness_keys",
     "read_trajectory",
     "write_trajectory",
@@ -54,6 +49,7 @@ class ParseError(ValueError):
     """Trajectory file violates the expected CSV layout."""
 
 
+# one row as a record: it stays only for the ``points`` views perfbench's output checks read
 @dataclass(eq=False)
 class EvaluatedPoint:
     x: np.ndarray
@@ -61,28 +57,12 @@ class EvaluatedPoint:
     eval_index: int
     instance_id: int
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvaluatedPoint):
-            return NotImplemented
-        # NaN fitness equals NaN fitness, so reruns that meet one compare equal
-        return (
-            self.eval_index == other.eval_index
-            and self.instance_id == other.instance_id
-            and (self.f == other.f or (math.isnan(self.f) and math.isnan(other.f)))
-            and np.array_equal(self.x, other.x)
-        )
-
-
-def fitness_key(p: EvaluatedPoint) -> tuple[float, int]:
-    """Total order on points: lower f first, NaN ranked as +inf, then eval_index."""
-    return (math.inf if math.isnan(p.f) else p.f, p.eval_index)
-
 
 def fitness_keys(fs: np.ndarray) -> np.ndarray:
-    """The first component of ``fitness_key`` for a column of fitness values.
+    """Rank keys for a column of fitness values: f, with NaN ranked as +inf.
 
-    A stable sort of rows in eval_index order by these keys is the
-    ``fitness_key`` order.
+    A stable sort of rows in eval_index order by these keys ranks lower f
+    first and, on a tie, the earlier row.
     """
     fs = np.asarray(fs, dtype=float)
     return np.where(np.isnan(fs), np.inf, fs)
@@ -90,30 +70,11 @@ def fitness_keys(fs: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Ordered evaluation history of a single run; row i is evaluation i.
-
-    ``points`` and ``best()`` give rows as ``EvaluatedPoint`` views.
-    """
+    """Ordered evaluation history of a single run; row i is evaluation i."""
 
     xs: np.ndarray
     fs: np.ndarray
     instance_id: np.ndarray
-
-    @classmethod
-    def from_points(cls, points: list[EvaluatedPoint]) -> "Trajectory":
-        """The columns of ``points``, whose eval_index must be their position.
-
-        Refuses an empty list, whose dimension is unknown.
-        """
-        if not points:
-            raise ValueError("an empty list of points has no dimension")
-        if [p.eval_index for p in points] != list(range(len(points))):
-            raise ValueError("a trajectory's eval_index must count its rows from 0")
-        return cls(
-            xs=np.asarray([p.x for p in points], dtype=float).reshape(len(points), -1),
-            fs=np.asarray([p.f for p in points], dtype=float),
-            instance_id=np.asarray([p.instance_id for p in points], dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return len(self.fs)
@@ -127,6 +88,7 @@ class Trajectory:
             and np.array_equal(self.instance_id, other.instance_id)
         )
 
+    # points stays only for perfbench's output checks; nothing in the package reads it
     @property
     def points(self) -> list[EvaluatedPoint]:
         """Every row as a point, built on each access; each ``x`` is a row view."""
@@ -135,12 +97,11 @@ class Trajectory:
             for i, (x, f, j) in enumerate(zip(self.xs, self.fs.tolist(), self.instance_id.tolist()))
         ]
 
-    def best(self) -> EvaluatedPoint:
-        """Lowest-f point by ``fitness_key``: NaN ranks last, earliest eval_index wins ties."""
+    def best(self) -> int:
+        """The leader's row: the first minimum of ``fitness_keys`` (NaN ranked as +inf)."""
         if not len(self):
             raise ValueError("empty trajectory has no best point")
-        i = int(np.argmin(fitness_keys(self.fs)))
-        return EvaluatedPoint(self.xs[i], float(self.fs[i]), i, int(self.instance_id[i]))
+        return int(np.argmin(fitness_keys(self.fs)))
 
 
 def _header(dimension: int) -> str:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divbatch import Box, CmaParams, EvaluatedPoint, Trajectory, init_cma, tell
+from divbatch import Box, CmaParams, init_cma, tell
 from divbatch.boxes import distances
 from divbatch.cascade import CENTER_STRATEGIES, STALLED, InfeasibleInitialization, _dispersed_means
 from divbatch.cma import (
@@ -30,7 +30,7 @@ from divbatch.cma import (
     CmaState,
     InsufficientPopulation,
 )
-from divbatch.trajectory import fitness_key
+from trajectory_checks import Point, point_key, trajectory_of
 
 
 class FlatFunction:
@@ -119,7 +119,7 @@ def reference_init_diverse_means(k, box, d_min, rng, cap=100_000):
 
     Returns the means as a list of k arrays.
     """
-    if d_min > box.diameter:
+    if k >= 2 and d_min > box.diameter:
         raise InfeasibleInitialization(
             f"d_min={d_min} exceeds the box diameter {box.diameter:.6g}"
         )
@@ -195,7 +195,7 @@ class ReferenceInstance:
     index: int
     state: CmaState
     center: np.ndarray
-    best: EvaluatedPoint | None = None
+    best: Point | None = None
     stop_cause: str | None = None
 
 
@@ -203,7 +203,7 @@ def reference_run_ds(config, fn):
     """``run_ds`` as a one-candidate loop: ask, filter, evaluate per candidate.
 
     Each center is chosen from the generation's whole accepted population:
-    its ``fitness_key`` minimum (population_best), the instance's best
+    its ``point_key`` minimum (population_best), the instance's best
     point (best_so_far) or the CMA-ES mean (distribution_mean).
 
     Returns (trajectory, log, instances): ``log`` holds the columns of a
@@ -267,14 +267,14 @@ def reference_run_ds(config, fn):
                         break
                     x = reference_ask_one(inst.state, box)
                     if not len(centers) or (distances(centers, x) >= d_min).all():
-                        point = EvaluatedPoint(
+                        point = Point(
                             x=x, f=fn.evaluate(x), eval_index=evals, instance_id=inst.index
                         )
                         evals += 1
                         points.append(point)
                         accepted.append(point)
                         stamps.append((epoch, generation))
-                        if inst.best is None or fitness_key(point) < fitness_key(inst.best):
+                        if inst.best is None or point_key(point) < point_key(inst.best):
                             inst.best = point
                     else:
                         rejections += 1
@@ -285,7 +285,7 @@ def reference_run_ds(config, fn):
                     if inst.state.stop_reason is not None:
                         freeze(inst, inst.state.stop_reason)
                     elif config.center_strategy == "population_best":
-                        inst.center = min(accepted, key=fitness_key).x.copy()
+                        inst.center = min(accepted, key=point_key).x.copy()
                     elif config.center_strategy == "best_so_far":
                         inst.center = inst.best.x.copy()
                     else:
@@ -306,7 +306,7 @@ def reference_run_ds(config, fn):
         point_epoch=epochs,
         point_generation=generations,
     )
-    return Trajectory.from_points(points), log, created
+    return trajectory_of(points), log, created
 
 
 def reference_run_cma_single(fn, budget, seed=0):
@@ -326,7 +326,7 @@ def reference_run_cma_single(fn, budget, seed=0):
             while len(population) < params.lambda_ and len(points) < budget:
                 x = reference_ask_one(state, box)
                 value = fn.evaluate(x)
-                points.append(EvaluatedPoint(x=x, f=value, eval_index=len(points), instance_id=0))
+                points.append(Point(x=x, f=value, eval_index=len(points), instance_id=0))
                 population.append((x, value))
             if len(population) >= params.mu:
                 xs, fs = zip(*population)
@@ -343,7 +343,7 @@ def reference_run_cma_single(fn, budget, seed=0):
 # it comes (``np.median`` and the range give NaN, and ``max``/``min`` over
 # the history skip a NaN unless it comes first), so they are compared with
 # ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf and
-# rows in ``fitness_key`` order.  One rule is newer than the rest: a median
+# rows in ``fitness_keys`` order.  One rule is newer than the rest: a median
 # between -inf and +inf ranks as +inf, as in ``tell``.
 
 

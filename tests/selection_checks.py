@@ -9,7 +9,8 @@ import numpy as np
 
 from divbatch.boxes import distances
 from divbatch.selection import Batch, _batch, _ranked, _sweep
-from divbatch.trajectory import EvaluatedPoint, Trajectory, fitness_keys
+from divbatch.trajectory import fitness_keys
+from trajectory_checks import Point, trajectory_of
 
 
 def feasible(points, subset, d_min):
@@ -80,12 +81,10 @@ def random_instance(seed):
     k = int(rng.integers(2, 5))
     d_min = float(rng.uniform(1.0, 6.0))
     points = [
-        EvaluatedPoint(
-            x=rng.uniform(-5, 5, dim), f=float(rng.normal()), eval_index=i, instance_id=0
-        )
+        Point(x=rng.uniform(-5, 5, dim), f=float(rng.normal()), eval_index=i, instance_id=0)
         for i in range(n)
     ]
-    return Trajectory.from_points(points), k, d_min
+    return trajectory_of(points), k, d_min
 
 
 # The branch and bound that restarts once per batch size, from k down to 1,

@@ -16,6 +16,7 @@ import pytest
 
 from cascade_checks import clearance_violations, epoch_mean_violations
 from selection_checks import enumerate_best, random_instance
+from trajectory_checks import rows_of
 
 from divbatch import (
     CmaParams,
@@ -123,7 +124,7 @@ def test_02_exact_selector_matches_exhaustive_enumeration():
     trials = 100
     for seed in range(trials):
         portfolio, k, d_min = random_instance(seed)
-        ordered = sorted(portfolio.points, key=lambda p: (p.f, p.eval_index))
+        ordered = sorted(rows_of(portfolio), key=lambda p: (p.f, p.eval_index))
         size, best_sum = enumerate_best(ordered, k, d_min)
 
         exact = exact_select(portfolio, k, d_min)
@@ -156,11 +157,13 @@ def test_03_cma_convergence_sanity():
     sphere_hits = 0
     for seed in range(5):
         fn = make_function("sphere", 5, 0)
-        sphere_hits += fn.loss(run_cma_single(fn, 2000, seed).best().f) < 1e-8
+        traj = run_cma_single(fn, 2000, seed)
+        sphere_hits += fn.loss(traj.fs[traj.best()]) < 1e-8
     ellipsoid_hits = 0
     for seed in range(5):
         fn = make_function("ellipsoid", 5, 0)
-        ellipsoid_hits += fn.loss(run_cma_single(fn, 5000, seed).best().f) < 1e-6
+        traj = run_cma_single(fn, 5000, seed)
+        ellipsoid_hits += fn.loss(traj.fs[traj.best()]) < 1e-6
     elapsed = time.perf_counter() - start
     ok = sphere_hits >= 4 and ellipsoid_hits >= 3 and elapsed < 120
     assert _report(
@@ -334,7 +337,7 @@ def test_10_logged_cascade_runs_replay_the_distance_discipline():
             bad_points = clearance_violations(trajectory, log, d_min)
             bad_epochs = epoch_mean_violations(log, d_min)
             clean += not bad_points and not bad_epochs
-            points_checked += sum(p.instance_id > 0 for p in trajectory.points)
+            points_checked += int((trajectory.instance_id > 0).sum())
             multi_epoch += len(log.epoch_starts) > 1
     ok = runs == 10 and clean == runs and multi_epoch >= 1
     assert _report(

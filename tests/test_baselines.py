@@ -14,10 +14,9 @@ from divbatch import make_function, run_cma_indep, run_cma_single, run_random
 def test_random_length_and_stamps():
     fn = make_function("sphere", 3, 0)
     traj = run_random(fn, 25, seed=1)
-    assert len(traj) == 25
-    assert [p.eval_index for p in traj.points] == list(range(25))
-    assert all(p.instance_id == -1 for p in traj.points)
-    assert all(fn.box.contains(p.x) for p in traj.points)
+    assert len(traj) == 25 and traj.xs.shape == (25, 3)
+    assert (traj.instance_id == -1).all()
+    assert all(fn.box.contains(x) for x in traj.xs)
     assert fn.eval_count == 25
 
 
@@ -45,10 +44,9 @@ def test_random_is_deterministic():
 def test_cma_single_budget_exactness(budget):
     fn = make_function("rastrigin_sep", 3, 0)
     traj = run_cma_single(fn, budget, seed=0)
-    assert len(traj) == budget
-    assert [p.eval_index for p in traj.points] == list(range(budget))
-    assert all(p.instance_id == 0 for p in traj.points)
-    assert all(fn.box.contains(p.x) for p in traj.points)
+    assert len(traj) == budget and traj.xs.shape == (budget, 3)
+    assert (traj.instance_id == 0).all()
+    assert all(fn.box.contains(x) for x in traj.xs)
 
 
 def test_cma_single_is_deterministic():
@@ -64,7 +62,7 @@ def test_cma_single_restarts_on_a_flat_function():
     assert fn.eval_count == 120
     # with the function tolerance firing every few generations, the run
     # must chain several restart legs to spend the budget
-    assert len({tuple(np.round(p.x, 6)) for p in traj.points}) > 10
+    assert len({tuple(x) for x in np.round(traj.xs, 6)}) > 10
 
 
 def test_cma_single_converges_on_the_sphere():
@@ -72,17 +70,16 @@ def test_cma_single_converges_on_the_sphere():
     for seed in range(5):
         fn = make_function("sphere", 5, 0)
         traj = run_cma_single(fn, 2000, seed=seed)
-        hits += fn.loss(traj.best().f) < 1e-8
+        hits += fn.loss(traj.fs[traj.best()]) < 1e-8
     assert hits >= 4
 
 
 def test_indep_budget_split():
     fn = make_function("sphere", 3, 0)
     traj = run_cma_indep(fn, 100, 3, seed=0)
-    assert len(traj) == 100
-    counts = Counter(p.instance_id for p in traj.points)
+    assert len(traj) == 100 and traj.xs.shape == (100, 3)
+    counts = Counter(traj.instance_id.tolist())
     assert counts == {0: 34, 1: 33, 2: 33}
-    assert [p.eval_index for p in traj.points] == list(range(100))
 
 
 def test_indep_with_one_instance_equals_single():
@@ -94,8 +91,8 @@ def test_indep_with_one_instance_equals_single():
 def test_indep_instances_are_decorrelated():
     fn = make_function("sphere", 3, 0)
     traj = run_cma_indep(fn, 60, 2, seed=0)
-    first = [p.x for p in traj.points if p.instance_id == 0]
-    second = [p.x for p in traj.points if p.instance_id == 1]
+    first = traj.xs[traj.instance_id == 0]
+    second = traj.xs[traj.instance_id == 1]
     assert not np.array_equal(first[0], second[0])
 
 

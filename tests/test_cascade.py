@@ -207,10 +207,9 @@ def test_a_built_ds_config_cannot_be_changed():
 def test_run_ds_spends_the_budget_exactly(budget):
     fn = make_function("rastrigin_sep", 3, 0)
     traj, _ = run_ds(DsConfig(k=3, d_min=1.0, budget=budget, seed=0), fn)
-    assert len(traj) == budget
-    assert [p.eval_index for p in traj.points] == list(range(budget))
-    assert all(0 <= p.instance_id < 3 for p in traj.points)
-    assert all(fn.box.contains(p.x) for p in traj.points)
+    assert len(traj) == budget and traj.xs.shape == (budget, 3)
+    assert ((0 <= traj.instance_id) & (traj.instance_id < 3)).all()
+    assert all(fn.box.contains(x) for x in traj.xs)
     assert fn.eval_count == budget
 
 
@@ -219,6 +218,16 @@ def test_single_instance_never_rejects():
     traj, log = run_ds(DsConfig(k=1, d_min=3.0, budget=140, seed=2), fn)
     assert log.total_rejections == 0
     assert len(traj) == 140
+
+
+def test_one_instance_needs_no_distance_within_the_box():
+    # d_min beyond the box diameter separates nothing when there is one mean
+    fn = make_function("sphere", 2, 0)
+    traj, log = run_ds(DsConfig(k=1, d_min=20.0, budget=50), fn)
+    assert len(traj) == 50 and (traj.instance_id == 0).all()
+    assert log.total_rejections == 0
+    with pytest.raises(InfeasibleInitialization, match="box diameter"):
+        run_ds(DsConfig(k=2, d_min=20.0, budget=50), fn)
 
 
 def test_run_ds_is_deterministic():
@@ -243,7 +252,7 @@ class HalfNan:
 def test_run_ds_is_deterministic_when_the_objective_returns_nan():
     cfg = DsConfig(k=3, d_min=1.0, budget=200, seed=0)
     first, _ = run_ds(cfg, HalfNan())
-    assert any(np.isnan(p.f) for p in first.points)
+    assert np.isnan(first.fs).any()
     assert run_ds(cfg, HalfNan())[0] == first
 
 
@@ -274,22 +283,24 @@ def test_population_best_centers_replay_from_the_trajectory():
     fn = make_function("rastrigin_sep", 3, 4)
     traj, log = run_ds(DsConfig(k=2, d_min=2.0, budget=210, seed=4), fn)
     pops = defaultdict(list)
-    for p, generation in zip(traj.points, row_generations(log).tolist()):
-        pops[(p.instance_id, generation)].append(p)
+    stamps = zip(traj.instance_id.tolist(), row_generations(log).tolist())
+    for row, (instance, generation) in enumerate(stamps):
+        pops[(instance, generation)].append(row)
+    fs = traj.fs.tolist()
     rows = zip(log.generation.tolist(), log.instance.tolist(), log.centers)
     snapshot = {(generation, instance): center for generation, instance, center in rows}
     running_best = {}
     checked = 0
     for (inst, generation), pop in sorted(pops.items(), key=lambda kv: kv[0][1]):
-        for p in pop:
+        for row in pop:
             cur = running_best.get(inst)
-            if cur is None or (p.f, p.eval_index) < (cur.f, cur.eval_index):
-                running_best[inst] = p
+            if cur is None or (fs[row], row) < (fs[cur], cur):
+                running_best[inst] = row
         center = snapshot[(generation, inst)]
-        gen_best = min(pop, key=lambda p: (p.f, p.eval_index))
+        gen_best = min(pop, key=lambda row: (fs[row], row))
         # a live instance moves its center to the generation best; an
         # instance that stopped this round freezes at its best so far
-        candidates = [gen_best.x, running_best[inst].x]
+        candidates = [traj.xs[gen_best], traj.xs[running_best[inst]]]
         assert any(np.array_equal(center, c) for c in candidates)
         checked += 1
     # 210 evals at 7 per instance generation gives 15 rounds of 2 instances
@@ -299,21 +310,19 @@ def test_population_best_centers_replay_from_the_trajectory():
 def test_stalled_instance_freezes_at_its_best_point():
     fn = make_function("sphere", 2, 0)
     traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=0), fn)
-    per = defaultdict(list)
-    for p in traj.points:
-        per[p.instance_id].append(p)
+    rows1 = np.flatnonzero(traj.instance_id == 1).tolist()
     # instance 1 is starved once instance 0 settles mid-box
-    assert 0 < len(per[1]) < 50
+    assert 0 < len(rows1) < 50
     assert len(traj) == 300
-    best1 = min(per[1], key=lambda p: (p.f, p.eval_index))
+    best1 = min(rows1, key=lambda row: (traj.fs[row], row))
     last_center = log.centers[log.instance == 1][-1]
-    assert np.array_equal(last_center, best1.x)
+    assert np.array_equal(last_center, traj.xs[best1])
 
 
 def test_stall_with_zero_evaluations_keeps_the_initial_center():
     fn = make_function("sphere", 2, 0)
     traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=4), fn)
-    assert all(p.instance_id == 0 for p in traj.points)
+    assert (traj.instance_id == 0).all()
     assert len(traj) == 300
     last_center = log.centers[log.instance == 1][-1]
     assert np.array_equal(last_center, log.epoch_means[0, 1])

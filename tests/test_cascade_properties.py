@@ -39,10 +39,10 @@ from cascade_checks import (
     row_epochs,
     row_generations,
 )
-from divbatch import CENTER_STRATEGIES, Box, DsConfig, InfeasibleInitialization, Trajectory
+from divbatch import CENTER_STRATEGIES, Box, DsConfig, InfeasibleInitialization
 from divbatch import make_function
 from divbatch import run_cma_indep, run_cma_single, run_ds, run_random
-from trajectory_checks import column_bits, write_trajectory_reference
+from trajectory_checks import column_bits, rows_of, trajectory_of, write_trajectory_reference
 
 FUNCTIONS = ("sphere", "rastrigin_sep", "gauss_peaks", "flat")
 
@@ -77,7 +77,7 @@ def test_run_ds_spends_the_budget_keeps_clear_and_reruns_equal(run):
     traj, log = run_ds(config, fn)
     assert len(traj) == config.budget
     assert fn.eval_count == config.budget
-    assert [p.eval_index for p in traj.points] == list(range(config.budget))
+    assert traj.xs.shape == (config.budget, dim) and traj.instance_id.shape == (config.budget,)
     assert clearance_violations(traj, log, config.d_min) == []
     assert epoch_mean_violations(log, config.d_min) == []
     assert run_ds(config, objective(function_id, dim))[0] == traj
@@ -96,18 +96,10 @@ def recorded(monkeypatch, module, name):
     return made
 
 
-def bits(points):
-    """Every stored bit of the points: eval_index, instance, x and f."""
-    return [
-        (p.eval_index, p.instance_id, p.x.tobytes(), type(p.f), np.float64(p.f).tobytes())
-        for p in points
-    ]
-
-
 def assert_equals_the_reference(config, fn, traj, log, instances):
     """``run_ds``'s trajectory, region log and stop causes are the reference loop's."""
     ref_traj, ref_log, ref_instances = reference_run_ds(config, fn)
-    assert bits(traj.points) == bits(ref_traj.points)
+    assert column_bits(traj) == column_bits(ref_traj)
     assert np.array_equal(row_epochs(log), ref_log.point_epoch)
     assert np.array_equal(row_generations(log), ref_log.point_generation)
     assert log.total_rejections == ref_log.total_rejections
@@ -202,12 +194,12 @@ def test_block_step_equals_the_one_candidate_loop(run):
         instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
         traj, log = run_ds(config, objective(function_id, dim))
         states = recorded(monkeypatch, divbatch.baselines, "init_cma")
-        cma_points = run_cma_single(objective(function_id, dim), config.budget, config.seed).points
+        cma = run_cma_single(objective(function_id, dim), config.budget, config.seed)
     assert_equals_the_reference(config, objective(function_id, dim), traj, log, instances)
     ref_points, ref_causes = reference_run_cma_single(
         objective(function_id, dim), config.budget, config.seed
     )
-    assert bits(cma_points) == bits(ref_points)
+    assert column_bits(cma) == column_bits(trajectory_of(ref_points))
     assert [s.stop_reason for s in states] == ref_causes
 
 
@@ -222,7 +214,7 @@ def test_tied_populations_equal_the_one_candidate_loop(strategy, dim, k, d_min, 
 
 
 # SHA-256 of the trajectory CSVs these seeded runs gave when every
-# producer built one EvaluatedPoint per evaluation; the CSV holds every
+# producer built one point record per evaluation; the CSV holds every
 # bit of the xs, fs and instance_id columns
 ROW_AT_A_TIME_DIGESTS = {
     ("ds", 2): "54aafb0b1d790388b1e9a044ada15b45480899225dfcd0925924ea0b76ae150a",
@@ -253,7 +245,7 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
         assert traj.xs.shape == (400, dim) and traj.xs.dtype == np.float64, name
         assert traj.fs.dtype == np.float64 and traj.instance_id.dtype == np.int64, name
         path = tmp_path / f"{name}.csv"
-        write_trajectory_reference(traj.points, path)
+        write_trajectory_reference(rows_of(traj), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == ROW_AT_A_TIME_DIGESTS[name, dim], name
     ref_ds, ref_log, _ = reference_run_ds(ds_config, fn())
@@ -262,7 +254,7 @@ def test_generators_give_the_row_at_a_time_columns(tmp_path, dim):
     assert np.array_equal(row_epochs(ds_log), ref_log.point_epoch)
     assert np.array_equal(row_generations(ds_log), ref_log.point_generation)
     ref_cma, _ = reference_run_cma_single(fn(), 400, seed=2)
-    assert column_bits(runs["cma"]) == column_bits(Trajectory.from_points(ref_cma))
+    assert column_bits(runs["cma"]) == column_bits(trajectory_of(ref_cma))
 
 
 # SHA-256 of the region-log CSVs these seeded runs gave when the log held

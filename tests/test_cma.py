@@ -505,7 +505,7 @@ def test_tell_picks_the_fitness_key_best_parents_among_inf_and_nan_rows():
     st = init_cma(2, np.zeros(2), seed=0)
     assert st.params.mu == 3
     xs = np.arange(12.0).reshape(6, 2) / 10.0
-    # the ``fitness_key`` order: rows 2 and 5, then NaN tied with +inf and
+    # the ``fitness_keys`` order: rows 2 and 5, then NaN tied with +inf and
     # the tie broken by row: 0, 1, 3, 4 (argsort would put 1 and 4 first)
     fs = np.array([np.nan, np.inf, 1.0, np.nan, np.inf, 2.0])
     tell(st, xs, fs)

@@ -25,6 +25,7 @@ from divbatch import (
     make_function,
     normalize_losses,
     read_records_dir,
+    read_trajectory,
     run_experiment,
     write_normalized_csv,
     write_records_csv,
@@ -32,8 +33,12 @@ from divbatch import (
 from divbatch import harness
 
 
-def batch_of(fs, order, complete=True):
-    """Batch whose members, rows ``order`` of points (i, 0) with f = fs[i], lead with order[0]."""
+def batch_of(fs, order):
+    """Batch whose members, rows ``order`` of points (i, 0) with f = fs[i], lead with order[0].
+
+    It requests one member per value of ``fs``, so it is complete when
+    ``order`` holds them all.
+    """
     order = np.asarray(order, dtype=np.int64)
     return Batch(
         xs=np.column_stack([order.astype(float), np.zeros(len(order))]),
@@ -43,7 +48,6 @@ def batch_of(fs, order, complete=True):
         k_requested=len(fs),
         d_min=1.0,
         method="clearing",
-        complete=complete,
     )
 
 
@@ -116,7 +120,8 @@ def test_metrics_cum_avg_is_nondecreasing():
 
 def test_metrics_reject_empty_batch():
     fn = make_function("sphere", 2, 0)
-    empty = batch_of([1.0, 2.0, 3.0], [], complete=False)
+    empty = batch_of([1.0, 2.0, 3.0], [])
+    assert not empty.complete
     with pytest.raises(EmptyBatch):
         compute_metrics(empty, fn)
 
@@ -153,6 +158,24 @@ def test_normalize_skips_incomplete_and_groups_without_ds():
     with pytest.warns(UserWarning, match="rastrigin_sep"):
         rows = normalize_losses(records)
     assert {(r["function"], r["algorithm"]) for r in rows} == {("sphere", "ds")}
+
+
+def test_normalize_with_a_zero_ds_denominator():
+    # a ds batch that reached the optimum exactly leaves nothing to divide by:
+    # a zero average is as good as it and reads 1.0, any loss reads inf
+    records = [
+        record("sphere", "ds", 0, [0.0, 0.0]),
+        record("sphere", "ds", 1, [0.0, 3.0]),
+        record("sphere", "random", 0, [0.0, 0.0]),
+        record("sphere", "cma", 0, [0.0, 1e-300]),
+    ]
+    rows = {(r["algorithm"], r["seed"]): r["normalized"] for r in normalize_losses(records)}
+    assert rows == {
+        ("ds", 0): 1.0,
+        ("ds", 1): math.inf,
+        ("random", 0): 1.0,
+        ("cma", 0): math.inf,
+    }
 
 
 def small_config(tmp_path=None, **overrides):
@@ -206,6 +229,17 @@ def test_failed_cell_is_recorded_not_fatal(tmp_path):
     # a record file exists even for the failed cell, a trajectory does not
     assert (tmp_path / "out" / "records" / "sphere__ds__s0.json").exists()
     assert not (tmp_path / "out" / "trajectories" / "sphere__ds__s0.csv").exists()
+
+
+def test_a_one_instance_ds_cell_runs_with_d_min_beyond_the_box(tmp_path):
+    # one mean needs no distance: the cell selects a complete 1-batch
+    cfg = small_config(
+        tmp_path, functions=["sphere"], algorithms=["ds"], seeds=[0], budget=50, k=1, d_min=20.0
+    )
+    (ds,) = run_experiment(cfg)
+    assert not ds.error and ds.complete and len(ds.batch_losses) == 1
+    out = tmp_path / "out"
+    assert len(read_trajectory(out / "trajectories" / "sphere__ds__s0.csv")) == 50
 
 
 @pytest.mark.parametrize(
@@ -393,9 +427,7 @@ def test_selection_method_flows_into_batches(tmp_path):
 def test_harness_batches_agree_with_direct_selection(tmp_path):
     cfg = small_config(tmp_path, functions=["sphere"], algorithms=["random"], seeds=[3])
     run_experiment(cfg)
-    from divbatch import read_trajectory
-
     traj = read_trajectory(tmp_path / "out" / "trajectories" / "sphere__random__s3.csv")
     direct = clearing_select(traj, cfg.k, cfg.d_min)
     one = json.loads((tmp_path / "out" / "batches" / "sphere__random__s3.json").read_text())
-    assert [p["eval_index"] for p in one["points"]] == [p.eval_index for p in direct.points]
+    assert [p["eval_index"] for p in one["points"]] == direct.eval_index.tolist()

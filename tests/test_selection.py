@@ -17,7 +17,6 @@ import pytest
 from divbatch import (
     DsConfig,
     EmptyPortfolio,
-    EvaluatedPoint,
     SELECTORS,
     Trajectory,
     batch_to_dict,
@@ -35,18 +34,21 @@ from divbatch import (
 )
 from divbatch.boxes import distances
 from divbatch.cascade import _clear_of
-from divbatch.trajectory import fitness_key
 from selection_checks import enumerate_best, random_instance, reference_exact_select
-
-
-def pt(x1, f, idx):
-    """1-D style point embedded in the plane so distances equal |x1 - x1'|."""
-    return EvaluatedPoint(x=np.array([x1, 0.0]), f=float(f), eval_index=idx, instance_id=0)
+from trajectory_checks import Point, point_key, rows_of, trajectory_of
 
 
 def line(x1s, fs):
-    """A portfolio of ``pt`` points, row i evaluated i-th."""
-    return Trajectory.from_points([pt(x1, f, i) for i, (x1, f) in enumerate(zip(x1s, fs))])
+    """A portfolio on the x0 axis of the plane, so distances equal |x1 - x1'|.
+
+    Row i, evaluated i-th, is at (x1s[i], 0) with fitness fs[i].
+    """
+    x1s = np.asarray(x1s, dtype=float)
+    return Trajectory(
+        xs=np.column_stack([x1s, np.zeros(len(x1s))]),
+        fs=np.asarray(fs, dtype=float),
+        instance_id=np.zeros(len(x1s), dtype=np.int64),
+    )
 
 
 # A(0, f=0), B(1, f=1), C(2, f=5), D(1.5, f=0.5): the only feasible
@@ -56,7 +58,7 @@ ABCD = line([0.0, 1.0, 2.0, 1.5], [0.0, 1.0, 5.0, 0.5])
 
 
 def xs_of(batch):
-    return [p.x[0] for p in batch.points]
+    return batch.xs[:, 0].tolist()
 
 
 def test_clearing_keeps_far_points():
@@ -100,9 +102,7 @@ def test_exact_keeps_a_full_batch_that_holds_a_nan():
     assert batch.complete
     assert batch.proved_optimal
     assert sorted(xs_of(batch)) == [0.0, 1.0, 2.0]
-    assert [p.eval_index for p in batch.points] == [
-        p.eval_index for p in greedy_select(points, 3, 1.0).points
-    ]
+    assert batch.eval_index.tolist() == greedy_select(points, 3, 1.0).eval_index.tolist()
 
 
 # x = 0, 10, 9, 11, 30 with f = -inf, 1, 2, 3, NaN: at d_min=1.5 the
@@ -118,9 +118,10 @@ def test_a_sum_holding_both_infinities_still_compares():
     batch = exact_select(BOTH_INFINITIES, 3, 1.5)
     assert sorted(xs_of(batch)) == [0.0, 9.0, 11.0]
     assert batch.complete and batch.proved_optimal
-    assert enumerate_best(sorted(BOTH_INFINITIES.points, key=fitness_key), 3, 1.5) == (3, -math.inf)
+    ordered = sorted(rows_of(BOTH_INFINITIES), key=point_key)
+    assert enumerate_best(ordered, 3, 1.5) == (3, -math.inf)
     oracle = reference_exact_select(BOTH_INFINITIES, 3, 1.5)
-    assert [p.eval_index for p in oracle.points] == [p.eval_index for p in batch.points]
+    assert oracle.eval_index.tolist() == batch.eval_index.tolist()
 
 
 def test_a_batch_sum_ranks_nan_as_inf():
@@ -134,7 +135,7 @@ def test_a_batch_sum_ranks_nan_as_inf():
     assert clearing_select(no_leader, 3, 1.5).fitness_sum() == math.inf
     # a finite batch keeps the plain sum in member order, bit for bit
     batch = clearing_select(line([0, 5, 10], [1.0, 1.0, 1e16]), 3, 1.0)
-    assert batch.fitness_sum() == float(sum(p.f for p in batch.points)) == 1e16 + 2
+    assert batch.fitness_sum() == float(sum(batch.fs.tolist())) == 1e16 + 2
 
 
 def test_greedy_returns_feasible_top_k_unchanged():
@@ -152,26 +153,26 @@ def test_greedy_with_small_portfolio_reduces_to_feasible_subset():
 
 def test_leader_is_always_the_portfolio_argmin():
     portfolio, k, d_min = random_instance(4)
-    best = min(portfolio.points, key=lambda p: (p.f, p.eval_index))
+    best = min(range(len(portfolio)), key=lambda i: (portfolio.fs[i], i))
     for select in (clearing_select, greedy_select, exact_select):
         batch = select(portfolio, k, d_min)
-        assert batch.points[0].eval_index == best.eval_index
+        assert batch.eval_index[0] == best
 
 
 def test_leader_ties_break_by_eval_index():
     # rows 1 and 3 tie on f = 1
     points = line([9.0, 5.0, 7.0, 0.0], [2.0, 1.0, 3.0, 1.0])
     for select in (clearing_select, greedy_select, exact_select):
-        assert select(points, 2, 1.0).points[0].eval_index == 1
+        assert select(points, 2, 1.0).eval_index[0] == 1
 
 
 def test_nan_fitness_never_leads():
     # (f, eval_index) tuples holding NaN are no total order and would let point 0 lead
     points = line([0.0, 3.0, 6.0, 9.0], [math.nan, 2.0, 1.0, math.nan])
-    assert points.best().eval_index == 2
+    assert points.best() == 2
     for select in (clearing_select, greedy_select, exact_select):
         batch = select(points, 3, 1.0)
-        assert [p.eval_index for p in batch.points][:2] == [2, 1], select.__name__
+        assert batch.eval_index.tolist()[:2] == [2, 1], select.__name__
         assert verify_batch(batch, 1.0, points)
 
 
@@ -189,19 +190,17 @@ def clearing_oracle(points, k, d_min):
 def test_clearing_matches_an_independent_sweep(seed):
     rng = np.random.default_rng(seed)
     points = [
-        EvaluatedPoint(x=rng.uniform(-5, 5, 3), f=float(rng.normal()), eval_index=i, instance_id=0)
+        Point(x=rng.uniform(-5, 5, 3), f=float(rng.normal()), eval_index=i, instance_id=0)
         for i in range(50)
     ]
-    batch = clearing_select(Trajectory.from_points(points), 5, 2.0)
-    assert [p.eval_index for p in batch.points] == [
-        p.eval_index for p in clearing_oracle(points, 5, 2.0)
-    ]
+    batch = clearing_select(trajectory_of(points), 5, 2.0)
+    assert batch.eval_index.tolist() == [p.eval_index for p in clearing_oracle(points, 5, 2.0)]
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_exact_matches_enumeration_and_dominates(seed):
     portfolio, k, d_min = random_instance(seed)
-    ordered = sorted(portfolio.points, key=lambda p: (p.f, p.eval_index))
+    ordered = sorted(rows_of(portfolio), key=lambda p: (p.f, p.eval_index))
     size, best_sum = enumerate_best(ordered, k, d_min)
 
     exact = exact_select(portfolio, k, d_min)
@@ -228,16 +227,14 @@ def test_exact_returns_the_largest_feasible_size():
     assert len(batch) == 2
     assert not batch.complete
     assert batch.proved_optimal
-    assert batch.points[0].eval_index == 0
+    assert batch.eval_index[0] == 0
 
 
 def sphere_instance(seed, n, k, d_min):
     """Points in the square [-5, 5]^2 with f = |x|^2: the best ones crowd the centre."""
     xs = np.random.default_rng(seed).uniform(-5, 5, (n, 2))
-    points = [
-        EvaluatedPoint(x=x, f=float(x @ x), eval_index=i, instance_id=0) for i, x in enumerate(xs)
-    ]
-    return Trajectory.from_points(points), k, d_min
+    fs = np.array([x @ x for x in xs])
+    return Trajectory(xs=xs, fs=fs, instance_id=np.zeros(n, dtype=np.int64)), k, d_min
 
 
 # Each instance with the work of its uncapped search: one unit a node, as
@@ -269,9 +266,7 @@ def test_exact_caps_disable_the_optimality_claim(monkeypatch):
             # is below the uncapped work; a weaker prune would change that work
             assert batch.proved_optimal == (cap >= work), (work, cap)
             if batch.proved_optimal:
-                assert [p.eval_index for p in batch.points] == [
-                    p.eval_index for p in uncapped.points
-                ]
+                assert batch.eval_index.tolist() == uncapped.eval_index.tolist()
 
 
 def test_exact_reads_no_clock(monkeypatch):
@@ -339,7 +334,7 @@ def test_exact_checks_its_work_cap_before_it_builds_a_mask_row(monkeypatch):
     batch = exact_select(portfolio, 5, 10.0)
     assert not built and not batch.proved_optimal
     clearing = clearing_select(portfolio, 5, 10.0)
-    assert [p.eval_index for p in batch.points] == [p.eval_index for p in clearing.points]
+    assert batch.eval_index.tolist() == clearing.eval_index.tolist()
 
 
 def test_exact_charges_a_node_by_the_width_of_its_masks(monkeypatch):
@@ -430,16 +425,13 @@ def boundary_pairs(case):
 @pytest.mark.parametrize("case", ["worked", 2, 10])
 def test_selectors_verifier_and_filter_agree_at_exactly_d_min(case):
     for a, b, d_min in boundary_pairs(case):
-        points = Trajectory.from_points(
-            [
-                EvaluatedPoint(x=a, f=0.0, eval_index=0, instance_id=0),
-                EvaluatedPoint(x=b, f=1.0, eval_index=1, instance_id=0),
-            ]
+        points = Trajectory(
+            xs=np.array([a, b]), fs=np.array([0.0, 1.0]), instance_id=np.zeros(2, dtype=np.int64)
         )
         for select in (clearing_select, greedy_select, exact_select):
             batch = select(points, 2, d_min)
             assert batch.complete, (select.__name__, a, b)
-            assert [p.eval_index for p in batch.points] == [0, 1]
+            assert batch.eval_index.tolist() == [0, 1]
             assert verify_batch(batch, d_min, points), (select.__name__, a, b)
         assert _clear_of(b, a[None], d_min), (a, b)
 
@@ -459,12 +451,32 @@ def test_batch_json_layout(tmp_path):
     assert data == batch_to_dict(batch)
 
 
+def test_a_batch_is_complete_exactly_when_it_holds_k_members():
+    batch = exact_select(ABCD, 3, 1.0)
+    assert batch.complete
+    short = replace(
+        batch,
+        xs=batch.xs[:2],
+        fs=batch.fs[:2],
+        eval_index=batch.eval_index[:2],
+        instance_id=batch.instance_id[:2],
+    )
+    assert not short.complete and batch_to_dict(short)["complete"] is False
+    # derived from the members, so it cannot be set to disagree with them
+    with pytest.raises(AttributeError):
+        short.complete = True
+
+
+# the ``points`` view stays only for perfbench's output checks, which read it
 def test_a_batch_holds_columns_and_builds_its_points_on_each_access():
     batch = exact_select(ABCD, 3, 1.0)
     assert batch.xs.shape == (3, 2) and batch.fs.tolist() == [0.0, 1.0, 5.0]
     assert batch.eval_index.tolist() == [0, 1, 2] and batch.instance_id.tolist() == [0, 0, 0]
     first, second = batch.points, batch.points
-    assert first == second and first is not second
+    assert first is not second and all(a is not b for a, b in zip(first, second))
+    for a, b in zip(first, second):
+        assert (a.f, a.eval_index, a.instance_id) == (b.f, b.eval_index, b.instance_id)
+        assert np.array_equal(a.x, b.x)
     assert all(type(p.f) is float and type(p.eval_index) is int for p in first)
     assert np.shares_memory(first[1].x, batch.xs)
     with pytest.raises(AttributeError):

@@ -19,11 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divbatch import DsConfig, EvaluatedPoint, Trajectory, make_function, run_ds, selection
+from divbatch import DsConfig, make_function, run_ds, selection
 from divbatch import clearing_select, exact_select, greedy_select, verify_batch
 from divbatch.boxes import distances
-from divbatch.trajectory import fitness_key
 from selection_checks import compat_masks_reference, reference_exact_select
+from trajectory_checks import Point, point_key, rows_of, trajectory_of
 
 SELECTORS = (clearing_select, greedy_select, exact_select)
 
@@ -42,7 +42,7 @@ def selection_problems(draw, fitness=fitness_values):
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 10))
     points = [
-        EvaluatedPoint(
+        Point(
             x=np.array(draw(st.lists(coordinates, min_size=dim, max_size=dim))),
             f=draw(fitness),
             eval_index=i,
@@ -51,20 +51,20 @@ def selection_problems(draw, fitness=fitness_values):
         for i in range(n)
     ]
     k = draw(st.integers(1, n + 2))
-    return Trajectory.from_points(points), k, draw(distance_requirements)
+    return trajectory_of(points), k, draw(distance_requirements)
 
 
-def best_finite_point(portfolio):
-    """The expected leader: lowest finite f, earliest eval_index; NaN only if nothing else."""
-    finite = [p for p in portfolio.points if not math.isnan(p.f)]
+def best_finite_row(portfolio):
+    """The expected leader's row: lowest finite f, earliest row; NaN only if nothing else."""
+    finite = [p for p in rows_of(portfolio) if not math.isnan(p.f)]
     if finite:
-        return min(finite, key=lambda p: (p.f, p.eval_index))
-    return portfolio.points[0]
+        return min(finite, key=lambda p: (p.f, p.eval_index)).eval_index
+    return 0
 
 
 def ranked_sum(batch):
     """Fitness sum with NaN counted as +inf, so NaN sums still compare."""
-    return sum(math.inf if math.isnan(p.f) else p.f for p in batch.points)
+    return sum(math.inf if math.isnan(f) else f for f in batch.fs.tolist())
 
 
 def no_worse(batch, reference):
@@ -80,13 +80,13 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 @given(selection_problems())
 def test_every_batch_is_feasible_and_led_by_the_best_finite_point(problem):
     portfolio, k, d_min = problem
-    leader = best_finite_point(portfolio)
+    leader = best_finite_row(portfolio)
     for select in SELECTORS:
         batch = select(portfolio, k, d_min)
         assert 1 <= len(batch) <= min(k, len(portfolio))
         assert batch.complete == (len(batch) == k)
         assert verify_batch(batch, d_min, portfolio), select.__name__
-        assert batch.points[0].eval_index == leader.eval_index, select.__name__
+        assert batch.eval_index[0] == leader, select.__name__
 
 
 @PROPERTY_SETTINGS
@@ -129,11 +129,11 @@ def clustered_problems(draw, fitness=fitness_values, far_from=2.0):
     half = 0.49 * d_min / math.sqrt(dim)
     near = rng.uniform(-half, half, (draw(st.integers(2, 9)), dim))
     points = [
-        EvaluatedPoint(x=x, f=draw(fitness), eval_index=i, instance_id=0)
+        Point(x=x, f=draw(fitness), eval_index=i, instance_id=0)
         for i, x in enumerate(np.concatenate([far, near]))
     ]
     # below 3 members no search needs a cluster point's row
-    return Trajectory.from_points(points), draw(st.integers(3, len(points) + 2)), d_min
+    return trajectory_of(points), draw(st.integers(3, len(points) + 2)), d_min
 
 
 @st.composite
@@ -154,7 +154,7 @@ def test_exact_picks_what_the_per_size_search_picks(problem):
     portfolio, k, d_min = problem
     batch = exact_select(portfolio, k, d_min)
     oracle = reference_exact_select(portfolio, k, d_min)
-    assert [p.eval_index for p in batch.points] == [p.eval_index for p in oracle.points]
+    assert batch.eval_index.tolist() == oracle.eval_index.tolist()
     assert (batch.complete, batch.proved_optimal) == (oracle.complete, oracle.proved_optimal)
 
 
@@ -230,6 +230,6 @@ def test_compat_masks_of_integer_coordinates_equal_the_per_row_kernel():
 
 def test_compat_masks_of_a_3000_point_ds_portfolio_equal_the_per_row_kernel():
     trajectory, _ = run_ds(DsConfig(k=5, d_min=10.0, budget=3000), make_function("ellipsoid", 10, 0))
-    xs = np.asarray([p.x for p in sorted(trajectory.points, key=fitness_key)])
+    xs = np.asarray([p.x for p in sorted(rows_of(trajectory), key=point_key)])
     for d_min in (10.0, 2.0, float(distances(xs[0], xs[1]))):
         assert_rows_equal_the_reference(xs, d_min)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from divbatch import (
     DsConfig,
-    EvaluatedPoint,
     ParseError,
     Trajectory,
     make_function,
@@ -35,21 +34,23 @@ from divbatch import (
     trajectory,
     write_trajectory,
 )
-from trajectory_checks import column_bits, read_trajectory_reference, write_trajectory_reference
+from trajectory_checks import (
+    Point,
+    column_bits,
+    read_trajectory_reference,
+    rows_of,
+    trajectory_of,
+    write_trajectory_reference,
+)
 
 
 def random_trajectory(n, dim, seed=0, instance_id=0):
     rng = np.random.default_rng(seed)
-    points = [
-        EvaluatedPoint(
-            x=rng.uniform(-5, 5, dim) * 10.0 ** rng.integers(-12, 4),
-            f=float(rng.normal() * 10.0 ** rng.integers(-9, 9)),
-            eval_index=i,
-            instance_id=instance_id,
-        )
-        for i in range(n)
-    ]
-    return Trajectory.from_points(points)
+    xs, fs = np.empty((n, dim)), np.empty(n)
+    for i in range(n):
+        xs[i] = rng.uniform(-5, 5, dim) * 10.0 ** rng.integers(-12, 4)
+        fs[i] = rng.normal() * 10.0 ** rng.integers(-9, 9)
+    return Trajectory(xs=xs, fs=fs, instance_id=np.full(n, instance_id, dtype=np.int64))
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -112,7 +113,7 @@ def test_a_finite_file_is_read_in_one_parse_call(tmp_path):
     with block_parsers() as taken:
         back = read_trajectory(path)
     assert len(taken) > 1 and all(block is True for block in taken)
-    reference = Trajectory.from_points(read_trajectory_reference(path))
+    reference = trajectory_of(read_trajectory_reference(path))
     for got, want in [(back.xs, reference.xs), (back.fs, reference.fs), (back.xs, traj.xs)]:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert back.instance_id.dtype == np.int64 and back.xs.flags.c_contiguous
@@ -156,12 +157,6 @@ def test_empty_trajectory_is_refused(tmp_path):
     assert empty.xs.shape == (0, 3) and empty.fs.shape == (0,)
     with pytest.raises(ValueError):
         write_trajectory(empty, tmp_path / "t.csv")
-
-
-def test_from_points_refuses_an_empty_list():
-    # it cannot know the dimension, so an empty portfolio is read from a header
-    with pytest.raises(ValueError, match="no dimension"):
-        Trajectory.from_points([])
 
 
 @pytest.mark.parametrize("shape", [(2, 0), (2,)], ids=["no coordinate column", "1-D xs"])
@@ -325,12 +320,15 @@ def test_eval_index_must_start_at_zero(tmp_path):
 
 
 def test_best_breaks_ties_by_earliest_index():
-    pts = [
-        EvaluatedPoint(x=np.zeros(2), f=1.0, eval_index=0, instance_id=0),
-        EvaluatedPoint(x=np.ones(2), f=0.5, eval_index=1, instance_id=0),
-        EvaluatedPoint(x=np.full(2, 2.0), f=0.5, eval_index=2, instance_id=0),
-    ]
-    assert Trajectory.from_points(pts).best().eval_index == 1
+    traj = Trajectory(
+        xs=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+        fs=np.array([1.0, 0.5, 0.5]),
+        instance_id=np.zeros(3, dtype=np.int64),
+    )
+    assert type(traj.best()) is int and traj.best() == 1
+    # NaN ranks as +inf: it ties with +inf, and the earlier row wins
+    traj.fs = np.array([math.nan, math.inf, math.nan])
+    assert traj.best() == 0
 
 
 def test_best_of_empty_raises(tmp_path):
@@ -338,31 +336,30 @@ def test_best_of_empty_raises(tmp_path):
         header_only(tmp_path).best()
 
 
-def test_a_nan_fitness_point_equals_a_copy_of_itself():
-    point = EvaluatedPoint(x=np.zeros(2), f=float("nan"), eval_index=0, instance_id=0)
-    copy = EvaluatedPoint(x=point.x.copy(), f=float("nan"), eval_index=0, instance_id=0)
-    assert point == point
-    assert point == copy
-    assert Trajectory.from_points([point]) == Trajectory.from_points([copy])
-    assert point != EvaluatedPoint(x=np.zeros(2), f=0.0, eval_index=0, instance_id=0)
+def test_a_nan_fitness_trajectory_equals_a_copy_of_itself():
+    ids = np.zeros(1, np.int64)
+    traj = Trajectory(xs=np.zeros((1, 2)), fs=np.array([math.nan]), instance_id=ids)
+    copy = Trajectory(xs=traj.xs.copy(), fs=traj.fs.copy(), instance_id=ids.copy())
+    assert traj == traj
+    assert traj == copy
+    assert traj != Trajectory(xs=np.zeros((1, 2)), fs=np.zeros(1), instance_id=ids)
 
 
 def test_negative_instance_ids_survive_round_trip(tmp_path):
     traj = random_trajectory(5, 2, seed=1, instance_id=-1)
     path = tmp_path / "t.csv"
     write_trajectory(traj, path)
-    assert all(p.instance_id == -1 for p in read_trajectory(path).points)
+    assert read_trajectory(path).instance_id.tolist() == [-1] * 5
 
 
-def test_from_points_refuses_eval_indices_that_are_not_row_numbers():
-    with pytest.raises(ValueError, match="eval_index"):
-        Trajectory.from_points([EvaluatedPoint(x=np.zeros(2), f=0.0, eval_index=3, instance_id=0)])
-
-
+# the ``points`` view stays only for perfbench's output checks, which read it
 def test_points_are_views_rebuilt_on_every_access():
     traj = random_trajectory(4, 3, seed=2)
     first, second = traj.points, traj.points
-    assert first == second and first is not second
+    assert first is not second and all(a is not b for a, b in zip(first, second))
+    for a, b in zip(first, second):
+        assert (a.f, a.eval_index, a.instance_id) == (b.f, b.eval_index, b.instance_id)
+        assert np.array_equal(a.x, b.x)
     assert [p.eval_index for p in first] == [0, 1, 2, 3]
     assert all(type(p.f) is float and type(p.instance_id) is int for p in first)
     assert np.shares_memory(first[1].x, traj.xs)
@@ -429,10 +426,10 @@ def check_columnar_io(tmp_path_factory, traj):
     work = tmp_path_factory.mktemp("io")
     new, ref = work / "new.csv", work / "ref.csv"
     write_trajectory(traj, new)
-    write_trajectory_reference(traj.points, ref)
+    write_trajectory_reference(rows_of(traj), ref)
     assert new.read_bytes() == ref.read_bytes()
     back = read_trajectory(new)
-    assert column_bits(back) == column_bits(Trajectory.from_points(read_trajectory_reference(ref)))
+    assert column_bits(back) == column_bits(trajectory_of(read_trajectory_reference(ref)))
     assert column_bits(back) == column_bits(traj)
     assert back.xs.flags.c_contiguous
 
@@ -454,7 +451,7 @@ def test_random_bit_patterns_are_written_like_the_reference(tmp_path_factory, di
     work = tmp_path_factory.mktemp("bits")
     new, ref = work / "new.csv", work / "ref.csv"
     write_trajectory(traj, new)
-    write_trajectory_reference(traj.points, ref)
+    write_trajectory_reference(rows_of(traj), ref)
     assert new.read_bytes() == ref.read_bytes()
 
 
@@ -475,7 +472,7 @@ def outcome(read, path):
         dim = len(Path(path).read_text().splitlines()[0].split(",")) - 3
         return column_bits(Trajectory(np.empty((0, dim)), np.empty(0), np.empty(0, np.int64)))
     try:
-        return column_bits(Trajectory.from_points(result))
+        return column_bits(trajectory_of(result))
     except OverflowError:
         return f"{path}: an instance_id is outside the int64 range"
 
@@ -613,7 +610,7 @@ def test_edited_files_in_tiny_blocks_parse_or_fail_like_the_reference(
 def check_edited_file(tmp_path_factory, dim, n, edits, swaps):
     rng = np.random.default_rng(dim * 100 + n)
     points = [
-        EvaluatedPoint(rng.standard_normal(dim), float(rng.normal()), i, instance_id=i % 3 - 1)
+        Point(rng.standard_normal(dim), float(rng.normal()), i, instance_id=i % 3 - 1)
         for i in range(n)
     ]
     path = tmp_path_factory.mktemp("edits") / "t.csv"
