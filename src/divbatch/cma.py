@@ -12,11 +12,14 @@ candidate gets the normals that loop would give it.
 ``ask(state, box, n)`` is ``ask_clear`` with no centers and ``ask_one``
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
-advance the distribution.  ``tell`` and the sampler's rounds are cut to
-their arithmetic while giving the bits of the plain NumPy forms: the
-median comes from ``tell``'s own sort, and a block maps and box-tests
-every draw but clips, tabu-tests and copies only its candidates, scanning
-for the 100th miss only when its misses can reach 100.
+advance the distribution.  ``CmaParams`` holds what ``CmaParams.defaults``
+derives from the dimension; the step size ``SIGMA0`` and the stop
+tolerances ``TOL_*`` do not depend on it and are module constants.
+``tell`` and the sampler's rounds are cut to their arithmetic while
+giving the bits of the plain NumPy forms: the median comes from
+``tell``'s own sort, and a block maps and box-tests every draw but clips,
+tabu-tests and copies only its candidates, scanning for the 100th miss
+only when its misses can reach 100.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "STOP_MAXITER",
     "STOP_TOLFUN",
     "STOP_TOLFUNHIST",
-    "STOP_TOLFUNREL",
     "STOP_TOLSTAGNATION",
     "STOP_TOLX",
     "ask",
@@ -55,10 +57,18 @@ __all__ = [
 STOP_TOLX = "tolx"
 STOP_TOLFUN = "tolfun"
 STOP_TOLFUNHIST = "tolfunhist"
-STOP_TOLFUNREL = "tolfunrel"
 STOP_TOLSTAGNATION = "tolstagnation"
 STOP_MAXITER = "maxiter"
 STOP_DEGENERATE = "degenerate"
+
+# the initial step size, and the stop tolerances of ``should_stop``: none
+# depends on the dimension
+SIGMA0 = 1.0
+TOL_X = 1e-11
+TOL_FUN = 1e-11
+TOL_FUN_HIST = 1e-12
+# generations in each half of the tolstagnation window
+TOL_STAGNATION = 146
 
 # out-of-box candidates are redrawn this many times before clipping
 _RESAMPLE_TRIES = 100
@@ -88,12 +98,14 @@ class InsufficientPopulation(ValueError):
 
 @dataclass(frozen=True)
 class CmaParams:
-    """Strategy parameters, frozen at initialization.
+    """Strategy parameters, frozen at initialization; every one derives from D.
 
-    Defaults follow the standard parameterization: population size
+    ``defaults`` follows the standard parameterization: population size
     ``lambda = 4 + floor(3 ln D)``, ``mu = floor(lambda / 2)`` parents with
-    positive log-rank weights, and the usual CSA / rank-one / rank-mu
-    learning rates derived from ``mu_eff``.
+    positive log-rank weights, the usual CSA / rank-one / rank-mu learning
+    rates derived from ``mu_eff``, and ``max_iter = 1000 D^2``.  The step
+    size and stop tolerances are the module constants ``SIGMA0``,
+    ``TOL_X``, ``TOL_FUN``, ``TOL_FUN_HIST`` and ``TOL_STAGNATION``.
     """
 
     dimension: int
@@ -106,13 +118,7 @@ class CmaParams:
     c_c: float
     c_1: float
     c_mu: float
-    sigma0: float = 1.0
-    tol_x: float = 1e-11
-    tol_fun: float = 1e-11
-    tol_fun_hist: float = 1e-12
-    tol_fun_rel: float = 0.0
-    tol_stagnation: int = 146
-    max_iter: int = 0
+    max_iter: int
 
     @classmethod
     def defaults(cls, dimension: int) -> "CmaParams":
@@ -160,8 +166,6 @@ class CmaState:
     eig_scale: np.ndarray = field(default=None, repr=False)
     degenerate: bool = field(default=False, repr=False)
     last_range: float | None = field(default=None, repr=False)
-    first_median: float | None = field(default=None, repr=False)
-    best_median: float | None = field(default=None, repr=False)
     hist_best: deque = field(default=None, repr=False)
     stagn_best: deque = field(default=None, repr=False)
     stagn_median: deque = field(default=None, repr=False)
@@ -184,7 +188,7 @@ def init_cma(
     seed: int = 0,
     box: Box | None = None,
 ) -> CmaState:
-    """Fresh state centered at ``mean`` with unit step size and identity covariance."""
+    """Fresh state centered at ``mean`` with step size ``SIGMA0`` and identity covariance."""
     if params is None:
         params = CmaParams.defaults(dimension)
     if box is None:
@@ -198,7 +202,7 @@ def init_cma(
     return CmaState(
         params=params,
         mean=mean.copy(),
-        sigma=params.sigma0,
+        sigma=SIGMA0,
         cov=np.eye(dimension),
         p_sigma=np.zeros(dimension),
         p_c=np.zeros(dimension),
@@ -206,8 +210,8 @@ def init_cma(
         eig_vectors=np.eye(dimension),
         eig_scale=np.ones(dimension),
         hist_best=deque(maxlen=hist_len),
-        stagn_best=deque(maxlen=2 * params.tol_stagnation),
-        stagn_median=deque(maxlen=2 * params.tol_stagnation),
+        stagn_best=deque(maxlen=2 * TOL_STAGNATION),
+        stagn_median=deque(maxlen=2 * TOL_STAGNATION),
         z_spare=np.empty((0, dimension)),
     )
 
@@ -408,9 +412,6 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.hist_best.append(best)
     state.stagn_best.append(best)
     state.stagn_median.append(med)
-    if state.first_median is None:
-        state.first_median = med
-    state.best_median = med if state.best_median is None else min(state.best_median, med)
 
     _refresh_eigensystem(state)
     state.stop_reason = should_stop(state)
@@ -435,27 +436,21 @@ def _refresh_eigensystem(state: CmaState) -> None:
 
 def should_stop(state: CmaState) -> str | None:
     """First triggered stopping criterion, or None while the run may continue."""
-    params = state.params
-    sigma, tol_x = state.sigma, params.tol_x
+    sigma = state.sigma
 
     scales = sigma * np.sqrt(state.cov.diagonal())
-    if (scales < tol_x).all() and (sigma * np.abs(state.p_c) < tol_x).all():
+    if (scales < TOL_X).all() and (sigma * np.abs(state.p_c) < TOL_X).all():
         return STOP_TOLX
 
     hist, last_range = state.hist_best, state.last_range
     span = max(hist) - min(hist) if hist else math.inf
-    if last_range is not None and last_range < params.tol_fun and span < params.tol_fun:
+    if last_range is not None and last_range < TOL_FUN and span < TOL_FUN:
         return STOP_TOLFUN
 
-    if len(hist) >= 10 and span < params.tol_fun_hist:
+    if len(hist) >= 10 and span < TOL_FUN_HIST:
         return STOP_TOLFUNHIST
 
-    if last_range is not None and state.first_median is not None:
-        drop = state.first_median - state.best_median
-        if last_range < params.tol_fun_rel * drop:
-            return STOP_TOLFUNREL
-
-    window = params.tol_stagnation
+    window = TOL_STAGNATION
     if len(state.stagn_best) >= 2 * window:
         best = list(state.stagn_best)
         med = list(state.stagn_median)
@@ -465,7 +460,7 @@ def should_stop(state: CmaState) -> str | None:
         ):
             return STOP_TOLSTAGNATION
 
-    if state.iteration >= params.max_iter:
+    if state.iteration >= state.params.max_iter:
         return STOP_MAXITER
 
     if state.degenerate:

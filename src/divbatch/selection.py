@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import distances
-from .trajectory import EvaluatedPoint, Trajectory, fitness_keys
+from .trajectory import EmptyPortfolio, EvaluatedPoint, Trajectory, fitness_keys
 
 __all__ = [
     "Batch",
@@ -51,10 +51,6 @@ __all__ = [
     "verify_batch",
     "write_batch",
 ]
-
-
-class EmptyPortfolio(ValueError):
-    """Selection requested from a portfolio with no points."""
 
 
 @dataclass(eq=False)
@@ -348,9 +344,8 @@ def verify_batch(batch: Batch, d_min: float, portfolio: Trajectory | None = None
         if not np.all(distances(xs[i + 1 :], xs[i]) >= d_min):
             return False
     if portfolio is not None and len(batch):
-        if not len(portfolio):
-            raise EmptyPortfolio("portfolio has no points")
-        # ``best()`` is the first row of the stable sort ``_ranked`` makes
+        # ``best()`` is the first row of the stable sort ``_ranked`` makes,
+        # and raises ``EmptyPortfolio`` on an empty portfolio as ``_ranked`` does
         if batch.eval_index[0] != portfolio.best():
             return False
     return True

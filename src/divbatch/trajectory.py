@@ -49,6 +49,10 @@ class ParseError(ValueError):
     """Trajectory file violates the expected CSV layout."""
 
 
+class EmptyPortfolio(ValueError):
+    """A leader or a selection requested from a trajectory with no points."""
+
+
 # one row as a record: it stays only for the ``points`` views perfbench's output checks read
 @dataclass(eq=False)
 class EvaluatedPoint:
@@ -100,7 +104,7 @@ class Trajectory:
     def best(self) -> int:
         """The leader's row: the first minimum of ``fitness_keys`` (NaN ranked as +inf)."""
         if not len(self):
-            raise ValueError("empty trajectory has no best point")
+            raise EmptyPortfolio("portfolio has no points")
         return int(np.argmin(fitness_keys(self.fs)))
 
 

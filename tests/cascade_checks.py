@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divbatch import Box, CmaParams, init_cma, tell
+from divbatch import Box, CmaParams, cma, init_cma, tell
 from divbatch.boxes import distances
 from divbatch.cascade import CENTER_STRATEGIES, STALLED, InfeasibleInitialization, _dispersed_means
 from divbatch.cma import (
@@ -23,7 +23,6 @@ from divbatch.cma import (
     STOP_MAXITER,
     STOP_TOLFUN,
     STOP_TOLFUNHIST,
-    STOP_TOLFUNREL,
     STOP_TOLSTAGNATION,
     STOP_TOLX,
     AlreadyStopped,
@@ -344,7 +343,9 @@ def reference_run_cma_single(fn, budget, seed=0):
 # the history skip a NaN unless it comes first), so they are compared with
 # ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf and
 # rows in ``fitness_keys`` order.  One rule is newer than the rest: a median
-# between -inf and +inf ranks as +inf, as in ``tell``.
+# between -inf and +inf ranks as +inf, as in ``tell``.  The stop tolerances
+# are read from ``divbatch.cma`` at each call, so a test that patches one
+# patches both sides.
 
 
 def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
@@ -416,9 +417,6 @@ def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.hist_best.append(best)
     state.stagn_best.append(best)
     state.stagn_median.append(med)
-    if state.first_median is None:
-        state.first_median = med
-    state.best_median = med if state.best_median is None else min(state.best_median, med)
 
     reference_refresh_eigensystem(state)
     state.stop_reason = reference_should_stop(state)
@@ -445,25 +443,20 @@ def reference_should_stop(state: CmaState) -> str | None:
     params = state.params
 
     scales = state.sigma * np.sqrt(np.diag(state.cov))
-    if np.all(scales < params.tol_x) and np.all(state.sigma * np.abs(state.p_c) < params.tol_x):
+    if np.all(scales < cma.TOL_X) and np.all(state.sigma * np.abs(state.p_c) < cma.TOL_X):
         return STOP_TOLX
 
     if state.last_range is not None and state.hist_best:
         span = max(state.hist_best) - min(state.hist_best)
-        if state.last_range < params.tol_fun and span < params.tol_fun:
+        if state.last_range < cma.TOL_FUN and span < cma.TOL_FUN:
             return STOP_TOLFUN
 
     if len(state.hist_best) >= 10:
         span = max(state.hist_best) - min(state.hist_best)
-        if span < params.tol_fun_hist:
+        if span < cma.TOL_FUN_HIST:
             return STOP_TOLFUNHIST
 
-    if state.last_range is not None and state.first_median is not None:
-        drop = state.first_median - state.best_median
-        if state.last_range < params.tol_fun_rel * drop:
-            return STOP_TOLFUNREL
-
-    window = params.tol_stagnation
+    window = cma.TOL_STAGNATION
     if len(state.stagn_best) >= 2 * window:
         best = list(state.stagn_best)
         med = list(state.stagn_median)

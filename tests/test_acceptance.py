@@ -21,6 +21,7 @@ from trajectory_checks import rows_of
 from divbatch import (
     CmaParams,
     DsConfig,
+    cma,
     ExperimentConfig,
     clearing_select,
     exact_select,
@@ -249,20 +250,13 @@ def test_08_population_and_stopping_constants_are_pinned():
         p10.mu == 5,
         p2.lambda_ == 6,
         p2.mu == 3,
-        p10.tol_x == 1e-11,
-        p10.tol_fun == 1e-11,
-        p10.tol_fun_hist == 1e-12,
-        p10.tol_fun_rel == 0.0,
-        p10.tol_stagnation == 146,
         p10.max_iter == 1000 * 10**2,
-        p2.tol_x == 1e-11,
-        p2.tol_fun == 1e-11,
-        p2.tol_fun_hist == 1e-12,
-        p2.tol_fun_rel == 0.0,
-        p2.tol_stagnation == 146,
         p2.max_iter == 1000 * 2**2,
-        p10.sigma0 == 1.0,
-        p2.sigma0 == 1.0,
+        cma.TOL_X == 1e-11,
+        cma.TOL_FUN == 1e-11,
+        cma.TOL_FUN_HIST == 1e-12,
+        cma.TOL_STAGNATION == 146,
+        cma.SIGMA0 == 1.0,
     ]
     ok = all(checks)
     assert _report(
@@ -271,7 +265,7 @@ def test_08_population_and_stopping_constants_are_pinned():
         ok,
         f"{sum(checks)}/{len(checks)} pinned constants match "
         f"(lambda(10)={p10.lambda_}, lambda(2)={p2.lambda_}, mu=floor(lambda/2), "
-        f"stagnation={p10.tol_stagnation})",
+        f"stagnation={cma.TOL_STAGNATION})",
     )
 
 

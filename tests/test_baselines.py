@@ -100,3 +100,8 @@ def test_indep_is_deterministic():
     fn_a = make_function("gauss_peaks", 3, 5)
     fn_b = make_function("gauss_peaks", 3, 5)
     assert run_cma_indep(fn_a, 120, 3, seed=2) == run_cma_indep(fn_b, 120, 3, seed=2)
+
+
+def test_cma_indep_rejects_fewer_than_one_run():
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        run_cma_indep(make_function("sphere", 2, 0), 100, 0)

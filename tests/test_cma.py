@@ -11,8 +11,11 @@ loops, down to the normals each will use next.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import struct
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from divbatch import (
     should_stop,
     tell,
 )
+from divbatch import cma
 from divbatch.cma import _MAX_BLOCK_ROWS
 from divbatch.trajectory import fitness_keys
 
@@ -60,13 +64,33 @@ def test_population_sizes_follow_the_log_rule():
 
 @pytest.mark.parametrize("dim", [2, 5, 10])
 def test_stop_tolerances_are_pinned(dim):
-    p = CmaParams.defaults(dim)
-    assert p.tol_x == 1e-11
-    assert p.tol_fun == 1e-11
-    assert p.tol_fun_hist == 1e-12
-    assert p.tol_fun_rel == 0.0
-    assert p.tol_stagnation == 146
-    assert p.max_iter == 1000 * dim**2
+    assert cma.TOL_X == 1e-11
+    assert cma.TOL_FUN == 1e-11
+    assert cma.TOL_FUN_HIST == 1e-12
+    assert cma.TOL_STAGNATION == 146
+    assert CmaParams.defaults(dim).max_iter == 1000 * dim**2
+    st = init_cma(dim, np.zeros(dim))
+    assert st.sigma == cma.SIGMA0 == 1.0
+    assert st.stagn_best.maxlen == st.stagn_median.maxlen == 2 * 146
+
+
+def test_params_hold_only_derived_fields_and_none_has_a_default():
+    fields = dataclasses.fields(CmaParams)
+    assert [f.name for f in fields] == [
+        "dimension",
+        "lambda_",
+        "mu",
+        "weights",
+        "mu_eff",
+        "c_sigma",
+        "d_sigma",
+        "c_c",
+        "c_1",
+        "c_mu",
+        "max_iter",
+    ]
+    assert all(f.default is dataclasses.MISSING for f in fields)
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
 
 
 def test_weights_d10_frozen():
@@ -149,8 +173,10 @@ def test_ask_from_corner_mean_stays_in_box():
 
 
 def twin_states(dim, mean, box, sigma0=1.0, seed=3):
-    params = replace(CmaParams.defaults(dim), sigma0=sigma0)
-    return [init_cma(dim, np.asarray(mean, float), params, seed, box) for _ in range(2)]
+    states = [init_cma(dim, np.asarray(mean, float), seed=seed, box=box) for _ in range(2)]
+    for state in states:
+        state.sigma = sigma0
+    return states
 
 
 @pytest.mark.parametrize(
@@ -391,6 +417,37 @@ def test_tell_population_size_limits():
         tell(st, xs, np.zeros(11))  # lambda is 10
 
 
+def test_tell_rejects_candidates_of_the_wrong_shape():
+    st = init_cma(10, np.zeros(10), seed=0)
+    xs = ask(st, n=7)
+    with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(7, 9\)$"):
+        tell(st, xs[:, :9], np.zeros(7))
+    with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(70,\)$"):
+        tell(st, xs.ravel(), np.zeros(7))
+    assert st.iteration == 0 and st.stop_reason is None
+
+
+def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monkeypatch):
+    st = init_cma(3, np.zeros(3), seed=0)
+    for _ in range(2):
+        xs = ask(st, n=st.params.lambda_)
+        tell(st, xs, (xs**2).sum(axis=1))
+    assert st.stop_reason is None
+    vectors, scale = st.eig_vectors.copy(), st.eig_scale.copy()
+    assert not np.array_equal(vectors, np.eye(3))
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    xs = ask(st, n=st.params.lambda_)
+    tell(st, xs, (xs**2).sum(axis=1))
+    assert st.stop_reason == "degenerate" and st.degenerate
+    assert st.iteration == 3
+    assert st.eig_vectors.tobytes() == vectors.tobytes()
+    assert st.eig_scale.tobytes() == scale.tobytes()
+
+
 def test_tell_accepts_partial_populations():
     st = init_cma(10, np.zeros(10), seed=0)
     xs = np.array([ask_one(st) for _ in range(7)])
@@ -413,8 +470,6 @@ def state_bits(state):
         state.degenerate,
         state.stop_reason,
         bits(state.last_range),
-        bits(state.first_median),
-        bits(state.best_median),
         [(h.maxlen, [bits(v) for v in h]) for h in history],
         state.rng.bit_generator.state,
         (state.z_spare.shape, state.z_spare.tobytes()),
@@ -428,7 +483,7 @@ FITNESS_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -np.inf, 1e300, -1e300, 5e-324, 1.797
 
 @st.composite
 def tell_runs(draw):
-    """(dim, params, seed, [(n, xs mode, fs mode)] * 1..12).
+    """(dim, params, constants, seed, [(n, xs mode, fs mode)] * 1..12).
 
     The xs modes sample around the mean or tie rows; at most one step
     blows the covariance up to inf or holds an infinite row, which makes
@@ -436,17 +491,18 @@ def tell_runs(draw):
     to 1e300, values from a pool of signed zeros, infinities, extremes and
     subnormals (with +inf, or with +inf and NaN), signed zeros alone,
     one value for every row, or rows whose best never moves; one mode per
-    step or for the whole run.  Overridden tolerances let each stop test
-    fire within a few tells.
+    step or for the whole run.  An overridden ``max_iter`` or a patched
+    ``cma`` tolerance in ``constants`` lets each stop test fire within a
+    few tells.
     """
     dim = draw(st.integers(1, 12))
-    overrides = draw(
+    fields, constants = draw(
         st.sampled_from(
-            [{}, {"tol_x": 1e9}, {"tol_fun_rel": 1.0}, {"max_iter": 5}]
-            + [{"tol_stagnation": 1}, {"tol_stagnation": 3}]
+            [({}, {}), ({}, {"TOL_X": 1e9}), ({"max_iter": 5}, {})]
+            + [({}, {"TOL_STAGNATION": 1}), ({}, {"TOL_STAGNATION": 3})]
         )
     )
-    params = replace(CmaParams.defaults(dim), **overrides)
+    params = replace(CmaParams.defaults(dim), **fields)
     seed = draw(st.integers(0, 2**16))
     fs_modes = st.sampled_from(["normal", "pool", "nan", "zeros", "tied", "flat"])
     # one fs mode for the whole run, or one per step
@@ -458,7 +514,7 @@ def tell_runs(draw):
     broken = draw(st.sampled_from([None, None, "huge", "inf"]))
     if broken:
         steps[draw(st.integers(0, len(steps) - 1))][1] = broken
-    return dim, params, seed, steps
+    return dim, params, constants, seed, steps
 
 
 def tell_inputs(rng, state, n, xs_mode, fs_mode):
@@ -487,18 +543,20 @@ def tell_inputs(rng, state, n, xs_mode, fs_mode):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tell_runs())
 def test_tell_equals_the_reference_update_bit_for_bit(run):
-    dim, params, seed, steps = run
-    lean, reference = (init_cma(dim, np.zeros(dim), params, seed) for _ in range(2))
-    rng = np.random.default_rng(seed)
-    for n, xs_mode, fs_mode in steps:
-        xs, fs = tell_inputs(rng, lean, n, xs_mode, fs_mode)
-        tell(lean, xs.copy(), fs.copy())
-        # ``tell`` ranks NaN as +inf, ties broken by row: the oracle gets
-        # the rows in that order and NaN put to +inf
-        keys = fitness_keys(fs)
-        order = np.argsort(keys, kind="stable")
-        reference_tell(reference, xs[order], keys[order])
-        assert state_bits(lean) == state_bits(reference)
+    dim, params, constants, seed, steps = run
+    # hypothesis refuses function-scoped fixtures such as ``monkeypatch``
+    with patch.multiple(cma, **constants) if constants else nullcontext():
+        lean, reference = (init_cma(dim, np.zeros(dim), params, seed) for _ in range(2))
+        rng = np.random.default_rng(seed)
+        for n, xs_mode, fs_mode in steps:
+            xs, fs = tell_inputs(rng, lean, n, xs_mode, fs_mode)
+            tell(lean, xs.copy(), fs.copy())
+            # ``tell`` ranks NaN as +inf, ties broken by row: the oracle
+            # gets the rows in that order and NaN put to +inf
+            keys = fitness_keys(fs)
+            order = np.argsort(keys, kind="stable")
+            reference_tell(reference, xs[order], keys[order])
+            assert state_bits(lean) == state_bits(reference)
 
 
 def test_tell_picks_the_fitness_key_best_parents_among_inf_and_nan_rows():
@@ -602,9 +660,9 @@ def test_stop_reason_tolfun_on_flat_fitness():
     assert st.stop_reason == "tolfun"
 
 
-def test_stop_reason_tolx_with_a_loose_threshold():
-    params = replace(CmaParams.defaults(2), tol_x=1e9)
-    st = init_cma(2, np.zeros(2), params=params, seed=0)
+def test_stop_reason_tolx_with_a_loose_threshold(monkeypatch):
+    monkeypatch.setattr(cma, "TOL_X", 1e9)
+    st = init_cma(2, np.zeros(2), seed=0)
     xs = np.array([ask_one(st) for _ in range(6)])
     tell(st, xs, np.array([float(np.sum(x * x)) for x in xs]))
     assert st.stop_reason == "tolx"
@@ -640,9 +698,9 @@ def test_an_all_nan_generation_holds_tolfunhist_back_as_an_all_inf_one_does(at):
     assert ends[0][:2] == (at + 21, "tolfunhist")
 
 
-def test_stop_reason_stagnation_with_a_short_window():
-    params = replace(CmaParams.defaults(2), tol_stagnation=3)
-    st = init_cma(2, np.zeros(2), params=params, seed=0)
+def test_stop_reason_stagnation_with_a_short_window(monkeypatch):
+    monkeypatch.setattr(cma, "TOL_STAGNATION", 3)
+    st = init_cma(2, np.zeros(2), seed=0)
     anchor = st.mean.copy()
     for gen in range(6):
         tell(st, np.tile(anchor, (6, 1)), 5.0 + np.arange(6) % 3)
@@ -652,21 +710,21 @@ def test_stop_reason_stagnation_with_a_short_window():
 
 
 @pytest.mark.parametrize("at", [0, 2])
-def test_a_nan_median_lets_tolstagnation_fire_as_an_all_inf_generation_does(at):
+def test_a_nan_median_lets_tolstagnation_fire_as_an_all_inf_generation_does(monkeypatch, at):
     # one generation's middle values are -inf and +inf, so its median is
     # NaN as ``np.median`` gives it; ranked as +inf it no longer blocks the
     # stagnation test, which fires when an all-+inf generation lets it
-    params = replace(CmaParams.defaults(2), tol_stagnation=3)
+    monkeypatch.setattr(cma, "TOL_STAGNATION", 3)
     odd = np.array([-np.inf] * 3 + [np.inf] * 3)
     ends = []
     for fs in (odd, np.full(6, np.inf)):
-        st = init_cma(2, np.zeros(2), params=params, seed=0)
+        st = init_cma(2, np.zeros(2), seed=0)
         anchor = st.mean.copy()
         tells = 0
         while st.stop_reason is None:
             tell(st, np.tile(anchor, (6, 1)), fs if tells == at else 5.0 + np.arange(6) % 3)
             tells += 1
-        ends.append((tells, st.stop_reason, st.first_median, st.best_median))
+        ends.append((tells, st.stop_reason, list(st.stagn_median)))
     assert ends[0] == ends[1]
     assert ends[0][:2] == (6, "tolstagnation")
 

@@ -1,8 +1,12 @@
-"""The package imports nothing that ``pyproject.toml`` does not declare.
+"""The package imports nothing that ``pyproject.toml`` does not declare,
+and nothing that it does not use.
 
 Every absolute import in ``src/divbatch/*.py`` must name a standard
 library module or a distribution listed in ``[project].dependencies``, so
-an install from the project metadata alone can import the package.
+an install from the project metadata alone can import the package.  Every
+name a module imports must be used in it, be listed in its ``__all__``,
+or sit on an import marked ``# noqa: F401`` (a name kept as a module
+attribute for others to patch or wrap).
 """
 
 from __future__ import annotations
@@ -46,3 +50,45 @@ def test_the_sources_are_found():
 def test_every_import_is_stdlib_or_declared(source):
     allowed = set(sys.stdlib_module_names) | declared_dependencies()
     assert sorted(imported_packages(source) - allowed) == []
+
+
+def unused_imports(source: Path) -> list[str]:
+    """Names ``source`` imports but neither reads, exports nor marks ``# noqa: F401``."""
+    text = source.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(source))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            marked = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and not marked:
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                used.update(elt.value for elt in node.value.elts)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used_exported_or_marked(source):
+    assert unused_imports(source) == []
+
+
+def test_the_unused_import_guard_flags_a_dead_import(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import math\n"
+        "import json  # noqa: F401\n"
+        "from os import path, sep\n"
+        "from re import compile as rx\n"
+        "__all__ = ['sep']\n"
+        "print(rx)\n"
+    )
+    assert unused_imports(source) == ["math (line 1)", "path (line 3)"]

@@ -372,6 +372,19 @@ def test_selectors_reject_empty_portfolios(tmp_path):
             select(empty, 3, 1.0)
 
 
+def test_the_leader_of_an_empty_portfolio_raises_the_selectors_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("eval_index,instance_id,x0,x1,f\n")
+    empty = read_trajectory(path)
+    with pytest.raises(EmptyPortfolio, match="portfolio has no points"):
+        empty.best()
+    batch = clearing_select(ABCD, 2, 1.0)
+    with pytest.raises(EmptyPortfolio, match="portfolio has no points"):
+        verify_batch(batch, 1.0, empty)
+    # still a ValueError, as ``best()`` raised before
+    assert issubclass(EmptyPortfolio, ValueError)
+
+
 @pytest.mark.parametrize("select", [clearing_select, greedy_select, exact_select])
 @pytest.mark.parametrize("k", [0, -1])
 def test_selectors_reject_fewer_than_one_member(select, k):
