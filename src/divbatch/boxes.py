@@ -28,7 +28,7 @@ def distances(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...j,...j->...", diff, diff))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box ``[lower_i, upper_i]`` per coordinate."""
 

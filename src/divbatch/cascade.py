@@ -99,7 +99,7 @@ class DsConfig:
             raise ValueError("d_min must not be NaN")
 
 
-@dataclass
+@dataclass(eq=False)
 class CascadeInstance:
     """One CMA-ES instance and its bookkeeping.
 
@@ -116,7 +116,7 @@ class CascadeInstance:
     stop_cause: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class CascadeLog:
     """Every instance step of a run, as columns, for replay and plots.
 

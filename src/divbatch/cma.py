@@ -96,7 +96,7 @@ class InsufficientPopulation(ValueError):
     """tell called with fewer than mu candidates."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmaParams:
     """Strategy parameters, frozen at initialization; every one derives from D.
 
@@ -148,7 +148,7 @@ class CmaParams:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class CmaState:
     """Mutable sampling distribution plus stop bookkeeping."""
 

@@ -6,7 +6,9 @@ whose generation raised is recorded with ``error`` set, never fatal; an
 incomplete batch is not an error and only has ``complete`` false.  Each
 cell writes its files (trajectory, batch, record) when it finishes, in
 the process that ran it.  A record holds no timings, so rerunning a grid
-rewrites every persisted file byte for byte.
+rewrites every persisted file byte for byte.  The process pool, and the
+``multiprocessing`` modules it needs, load only when a grid runs with
+``workers > 1``.
 ``export_plot_data`` writes the seed-mean curves of a list of records; a
 cascade's region log is written by ``CascadeLog.write``.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import product
@@ -118,6 +119,13 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown!r}")
+        # True passes isinstance(int) but is no count of processes
+        if (
+            isinstance(self.workers, bool)
+            or not isinstance(self.workers, (int, np.integer))
+            or self.workers < 1
+        ):
+            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
@@ -226,7 +234,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     ``records/<cell>.json`` per cell, as soon as that cell finishes and in
     the process that ran it.  Cells are independent, so they can run in
     parallel (``workers``) with identical files; the records come back in
-    cell order either way.  Each cell's warnings are re-issued here as its
+    cell order either way.  The process pool is imported only when
+    ``workers > 1``.  Each cell's warnings are re-issued here as its
     record arrives, so a grid that raises still shows the earlier ones.
     """
     if cfg.out_dir is not None:
@@ -236,6 +245,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     # one column per argument; an empty grid leaves only the empty cfg column
     columns = ([cfg] * len(cells), *zip(*cells))
     parallel = cfg.workers > 1
+    if parallel:
+        # imported here: the pool pulls in multiprocessing, socket, logging
+        # and more, about 2 MB that a serial grid or a plain import never uses
+        from concurrent.futures import ProcessPoolExecutor
     records = []
     with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
         for record, caught in (pool.map if parallel else map)(_persist_cell, *columns):

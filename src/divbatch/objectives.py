@@ -166,7 +166,7 @@ def function_registry() -> list[tuple[str, str, str]]:
     return [(fid, spec.group, spec.label) for fid, spec in _REGISTRY.items()]
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectiveFunction:
     """A seeded objective instance over the box [-5, 5]^D.
 

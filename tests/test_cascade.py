@@ -25,8 +25,12 @@ from cascade_checks import (
 from divbatch import (
     Box,
     CENTER_STRATEGIES,
+    CascadeInstance,
+    CascadeLog,
+    CmaParams,
     DsConfig,
     InfeasibleInitialization,
+    init_cma,
     init_diverse_means,
     make_function,
     run_ds,
@@ -412,3 +416,33 @@ def test_region_log_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
     monkeypatch.setattr(trajectory, "_WRITE_BLOCK_VALUES", values)
     log.write(blocks)
     assert blocks.read_bytes() == whole.read_bytes()
+
+
+def _cascade_log():
+    return CascadeLog(
+        generation=np.arange(2),
+        instance=np.arange(2),
+        evaluations=np.full(2, 6),
+        centers=np.zeros((2, 3)),
+        epoch_starts=np.zeros(1, dtype=int),
+        epoch_means=np.zeros((1, 2, 3)),
+    )
+
+
+ARRAY_HOLDERS = {
+    "Box": lambda: Box.cube(3),
+    "CascadeInstance": lambda: CascadeInstance(0, None, best_x=np.zeros(3)),
+    "CascadeLog": _cascade_log,
+    "CmaParams": lambda: CmaParams.defaults(3),
+    "CmaState": lambda: init_cma(3, np.zeros(3)),
+    "ObjectiveFunction": lambda: make_function("sphere", 3, 0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_classes_holding_arrays_compare_by_identity(make):
+    # a field-wise == would ask numpy for the truth of an array and raise
+    a, b = make(), make()
+    assert a == a and a != b
+    if type(a) in (Box, CmaParams):
+        assert len({a, b, a}) == 2

@@ -255,6 +255,10 @@ def test_a_one_instance_ds_cell_runs_with_d_min_beyond_the_box(tmp_path):
         ({"center_strategy": "nope"}, "unknown center strategy 'nope'", ValueError),
         ({"d_min": math.nan}, "d_min must not be NaN", ValueError),
         ({"algorithms": ["ds", "nope"]}, "unknown algorithms \\['nope'\\]", ValueError),
+        ({"workers": 0}, "workers must be an int >= 1, got 0", ValueError),
+        ({"workers": -3}, "workers must be an int >= 1, got -3", ValueError),
+        ({"workers": True}, "workers must be an int >= 1, got True", ValueError),
+        ({"workers": 2.5}, "workers must be an int >= 1, got 2.5", ValueError),
     ],
 )
 def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message, error):
@@ -264,6 +268,8 @@ def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, messag
     # dimension below 2 or an unknown function id would raise out of a
     # cell after earlier cells had written their files.  An unknown center
     # strategy, a NaN d_min or an unknown algorithm fails cell by cell.
+    # A workers of 0, -3 or True ran serially without a word, and 2.5
+    # created the output directories before the pool raised TypeError.
     with pytest.raises(error, match=message):
         small_config(tmp_path, **change)
     assert not (tmp_path / "out").exists()

@@ -6,13 +6,16 @@ library module or a distribution listed in ``[project].dependencies``, so
 an install from the project metadata alone can import the package.  Every
 name a module imports must be used in it, be listed in its ``__all__``,
 or sit on an import marked ``# noqa: F401`` (a name kept as a module
-attribute for others to patch or wrap).
+attribute for others to patch or wrap).  Importing the package, or running
+a command of its CLI, loads no process pool.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,3 +95,20 @@ def test_the_unused_import_guard_flags_a_dead_import(tmp_path):
         "print(rx)\n"
     )
     assert unused_imports(source) == ["math (line 1)", "path (line 3)"]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a fresh interpreter: pytest's own process may hold these modules
+    # already.  The pool is imported only by a grid run with workers > 1.
+    code = (
+        "import sys, divbatch, divbatch.cli\n"
+        "divbatch.cli.main(['functions'])\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
