@@ -26,11 +26,14 @@ returns its trajectory and a ``CascadeLog``, the one record of its steps:
 every instance step's generation, instance, evaluation count and center
 after it, as columns, plus each epoch's first generation and means.
 
-When an instance meets a stopping criterion its center freezes at the best
-point it evaluated and keeps repelling the others.  When every instance
-has stopped with budget left, the cascade restarts from a fresh set of
-mutually distant means; the old instances, and their regions with them,
-are retired.
+An instance is its ``CmaState``, and it has stopped once the state has a
+``stop_reason``: a CMA-ES stopping criterion set by ``tell``, or
+``"stalled"`` when the rejection cap starved it of clear candidates.  A
+stopped instance's center freezes at the best point it evaluated and keeps
+repelling the others.  Every epoch starts when every instance has stopped,
+the first one included: the cascade starts fresh instances from a fresh
+set of mutually distant means, and the old instances, and their regions
+with them, are retired.
 
 All distances are Euclidean, computed by ``boxes.distances`` and compared
 with the closed inequality: a point exactly ``d_min`` from a center or an
@@ -48,12 +51,11 @@ import numpy as np
 
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
-from .cma import CmaParams, ask_clear, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import Trajectory, _write_rows, fitness_keys
+from .cma import CmaParams, CmaState, ask_clear, ask_one, init_cma, tell  # noqa: F401
+from .trajectory import EmptyPortfolio, Trajectory, _is_int, _write_rows, fitness_keys
 
 __all__ = [
     "CENTER_STRATEGIES",
-    "CascadeInstance",
     "CascadeLog",
     "DsConfig",
     "InfeasibleInitialization",
@@ -80,7 +82,10 @@ class DsConfig:
     ``budget`` is the total number of objective evaluations; candidates
     rejected by the cascade do not count against it.  An instance that
     draws 100 * lambda rejected candidates in one generation stalls.
-    A bad k, d_min or center strategy raises ValueError when it is built.
+    A bad request raises when it is built: ValueError for a k, budget or
+    seed that is not an int (a bool is not), a k below 1, a seed below 0,
+    a NaN d_min or an unknown center strategy, and EmptyPortfolio for a
+    budget below 1.
     """
 
     k: int
@@ -92,28 +97,20 @@ class DsConfig:
     def __post_init__(self) -> None:
         if self.center_strategy not in CENTER_STRATEGIES:
             raise ValueError(f"unknown center strategy {self.center_strategy!r}")
+        for name in ("k", "budget", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.budget < 1:
+            # run_ds starts its first epoch inside its loop, so every run
+            # draws its means at least once
+            raise EmptyPortfolio(f"budget must be >= 1, got {self.budget}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if math.isnan(self.d_min):
             # no distance is >= NaN: every instance past the first would be starved
             raise ValueError("d_min must not be NaN")
-
-
-@dataclass(eq=False)
-class CascadeInstance:
-    """One CMA-ES instance and its bookkeeping.
-
-    ``index`` is the instance's place in the cascade and its row in the
-    epoch's centers.  ``best_x`` is the best point it has evaluated and
-    ``best_key`` that point's ``fitness_keys`` value; ``stop_cause`` is set
-    once the instance stops.
-    """
-
-    index: int
-    state: object
-    best_x: np.ndarray | None = None
-    best_key: float = math.inf
-    stop_cause: str | None = None
 
 
 @dataclass(eq=False)
@@ -273,37 +270,31 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
     rejections_total = 0
     evals = 0
     generation = 0
-
-    def spawn_epoch() -> tuple[list[CascadeInstance], np.ndarray]:
-        # row i is instance i's tabu center; instance i avoids rows :i
-        centers = init_diverse_means(k, box, d_min, init_rng)
-        epoch_starts.append(generation)
-        epoch_means.append(centers.copy())
-        fresh = []
-        for i in range(k):
-            state = init_cma(dim, centers[i], params, int(seed_rng.integers(2**63)), box)
-            fresh.append(CascadeInstance(i, state))
-        return fresh, centers
-
-    def freeze(inst: CascadeInstance, cause: str) -> None:
-        inst.stop_cause = cause
-        if inst.best_x is not None:
-            centers[inst.index] = inst.best_x
-
-    instances, centers = spawn_epoch()
+    states: list[CmaState] = []
 
     while evals < budget:
-        if all(inst.stop_cause is not None for inst in instances):
-            # full restart: fresh instances from fresh diverse means
-            instances, centers = spawn_epoch()
-        for i, inst in enumerate(instances):
+        if all(state.stop_reason is not None for state in states):
+            # a new epoch, the first one included: fresh instances from
+            # fresh diverse means; row i of centers is instance i's tabu
+            # center, and instance i avoids rows :i
+            centers = init_diverse_means(k, box, d_min, init_rng)
+            epoch_starts.append(generation)
+            epoch_means.append(centers.copy())
+            states = [
+                init_cma(dim, centers[i], params, int(seed_rng.integers(2**63)), box)
+                for i in range(k)
+            ]
+            # each instance's best evaluated point and its fitness_keys value
+            best_xs: list[np.ndarray | None] = [None] * k
+            best_keys = [math.inf] * k
+        for i, state in enumerate(states):
             if evals >= budget:
                 break
             start = evals
-            if inst.stop_cause is None:
+            if state.stop_reason is None:
                 # earlier centers hold still while this instance samples
                 xs, rejections = ask_clear(
-                    inst.state, box, min(lam, budget - evals), centers[:i], d_min, 100 * lam
+                    state, box, min(lam, budget - evals), centers[:i], d_min, 100 * lam
                 )
                 rejections_total += rejections
                 if len(xs):
@@ -313,28 +304,26 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
                     # the step's best, the earliest row among ties
                     keys = fitness_keys(fs)
                     b = int(np.argmin(keys))
-                    if inst.best_x is None or keys[b] < inst.best_key:
-                        inst.best_x, inst.best_key = xs[b], keys[b]
+                    if best_xs[i] is None or keys[b] < best_keys[i]:
+                        best_xs[i], best_keys[i] = xs[b], keys[b]
                 evals += len(xs)
-                # the budget ran out before lambda clear candidates were found
-                out_of_budget = len(xs) < lam and evals >= budget
                 if len(xs) >= mu:
-                    tell(inst.state, xs, fs)
-                    if inst.state.stop_reason is not None:
-                        freeze(inst, inst.state.stop_reason)
-                    else:
-                        centers[i] = (
-                            xs[b]
-                            if config.center_strategy == CENTER_POPULATION_BEST
-                            else inst.best_x
-                            if config.center_strategy == CENTER_BEST_SO_FAR
-                            else inst.state.mean
-                        )
-                elif not out_of_budget:
+                    tell(state, xs, fs)
+                    centers[i] = (
+                        xs[b]
+                        if config.center_strategy == CENTER_POPULATION_BEST
+                        else best_xs[i]
+                        if config.center_strategy == CENTER_BEST_SO_FAR
+                        else state.mean
+                    )
+                elif evals < budget:
                     # the rejection cap starved this instance: stop it for good
-                    freeze(inst, STALLED)
+                    state.stop_reason = STALLED
                 # with the budget gone and fewer than mu points, the partial
                 # population is discarded and the run simply ends
+                if state.stop_reason is not None and best_xs[i] is not None:
+                    # stopped by tell or stalled: the center freezes at its best
+                    centers[i] = best_xs[i]
             steps.append((generation, i, evals - start))
             step_centers.append(centers[i].copy())
         generation += 1

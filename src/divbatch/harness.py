@@ -28,10 +28,10 @@ from .cascade import DsConfig, run_ds
 from .baselines import run_cma_indep, run_cma_single, run_random
 from .objectives import InvalidDimension, ObjectiveFunction, UnknownFunction
 from .objectives import function_ids, make_function
-from .selection import Batch, EmptyPortfolio, write_batch
+from .selection import Batch, write_batch
 from .selection import clearing_select, exact_select, greedy_select
 # write_trajectory stays a module attribute: perfbench wraps it by name
-from .trajectory import Trajectory, write_trajectory
+from .trajectory import Trajectory, _is_int, write_trajectory
 
 __all__ = [
     "ALGORITHMS",
@@ -87,6 +87,8 @@ class ExperimentConfig:
     """Grid definition: the cross product functions x algorithms x seeds.
 
     Frozen, so no field can change after ``__post_init__`` has checked it.
+    A cell is listed once: a repeated function id, algorithm or seed,
+    whose files would overwrite each other, raises ValueError.
     """
 
     functions: list[str]
@@ -103,14 +105,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # refused before a cell runs, so a bad grid never half-runs and
-        # leaves no files; DsConfig refuses a bad k, d_min or center rule
-        DsConfig(self.k, self.d_min, self.budget, self.center_strategy)
+        # leaves no files; DsConfig refuses a bad k, d_min, budget, seed or
+        # center rule, and seed 0 checks the others when no seed is listed
+        for seed in (0, *self.seeds):
+            DsConfig(self.k, self.d_min, self.budget, self.center_strategy, seed)
         if self.method not in SELECTORS:
             raise ValueError(
                 f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
             )
-        if self.budget < 1:
-            raise EmptyPortfolio(f"budget must be >= 1, got {self.budget}")
+        if not _is_int(self.dimension):
+            raise InvalidDimension(f"dimension must be an int, got {self.dimension!r}")
         if self.dimension < 2:
             raise InvalidDimension(f"dimension must be >= 2, got {self.dimension}")
         unknown = [fid for fid in self.functions if fid not in function_ids()]
@@ -119,12 +123,12 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown!r}")
-        # True passes isinstance(int) but is no count of processes
-        if (
-            isinstance(self.workers, bool)
-            or not isinstance(self.workers, (int, np.integer))
-            or self.workers < 1
-        ):
+        for name in ("functions", "algorithms", "seeds"):
+            values = list(getattr(self, name))
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} lists {repeats[0]!r} more than once")
+        if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
 
@@ -167,13 +171,14 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
     """Returns (record, trajectory, batch); trajectory/batch are None on error."""
     # objective instances stay fixed while run seeds vary
     fn = make_function(function_id, cfg.dimension, 0)
+    # Python ints, which the record file can hold where numpy ones cannot
     base = dict(
         function_id=function_id,
         algorithm=algorithm,
-        seed=seed,
-        dimension=cfg.dimension,
-        budget=cfg.budget,
-        k=cfg.k,
+        seed=int(seed),
+        dimension=int(cfg.dimension),
+        budget=int(cfg.budget),
+        k=int(cfg.k),
         d_min=cfg.d_min,
         method=cfg.method,
     )

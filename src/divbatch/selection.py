@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import distances
-from .trajectory import EmptyPortfolio, EvaluatedPoint, Trajectory, fitness_keys
+from .trajectory import EmptyPortfolio, EvaluatedPoint, Trajectory, _is_int, fitness_keys
 
 __all__ = [
     "Batch",
@@ -123,9 +123,12 @@ def _sweep(
     Every row before a new pick is already cleared, so only the rows from
     the pick on are tested against it; the kernel gives a row the same
     bits in any slice, so the picks are those of a full-length test.
-    Every selector sweeps, so this is where a k below 1, which no batch
-    with a leader can meet, raises ValueError.
+    Every selector sweeps, so this is where a k that is not an int (a
+    bool is not), or is below 1, which no batch with a leader can meet,
+    raises ValueError.
     """
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     alive = np.ones(len(xs), dtype=bool)
@@ -149,7 +152,8 @@ def _batch(
     # one fancy index per ranked column: xs, fs, eval_index and instance_id
     return Batch(
         *(column[members] for column in ranked),
-        k_requested=k,
+        # a Python int, which the batch file can hold where a numpy one cannot
+        k_requested=int(k),
         d_min=d_min,
         method=method,
         proved_optimal=proved,

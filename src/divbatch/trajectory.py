@@ -53,6 +53,11 @@ class EmptyPortfolio(ValueError):
     """A leader or a selection requested from a trajectory with no points."""
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy int; a bool is no count, seed or size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # one row as a record: it stays only for the ``points`` views perfbench's output checks read
 @dataclass(eq=False)
 class EvaluatedPoint:

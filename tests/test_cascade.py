@@ -23,13 +23,15 @@ from cascade_checks import (
     row_generations,
 )
 from divbatch import (
+    AlreadyStopped,
     Box,
     CENTER_STRATEGIES,
-    CascadeInstance,
     CascadeLog,
     CmaParams,
     DsConfig,
+    EmptyPortfolio,
     InfeasibleInitialization,
+    ask_clear,
     init_cma,
     init_diverse_means,
     make_function,
@@ -192,6 +194,36 @@ def test_run_ds_rejects_fewer_than_one_instance(k):
         DsConfig(k=k, d_min=1.0, budget=10)
 
 
+@pytest.mark.parametrize(
+    "change, message, error",
+    [
+        # run_ds starts its first epoch inside its loop, so a budget of 0
+        # would draw no means, where every other run draws them
+        ({"budget": 0}, "budget must be >= 1, got 0", EmptyPortfolio),
+        ({"budget": -3}, "budget must be >= 1, got -3", EmptyPortfolio),
+        ({"k": 2.5}, "k must be an int, got 2.5", ValueError),
+        ({"k": True}, "k must be an int, got True", ValueError),
+        ({"budget": 30.5}, "budget must be an int, got 30.5", ValueError),
+        ({"budget": True}, "budget must be an int, got True", ValueError),
+        ({"budget": np.float64(30.0)}, "budget must be an int, got np.float64", ValueError),
+        ({"seed": 1.5}, "seed must be an int, got 1.5", ValueError),
+        ({"seed": False}, "seed must be an int, got False", ValueError),
+        ({"seed": -1}, "seed must be >= 0, got -1", ValueError),
+    ],
+)
+def test_ds_config_refuses_a_bad_run_integer(change, message, error):
+    with pytest.raises(error, match=message) as raised:
+        DsConfig(**{"k": 2, "d_min": 1.0, "budget": 30, **change})
+    assert type(raised.value) is error
+
+
+def test_ds_config_takes_numpy_integers():
+    numpy = DsConfig(k=np.int64(2), d_min=1.0, budget=np.int32(60), seed=np.uint8(3))
+    python = DsConfig(k=2, d_min=1.0, budget=60, seed=3)
+    fn = make_function("sphere", 2, 0)
+    assert run_ds(numpy, fn)[0] == run_ds(python, make_function("sphere", 2, 0))[0]
+
+
 def test_run_ds_rejects_a_nan_d_min_before_drawing():
     # no distance is >= NaN, so every later instance would stall after
     # 100 * lambda draws a generation; the means would take 100,000 draws
@@ -323,6 +355,22 @@ def test_stalled_instance_freezes_at_its_best_point():
     assert np.array_equal(last_center, traj.xs[best1])
 
 
+def test_a_stalled_instance_is_a_stopped_state(monkeypatch):
+    # the run of the test above: instance 1 of the first epoch is starved
+    states = []
+
+    def recording_init_cma(*args):
+        states.append(init_cma(*args))
+        return states[-1]
+
+    monkeypatch.setattr(divbatch.cascade, "init_cma", recording_init_cma)
+    fn = make_function("sphere", 2, 0)
+    run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=0), fn)
+    assert states[1].stop_reason == "stalled"
+    with pytest.raises(AlreadyStopped, match="stalled"):
+        ask_clear(states[1], fn.box, 6, np.empty((0, 2)), 9.0, 600)
+
+
 def test_stall_with_zero_evaluations_keeps_the_initial_center():
     fn = make_function("sphere", 2, 0)
     traj, log = run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=4), fn)
@@ -431,7 +479,6 @@ def _cascade_log():
 
 ARRAY_HOLDERS = {
     "Box": lambda: Box.cube(3),
-    "CascadeInstance": lambda: CascadeInstance(0, None, best_x=np.zeros(3)),
     "CascadeLog": _cascade_log,
     "CmaParams": lambda: CmaParams.defaults(3),
     "CmaState": lambda: init_cma(3, np.zeros(3)),

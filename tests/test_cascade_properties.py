@@ -96,14 +96,17 @@ def recorded(monkeypatch, module, name):
     return made
 
 
-def assert_equals_the_reference(config, fn, traj, log, instances):
-    """``run_ds``'s trajectory, region log and stop causes are the reference loop's."""
+def assert_equals_the_reference(config, fn, traj, log, states):
+    """``run_ds``'s trajectory, region log and stop causes are the reference loop's.
+
+    ``states`` lists every instance's ``CmaState`` in creation order.
+    """
     ref_traj, ref_log, ref_instances = reference_run_ds(config, fn)
     assert column_bits(traj) == column_bits(ref_traj)
     assert np.array_equal(row_epochs(log), ref_log.point_epoch)
     assert np.array_equal(row_generations(log), ref_log.point_generation)
     assert log.total_rejections == ref_log.total_rejections
-    assert [i.stop_cause for i in instances] == [i.stop_cause for i in ref_instances]
+    assert [s.stop_reason for s in states] == [i.stop_cause for i in ref_instances]
     columns = ("generation", "instance", "evaluations", "centers", "epoch_starts", "epoch_means")
     for column in columns:
         ours, theirs = getattr(log, column), getattr(ref_log, column)
@@ -191,11 +194,11 @@ def edge_runs(draw):
 def test_block_step_equals_the_one_candidate_loop(run):
     function_id, dim, config = run
     with pytest.MonkeyPatch.context() as monkeypatch:
-        instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
+        ds_states = recorded(monkeypatch, divbatch.cascade, "init_cma")
         traj, log = run_ds(config, objective(function_id, dim))
         states = recorded(monkeypatch, divbatch.baselines, "init_cma")
         cma = run_cma_single(objective(function_id, dim), config.budget, config.seed)
-    assert_equals_the_reference(config, objective(function_id, dim), traj, log, instances)
+    assert_equals_the_reference(config, objective(function_id, dim), traj, log, ds_states)
     ref_points, ref_causes = reference_run_cma_single(
         objective(function_id, dim), config.budget, config.seed
     )
@@ -208,9 +211,9 @@ def test_block_step_equals_the_one_candidate_loop(run):
 def test_tied_populations_equal_the_one_candidate_loop(strategy, dim, k, d_min, seed):
     config = DsConfig(k=k, d_min=d_min, budget=300, center_strategy=strategy, seed=seed)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        instances = recorded(monkeypatch, divbatch.cascade, "CascadeInstance")
+        states = recorded(monkeypatch, divbatch.cascade, "init_cma")
         traj, log = run_ds(config, TiedFunction(dim))
-    assert_equals_the_reference(config, TiedFunction(dim), traj, log, instances)
+    assert_equals_the_reference(config, TiedFunction(dim), traj, log, states)
 
 
 # SHA-256 of the trajectory CSVs these seeded runs gave when every

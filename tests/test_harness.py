@@ -259,6 +259,18 @@ def test_a_one_instance_ds_cell_runs_with_d_min_beyond_the_box(tmp_path):
         ({"workers": -3}, "workers must be an int >= 1, got -3", ValueError),
         ({"workers": True}, "workers must be an int >= 1, got True", ValueError),
         ({"workers": 2.5}, "workers must be an int >= 1, got 2.5", ValueError),
+        ({"seeds": [-1]}, "seed must be >= 0, got -1", ValueError),
+        ({"seeds": [0, 1.5]}, "seed must be an int, got 1.5", ValueError),
+        ({"seeds": [True]}, "seed must be an int, got True", ValueError),
+        ({"budget": 30.5}, "budget must be an int, got 30.5", ValueError),
+        ({"budget": True}, "budget must be an int, got True", ValueError),
+        ({"k": 2.5}, "k must be an int, got 2.5", ValueError),
+        ({"dimension": 2.5}, "dimension must be an int, got 2.5", InvalidDimension),
+        ({"seeds": [], "budget": 30.5}, "budget must be an int, got 30.5", ValueError),
+        ({"functions": ["sphere", "sphere"]}, "functions lists 'sphere' more than once", ValueError),
+        ({"algorithms": ["ds", "random", "ds"]}, "algorithms lists 'ds' more than once", ValueError),
+        ({"seeds": [0, 1, 0]}, "seeds lists 0 more than once", ValueError),
+        ({"seeds": [np.int64(2), 2]}, "seeds lists 2 more than once", ValueError),
     ],
 )
 def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message, error):
@@ -270,9 +282,31 @@ def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, messag
     # strategy, a NaN d_min or an unknown algorithm fails cell by cell.
     # A workers of 0, -3 or True ran serially without a word, and 2.5
     # created the output directories before the pool raised TypeError.
+    # A seed of -1 or 1.5, a budget of 30.5 or a k of 2.5 ran every cell
+    # (for k, every ds cell) as an error record with its file; a seed of
+    # True wrote sphere__ds__sTrue files, a budget of True ran with a
+    # budget of 1, and a dimension of 2.5 made the output directories
+    # before make_function raised TypeError.  With no seeds listed the
+    # other run integers are still checked.  A repeated function id,
+    # algorithm or seed ran its cells twice, the second run overwriting
+    # the first one's files.
     with pytest.raises(error, match=message):
         small_config(tmp_path, **change)
     assert not (tmp_path / "out").exists()
+
+
+def test_numpy_run_integers_run_the_grid_of_python_ones(tmp_path):
+    # a numpy int used to reach the record file, which json refused after
+    # the cell's trajectory was written
+    numpy = dict(seeds=[np.int64(0)], dimension=np.int64(2), budget=np.int32(40), k=np.int64(2))
+    python = dict(seeds=[0], dimension=2, budget=40, k=2)
+    for name, change in (("numpy", numpy), ("python", python)):
+        run_experiment(small_config(tmp_path / name, **change))
+    for sub in ("trajectories", "batches", "records"):
+        ours = sorted((tmp_path / "numpy" / "out" / sub).iterdir())
+        theirs = sorted((tmp_path / "python" / "out" / sub).iterdir())
+        assert [p.name for p in ours] == [p.name for p in theirs] and len(ours) == 4, sub
+        assert [p.read_bytes() for p in ours] == [p.read_bytes() for p in theirs], sub
 
 
 def test_a_built_grid_config_cannot_be_changed():

@@ -393,6 +393,19 @@ def test_selectors_reject_fewer_than_one_member(select, k):
         select(ABCD, k, 1.0)
 
 
+@pytest.mark.parametrize("select", [clearing_select, greedy_select, exact_select])
+@pytest.mark.parametrize("k, shown", [(2.5, "2.5"), (True, "True"), (np.float64(2.0), "np.float64")])
+def test_selectors_reject_a_k_that_is_not_an_int(select, k, shown):
+    # 2.5 used to give 3 members with k_requested=2.5, and True acted as 1
+    with pytest.raises(ValueError, match=f"k must be an int, got {shown}"):
+        select(ABCD, k, 1.0)
+
+
+@pytest.mark.parametrize("select", [clearing_select, greedy_select, exact_select])
+def test_selectors_take_a_numpy_int_k(select):
+    assert batch_to_dict(select(ABCD, np.int64(2), 1.0)) == batch_to_dict(select(ABCD, 2, 1.0))
+
+
 def test_verify_batch_boundary_cases():
     ok = clearing_select(line([0.0, 1.0], [0.0, 1.0]), 2, 1.0)
     assert verify_batch(ok, 1.0)
