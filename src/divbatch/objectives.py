@@ -5,6 +5,14 @@ shifted so the global optimum sits at a seeded ``x_opt`` with value
 ``f_opt``: ``f(x) = f_opt + g(x - x_opt)``.  The search box is
 ``[-5, 5]^D`` and optima are drawn strictly inside it, in ``[-4, 4]^D``,
 with ``f_opt`` uniform in ``[-100, 100]``.
+
+``evaluate_many`` works through blocks of rows whose largest core
+temporary holds at most ``_EVAL_BLOCK_VALUES`` floats: D per row, and 21
+peaks × D for the Gaussian-peaks core.  An evaluation's memory so grows
+with its rows, not with rows × peaks × D, and a call of at most one
+block's rows, such as a CMA-ES generation, is one core call.  Every
+value is local to its row, so a block gives each row the bits of a
+one-row call.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .boxes import Box
+from .trajectory import _is_int
 
 __all__ = [
     "DimensionMismatch",
@@ -36,6 +45,8 @@ GROUP_MULTI_WEAK = "multimodal-weak-structure"
 X_OPT_RANGE = 4.0
 F_OPT_RANGE = 100.0
 N_GAUSS_PEAKS = 21
+# the most floats in one evaluation block's largest core temporary
+_EVAL_BLOCK_VALUES = 1 << 15
 
 
 class UnknownFunction(KeyError):
@@ -124,11 +135,14 @@ def _make_gauss_peaks(dimension: int, rng: np.random.Generator) -> Callable[[np.
     centers[0] = 0.0
     sigmas = rng.uniform(0.5, 2.0, size=N_GAUSS_PEAKS)
     h_max = heights[0]
+    two_var = 2.0 * sigmas * sigmas
 
-    def core(z: np.ndarray, _c=centers, _h=heights, _s=sigmas) -> np.ndarray:
-        sq = np.sum((z[:, None, :] - _c[None, :, :]) ** 2, axis=2)
-        peaks = _h * np.exp(-sq / (2.0 * _s * _s))
-        return h_max - np.max(peaks, axis=1)
+    def core(z: np.ndarray) -> np.ndarray:
+        # the (rows, peaks, D) differences are the largest temporary; they
+        # are squared in place
+        diff = z[:, None, :] - centers
+        sq = np.add.reduce(np.square(diff, out=diff), axis=2)
+        return h_max - (heights * np.exp(-sq / two_var)).max(axis=1)
 
     return core
 
@@ -140,6 +154,8 @@ class _FunctionSpec:
     core: Callable[[np.ndarray], np.ndarray] | None
     # cores needing seeded parameters are built per instance
     factory: Callable[[int, np.random.Generator], Callable[[np.ndarray], np.ndarray]] | None = None
+    # floats per row of the core's largest temporary, in units of D
+    width: int = 1
 
 
 _REGISTRY: dict[str, _FunctionSpec] = {
@@ -152,7 +168,9 @@ _REGISTRY: dict[str, _FunctionSpec] = {
     "diff_powers": _FunctionSpec("Sum of different powers", GROUP_HIGH_COND, _diff_powers),
     "schaffers_f7": _FunctionSpec("Schaffers F7", GROUP_MULTI_STRONG, _schaffers_f7),
     "griewank": _FunctionSpec("Griewank", GROUP_MULTI_STRONG, _griewank),
-    "gauss_peaks": _FunctionSpec("Gaussian peaks", GROUP_MULTI_WEAK, None, _make_gauss_peaks),
+    "gauss_peaks": _FunctionSpec(
+        "Gaussian peaks", GROUP_MULTI_WEAK, None, _make_gauss_peaks, N_GAUSS_PEAKS
+    ),
 }
 
 
@@ -193,6 +211,8 @@ class ObjectiveFunction:
     group: str
     box: Box
     _core: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # rows per core call of ``evaluate_many``
+    _block_rows: int = field(repr=False)
     eval_count: int = 0
 
     @property
@@ -214,14 +234,26 @@ class ObjectiveFunction:
         return float(self.f_opt + self._core((x - self.x_opt)[None, :])[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
-        """Objective values for an (n, D) array; counts n evaluations."""
+        """Objective values for an (n, D) array; counts n evaluations.
+
+        The core runs on blocks of ``_block_rows`` rows, so the memory a
+        call takes beyond its output is one block's.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"expected (n, {self.dimension}) array, got shape {xs.shape}"
             )
-        self.eval_count += xs.shape[0]
-        return self.f_opt + self._core(xs - self.x_opt)
+        n = xs.shape[0]
+        self.eval_count += n
+        if n <= self._block_rows:
+            # no loop and no output copy for a CMA-ES generation's few rows
+            return self.f_opt + self._core(xs - self.x_opt)
+        out = np.empty(n)
+        for a in range(0, n, self._block_rows):
+            b = a + self._block_rows
+            out[a:b] = self.f_opt + self._core(xs[a:b] - self.x_opt)
+        return out
 
     def loss(self, value: float) -> float:
         """Distance of an objective value from the optimal value."""
@@ -232,12 +264,19 @@ def make_function(function_id: str, dimension: int, seed: int) -> ObjectiveFunct
     """Instantiate a registered objective with seeded optimum placement.
 
     The same (function_id, dimension, seed) triple always yields an
-    identical instance.
+    identical instance.  ``dimension`` must be an int >= 2 (else
+    ``InvalidDimension``) and ``seed`` an int >= 0 (else ``ValueError``);
+    a bool is neither, and the instance stores ``dimension`` as a Python int.
     """
     if function_id not in _REGISTRY:
         raise UnknownFunction(f"unknown function id {function_id!r}")
+    if not _is_int(dimension):
+        raise InvalidDimension(f"dimension must be an int, got {dimension!r}")
     if dimension < 2:
         raise InvalidDimension(f"dimension must be >= 2, got {dimension}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    dimension = int(dimension)
     spec = _REGISTRY[function_id]
     # mix the id into the stream so functions sharing a seed decorrelate
     rng = np.random.default_rng([seed, dimension, zlib.crc32(function_id.encode())])
@@ -252,4 +291,5 @@ def make_function(function_id: str, dimension: int, seed: int) -> ObjectiveFunct
         group=spec.group,
         box=Box.cube(dimension),
         _core=core,
+        _block_rows=max(1, _EVAL_BLOCK_VALUES // (spec.width * dimension)),
     )

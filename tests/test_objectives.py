@@ -6,6 +6,8 @@ Hand-computed core values are frozen as literals; the optimum identity
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,67 @@ def test_evaluate_many_rows_have_the_bits_of_evaluate(dim):
         for n in (1, 15):
             assert np.array_equal(fn.evaluate_many(xs[:n]), fs[:n])
         assert fs.tolist() == [fn.evaluate(x) for x in xs]
+
+
+@pytest.mark.parametrize("dim", [10, 40])
+def test_evaluate_many_keeps_the_bits_across_blocks(dim):
+    # evaluate_many calls the core on blocks of rows: more than three of
+    # them, ending on a ragged one, with a NaN row in the second, give every
+    # row the value a one-point evaluation gives
+    for fid in function_ids():
+        fn = make_function(fid, dim, 2)
+        block = fn._block_rows
+        n = 3 * block + block // 2 + 1
+        xs = np.random.default_rng(dim).uniform(-5, 5, size=(n, dim))
+        xs[block + 3, dim // 2] = np.nan
+        fs = fn.evaluate_many(xs)
+        assert fs.shape == (n,)
+        assert np.isnan(fs[block + 3])
+        assert fs.tobytes() == np.array([fn.evaluate(x) for x in xs]).tobytes()
+        assert fn.evaluate_many(np.empty((0, dim))).shape == (0,)
+
+
+def test_evaluation_memory_is_one_block_not_the_rows():
+    # the traced peak of a 20,000-row evaluation (6.4 MB of input) is its
+    # output and one block's temporaries, whatever the row count: not an
+    # offset copy of the input, nor a (rows, peaks, D) array
+    n, dim = 20_000, 40
+    xs = np.random.default_rng(0).uniform(-5, 5, size=(n, dim))
+    mb = 2**20
+    for fid in function_ids():
+        fn = make_function(fid, dim, 0)
+        tracemalloc.start()
+        try:
+            fs = fn.evaluate_many(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fs.nbytes + 2 * mb, fid
+
+
+@pytest.mark.parametrize(
+    ("dimension", "seed", "error", "match"),
+    [
+        (2.5, 0, InvalidDimension, "dimension"),
+        ("10", 0, InvalidDimension, "dimension"),
+        (True, 0, InvalidDimension, "dimension"),
+        (10, -1, ValueError, "seed"),
+        (10, 1.5, ValueError, "seed"),
+        (10, True, ValueError, "seed"),
+        (10, "0", ValueError, "seed"),
+    ],
+)
+def test_make_function_names_a_bad_dimension_or_seed(dimension, seed, error, match):
+    with pytest.raises(error, match=match):
+        make_function("sphere", dimension, seed)
+
+
+def test_numpy_ints_build_the_same_instance_with_an_int_dimension():
+    fn = make_function("gauss_peaks", np.int64(10), np.int64(3))
+    assert type(fn.dimension) is int
+    same = make_function("gauss_peaks", 10, 3)
+    assert np.array_equal(fn.x_opt, same.x_opt)
+    assert fn.f_opt == same.f_opt
 
 
 def test_same_triple_reproduces_the_instance():
