@@ -43,6 +43,7 @@ earlier mean is admitted.  Custom metrics are not supported.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,8 +85,8 @@ class DsConfig:
     draws 100 * lambda rejected candidates in one generation stalls.
     A bad request raises when it is built: ValueError for a k, budget or
     seed that is not an int (a bool is not), a k below 1, a seed below 0,
-    a NaN d_min or an unknown center strategy, and EmptyPortfolio for a
-    budget below 1.
+    a d_min that is not a real number (a bool is not) or is NaN, or an
+    unknown center strategy, and EmptyPortfolio for a budget below 1.
     """
 
     k: int
@@ -108,6 +109,8 @@ class DsConfig:
             raise EmptyPortfolio(f"budget must be >= 1, got {self.budget}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if isinstance(self.d_min, bool) or not isinstance(self.d_min, numbers.Real):
+            raise ValueError(f"d_min must be a real number, got {self.d_min!r}")
         if math.isnan(self.d_min):
             # no distance is >= NaN: every instance past the first would be starved
             raise ValueError("d_min must not be NaN")
@@ -280,10 +283,7 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
             centers = init_diverse_means(k, box, d_min, init_rng)
             epoch_starts.append(generation)
             epoch_means.append(centers.copy())
-            states = [
-                init_cma(dim, centers[i], params, int(seed_rng.integers(2**63)), box)
-                for i in range(k)
-            ]
+            states = [init_cma(c, params, int(seed_rng.integers(2**63)), box) for c in centers]
             # each instance's best evaluated point and its fitness_keys value
             best_xs: list[np.ndarray | None] = [None] * k
             best_keys = [math.inf] * k

@@ -2,8 +2,10 @@
 
 Implements weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates, exposed as
-``init_cma`` / ``ask_clear`` / ``tell`` / ``should_stop``.  ``ask_clear``
-is the one sampler: each round draws a block of candidates, keeps them in
+``init_cma`` / ``ask_clear`` / ``tell`` / ``should_stop``.  Every argument
+of ``init_cma(mean, params, seed, box)`` and of the samplers is required:
+D is ``params.dimension``, and no call guesses a box.  ``ask_clear`` is
+the one sampler: each round draws a block of candidates, keeps them in
 the box by resampling (clipping after 100 tries, as in Hansen's CMA-ES
 tutorial), rejects those closer than ``d_min`` to a set of centers, and
 keeps the draws past its stop in ``z_spare``, where the next call takes
@@ -85,7 +87,7 @@ _MAX_CONDITION = 1e14
 
 
 class InvalidMean(ValueError):
-    """Initial mean lies outside the search box."""
+    """Initial mean is not a point of the state's dimension inside the search box."""
 
 
 class AlreadyStopped(RuntimeError):
@@ -181,18 +183,12 @@ class CmaState:
         return math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
 
-def init_cma(
-    dimension: int,
-    mean: np.ndarray,
-    params: CmaParams | None = None,
-    seed: int = 0,
-    box: Box | None = None,
-) -> CmaState:
-    """Fresh state centered at ``mean`` with step size ``SIGMA0`` and identity covariance."""
-    if params is None:
-        params = CmaParams.defaults(dimension)
-    if box is None:
-        box = Box.cube(dimension)
+def init_cma(mean: np.ndarray, params: CmaParams, seed: int, box: Box) -> CmaState:
+    """Fresh state centered at ``mean`` with step size ``SIGMA0`` and identity covariance.
+
+    D is ``params.dimension``; a mean of another length or outside ``box`` is ``InvalidMean``.
+    """
+    dimension = params.dimension
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (dimension,):
         raise InvalidMean(f"mean must have shape ({dimension},), got {mean.shape}")
@@ -314,18 +310,16 @@ def ask_clear(
     return out[:done], rejected
 
 
-def ask(state: CmaState, box: Box | None = None, n: int = 1) -> np.ndarray:
+def ask(state: CmaState, box: Box, n: int) -> np.ndarray:
     """Draw n candidates, each kept inside the box: ``ask_clear`` with no centers.
 
     Returns an (n, D) array, the candidates of n successive ``ask_one`` calls.
     """
-    if box is None:
-        box = Box.cube(state.params.dimension)
     # with no centers nothing is rejected, so a cap of n never binds
     return ask_clear(state, box, n, np.empty((0, state.params.dimension)), 0.0, n)[0]
 
 
-def ask_one(state: CmaState, box: Box | None = None) -> np.ndarray:
+def ask_one(state: CmaState, box: Box) -> np.ndarray:
     """Draw one candidate: ``ask`` with n = 1."""
     return ask(state, box, 1)[0]
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cascade import DsConfig, run_ds
 from .baselines import run_cma_indep, run_cma_single, run_random
-from .objectives import InvalidDimension, ObjectiveFunction, UnknownFunction
+from .objectives import ObjectiveFunction, UnknownFunction, _check_dimension
 from .objectives import function_ids, make_function
 from .selection import Batch, write_batch
 from .selection import clearing_select, exact_select, greedy_select
@@ -113,10 +113,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
             )
-        if not _is_int(self.dimension):
-            raise InvalidDimension(f"dimension must be an int, got {self.dimension!r}")
-        if self.dimension < 2:
-            raise InvalidDimension(f"dimension must be >= 2, got {self.dimension}")
+        _check_dimension(self.dimension)
         unknown = [fid for fid in self.functions if fid not in function_ids()]
         if unknown:
             raise UnknownFunction(f"unknown function ids {unknown!r}")

@@ -260,6 +260,14 @@ class ObjectiveFunction:
         return abs(value - self.f_opt)
 
 
+def _check_dimension(dimension) -> None:
+    """Raise ``InvalidDimension`` unless ``dimension`` is an int >= 2 (a bool is not)."""
+    if not _is_int(dimension):
+        raise InvalidDimension(f"dimension must be an int, got {dimension!r}")
+    if dimension < 2:
+        raise InvalidDimension(f"dimension must be >= 2, got {dimension}")
+
+
 def make_function(function_id: str, dimension: int, seed: int) -> ObjectiveFunction:
     """Instantiate a registered objective with seeded optimum placement.
 
@@ -270,10 +278,7 @@ def make_function(function_id: str, dimension: int, seed: int) -> ObjectiveFunct
     """
     if function_id not in _REGISTRY:
         raise UnknownFunction(f"unknown function id {function_id!r}")
-    if not _is_int(dimension):
-        raise InvalidDimension(f"dimension must be an int, got {dimension!r}")
-    if dimension < 2:
-        raise InvalidDimension(f"dimension must be >= 2, got {dimension}")
+    _check_dimension(dimension)
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     dimension = int(dimension)

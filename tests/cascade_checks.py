@@ -233,7 +233,7 @@ def reference_run_ds(config, fn):
         fresh = [
             ReferenceInstance(
                 index=i,
-                state=init_cma(dim, means[i], params, int(seed_rng.integers(2**63)), box),
+                state=init_cma(means[i], params, int(seed_rng.integers(2**63)), box),
                 center=means[i].copy(),
             )
             for i in range(k)
@@ -319,7 +319,7 @@ def reference_run_cma_single(fn, budget, seed=0):
     points, causes = [], []
     while len(points) < budget:
         mean = box.sample_uniform(rng)
-        state = init_cma(fn.dimension, mean, params, int(rng.integers(2**63)), box)
+        state = init_cma(mean, params, int(rng.integers(2**63)), box)
         while len(points) < budget and state.stop_reason is None:
             population = []
             while len(population) < params.lambda_ and len(points) < budget:

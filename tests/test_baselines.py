@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -105,3 +106,51 @@ def test_indep_is_deterministic():
 def test_cma_indep_rejects_fewer_than_one_run():
     with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         run_cma_indep(make_function("sphere", 2, 0), 100, 0)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (True, "k must be an int, got True"),
+        (2.5, "k must be an int, got 2.5"),
+        (np.float64(2.0), "k must be an int, got np.float64(2.0)"),
+        (-1, "k must be >= 1, got -1"),
+    ],
+)
+def test_cma_indep_names_a_bad_k(k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_cma_indep(make_function("sphere", 2, 0), 100, k)
+
+
+def test_cma_indep_takes_a_numpy_k():
+    fn_a, fn_b = make_function("sphere", 2, 0), make_function("sphere", 2, 0)
+    assert run_cma_indep(fn_a, 40, np.int64(3), seed=1) == run_cma_indep(fn_b, 40, 3, seed=1)
+
+
+def run_cma_pair(fn, budget):
+    return run_cma_indep(fn, budget, 2)
+
+
+GENERATORS = [run_random, run_cma_single, run_cma_pair]
+
+
+@pytest.mark.parametrize("run", GENERATORS)
+@pytest.mark.parametrize("budget", [-1, 2.5, True, np.float64(10.0), "10"])
+def test_generators_name_a_budget_that_is_not_an_int_of_at_least_zero(run, budget):
+    fn = make_function("sphere", 2, 0)
+    message = f"^budget must be an int >= 0, got {re.escape(repr(budget))}$"
+    with pytest.raises(ValueError, match=message):
+        run(fn, budget)
+    assert fn.eval_count == 0
+
+
+@pytest.mark.parametrize("run", GENERATORS)
+def test_generators_return_an_empty_trajectory_for_budget_zero(run):
+    traj = run(make_function("sphere", 2, 0), 0)
+    assert len(traj) == 0 and traj.xs.shape == (0, 2)
+
+
+def test_cma_indep_with_more_runs_than_budget_spends_it_exactly():
+    # k > budget hands the later runs a share of 0
+    traj = run_cma_indep(make_function("sphere", 2, 0), 2, 5, seed=0)
+    assert traj.instance_id.tolist() == [0, 0]

@@ -8,6 +8,7 @@ invariant replayed from region logs.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
 
@@ -229,6 +230,18 @@ def test_run_ds_rejects_a_nan_d_min_before_drawing():
     # 100 * lambda draws a generation; the means would take 100,000 draws
     with pytest.raises(ValueError, match="d_min must not be NaN"):
         DsConfig(k=3, d_min=float("nan"), budget=100)
+
+
+@pytest.mark.parametrize("d_min", ["10", None, True, np.True_, 1j])
+def test_ds_config_names_a_d_min_that_is_not_a_real_number(d_min):
+    message = f"^d_min must be a real number, got {re.escape(repr(d_min))}$"
+    with pytest.raises(ValueError, match=message):
+        DsConfig(k=2, d_min=d_min, budget=10)
+
+
+def test_ds_config_takes_numpy_and_int_d_min():
+    for d_min in (np.float32(1.5), np.int64(2), 2):
+        assert DsConfig(k=2, d_min=d_min, budget=10).d_min == d_min
 
 
 def test_a_built_ds_config_cannot_be_changed():
@@ -481,7 +494,7 @@ ARRAY_HOLDERS = {
     "Box": lambda: Box.cube(3),
     "CascadeLog": _cascade_log,
     "CmaParams": lambda: CmaParams.defaults(3),
-    "CmaState": lambda: init_cma(3, np.zeros(3)),
+    "CmaState": lambda: init_cma(np.zeros(3), CmaParams.defaults(3), 0, Box.cube(3)),
     "ObjectiveFunction": lambda: make_function("sphere", 3, 0),
 }
 

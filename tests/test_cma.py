@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import struct
 from contextlib import nullcontext
 from dataclasses import replace
@@ -69,7 +70,7 @@ def test_stop_tolerances_are_pinned(dim):
     assert cma.TOL_FUN_HIST == 1e-12
     assert cma.TOL_STAGNATION == 146
     assert CmaParams.defaults(dim).max_iter == 1000 * dim**2
-    st = init_cma(dim, np.zeros(dim))
+    st = init_cma(np.zeros(dim), CmaParams.defaults(dim), 0, Box.cube(dim))
     assert st.sigma == cma.SIGMA0 == 1.0
     assert st.stagn_best.maxlen == st.stagn_median.maxlen == 2 * 146
 
@@ -91,6 +92,20 @@ def test_params_hold_only_derived_fields_and_none_has_a_default():
     ]
     assert all(f.default is dataclasses.MISSING for f in fields)
     assert all(f.default_factory is dataclasses.MISSING for f in fields)
+
+
+@pytest.mark.parametrize(
+    "function, names",
+    [
+        (init_cma, ["mean", "params", "seed", "box"]),
+        (ask, ["state", "box", "n"]),
+        (ask_one, ["state", "box"]),
+    ],
+)
+def test_state_builder_and_samplers_take_every_argument_with_no_default(function, names):
+    parameters = inspect.signature(function).parameters
+    assert list(parameters) == names
+    assert all(p.default is inspect.Parameter.empty for p in parameters.values())
 
 
 def test_weights_d10_frozen():
@@ -129,12 +144,13 @@ def test_learning_rates_frozen():
 
 
 def test_expected_norm_constant_frozen():
-    assert init_cma(10, np.zeros(10)).chi_n == pytest.approx(3.0847265651690123, rel=1e-14)
-    assert init_cma(2, np.zeros(2)).chi_n == pytest.approx(1.254272742818995, rel=1e-14)
+    for dim, chi_n in ((10, 3.0847265651690123), (2, 1.254272742818995)):
+        st = init_cma(np.zeros(dim), CmaParams.defaults(dim), 0, Box.cube(dim))
+        assert st.chi_n == pytest.approx(chi_n, rel=1e-14)
 
 
 def test_initial_state_layout():
-    st = init_cma(4, np.full(4, 0.5), seed=3)
+    st = init_cma(np.full(4, 0.5), CmaParams.defaults(4), 3, Box.cube(4))
     assert st.sigma == 1.0
     assert np.array_equal(st.cov, np.eye(4))
     assert np.array_equal(st.p_sigma, np.zeros(4))
@@ -146,34 +162,44 @@ def test_initial_state_layout():
 
 def test_init_rejects_bad_means():
     with pytest.raises(InvalidMean):
-        init_cma(3, np.array([0.0, 0.0, 6.0]))
+        init_cma(np.array([0.0, 0.0, 6.0]), CmaParams.defaults(3), 0, Box.cube(3))
     with pytest.raises(InvalidMean):
-        init_cma(3, np.zeros(4))
+        init_cma(np.zeros(4), CmaParams.defaults(3), 0, Box.cube(3))
+
+
+def test_init_refuses_a_mean_of_another_dimension_than_params():
+    # the state's D is the params' D: a 3-D mean with 2-D params, which
+    # would fail only at the first ask, is refused when the state is built
+    with pytest.raises(InvalidMean, match=r"^mean must have shape \(2,\), got \(3,\)$"):
+        init_cma(np.zeros(3), CmaParams.defaults(2), 0, Box.cube(2))
 
 
 def test_ask_with_vanishing_sigma_returns_the_mean():
-    st = init_cma(2, np.array([1.0, -2.0]))
+    box = Box.cube(2)
+    st = init_cma(np.array([1.0, -2.0]), CmaParams.defaults(2), 0, box)
     st.sigma = 1e-300
-    x = ask_one(st)
+    x = ask_one(st, box)
     assert np.all(np.abs(x - st.mean) < 1e-200)
 
 
 def test_ask_moments_match_a_standard_normal():
-    st = init_cma(2, np.zeros(2), seed=8)
-    draws = np.asarray([ask_one(st) for _ in range(10_000)])
+    box = Box.cube(2)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 8, box)
+    draws = np.asarray([ask_one(st, box) for _ in range(10_000)])
     assert np.all(np.abs(draws.mean(axis=0)) < 0.04)
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.1)
 
 
 def test_ask_from_corner_mean_stays_in_box():
     box = Box.cube(3)
-    st = init_cma(3, np.full(3, 5.0), box=box, seed=0)
+    st = init_cma(np.full(3, 5.0), CmaParams.defaults(3), 0, box)
     for _ in range(200):
         assert box.contains(ask_one(st, box))
 
 
 def twin_states(dim, mean, box, sigma0=1.0, seed=3):
-    states = [init_cma(dim, np.asarray(mean, float), seed=seed, box=box) for _ in range(2)]
+    params = CmaParams.defaults(dim)
+    states = [init_cma(np.asarray(mean, float), params, seed, box) for _ in range(2)]
     for state in states:
         state.sigma = sigma0
     return states
@@ -383,34 +409,37 @@ def test_a_deep_copy_taken_mid_run_continues_bit_identically(dim, width, where, 
 
 
 def test_ask_after_stop_raises():
-    st = init_cma(2, np.zeros(2), seed=0)
-    xs = np.array([ask_one(st) for _ in range(6)])
+    box = Box.cube(2)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
+    xs = np.array([ask_one(st, box) for _ in range(6)])
     tell(st, xs, np.ones(6))  # zero fitness range trips the function tolerance
     assert st.stop_reason is not None
     with pytest.raises(AlreadyStopped):
-        ask_one(st)
+        ask_one(st, box)
 
 
 def test_ask_does_not_mutate_the_distribution():
-    st = init_cma(3, np.zeros(3), seed=1)
+    box = Box.cube(3)
+    st = init_cma(np.zeros(3), CmaParams.defaults(3), 1, box)
     mean, sigma, cov = st.mean.copy(), st.sigma, st.cov.copy()
     for _ in range(50):
-        ask_one(st)
+        ask_one(st, box)
     assert np.array_equal(st.mean, mean)
     assert st.sigma == sigma
     assert np.array_equal(st.cov, cov)
 
 
 def test_tell_keeps_mean_when_population_sits_on_it():
-    st = init_cma(3, np.array([0.5, -0.25, 1.0]), seed=0)
+    st = init_cma(np.array([0.5, -0.25, 1.0]), CmaParams.defaults(3), 0, Box.cube(3))
     tell(st, np.tile(st.mean, (7, 1)), np.ones(7))
     assert np.allclose(st.mean, [0.5, -0.25, 1.0], rtol=0, atol=1e-12)
     assert st.iteration == 1
 
 
 def test_tell_population_size_limits():
-    st = init_cma(10, np.zeros(10), seed=0)
-    xs = np.array([ask_one(st) for _ in range(11)])
+    box = Box.cube(10)
+    st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
+    xs = np.array([ask_one(st, box) for _ in range(11)])
     with pytest.raises(InsufficientPopulation):
         tell(st, np.tile(xs[0], (4, 1)), np.zeros(4))  # mu is 5
     with pytest.raises(ValueError):
@@ -418,8 +447,9 @@ def test_tell_population_size_limits():
 
 
 def test_tell_rejects_candidates_of_the_wrong_shape():
-    st = init_cma(10, np.zeros(10), seed=0)
-    xs = ask(st, n=7)
+    box = Box.cube(10)
+    st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
+    xs = ask(st, box, 7)
     with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(7, 9\)$"):
         tell(st, xs[:, :9], np.zeros(7))
     with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(70,\)$"):
@@ -428,9 +458,10 @@ def test_tell_rejects_candidates_of_the_wrong_shape():
 
 
 def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monkeypatch):
-    st = init_cma(3, np.zeros(3), seed=0)
+    box = Box.cube(3)
+    st = init_cma(np.zeros(3), CmaParams.defaults(3), 0, box)
     for _ in range(2):
-        xs = ask(st, n=st.params.lambda_)
+        xs = ask(st, box, st.params.lambda_)
         tell(st, xs, (xs**2).sum(axis=1))
     assert st.stop_reason is None
     vectors, scale = st.eig_vectors.copy(), st.eig_scale.copy()
@@ -440,7 +471,7 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    xs = ask(st, n=st.params.lambda_)
+    xs = ask(st, box, st.params.lambda_)
     tell(st, xs, (xs**2).sum(axis=1))
     assert st.stop_reason == "degenerate" and st.degenerate
     assert st.iteration == 3
@@ -449,8 +480,9 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
 
 
 def test_tell_accepts_partial_populations():
-    st = init_cma(10, np.zeros(10), seed=0)
-    xs = np.array([ask_one(st) for _ in range(7)])
+    box = Box.cube(10)
+    st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
+    xs = np.array([ask_one(st, box) for _ in range(7)])
     tell(st, xs, np.arange(7.0))
     assert st.iteration == 1
 
@@ -546,7 +578,7 @@ def test_tell_equals_the_reference_update_bit_for_bit(run):
     dim, params, constants, seed, steps = run
     # hypothesis refuses function-scoped fixtures such as ``monkeypatch``
     with patch.multiple(cma, **constants) if constants else nullcontext():
-        lean, reference = (init_cma(dim, np.zeros(dim), params, seed) for _ in range(2))
+        lean, reference = (init_cma(np.zeros(dim), params, seed, Box.cube(dim)) for _ in range(2))
         rng = np.random.default_rng(seed)
         for n, xs_mode, fs_mode in steps:
             xs, fs = tell_inputs(rng, lean, n, xs_mode, fs_mode)
@@ -560,7 +592,7 @@ def test_tell_equals_the_reference_update_bit_for_bit(run):
 
 
 def test_tell_picks_the_fitness_key_best_parents_among_inf_and_nan_rows():
-    st = init_cma(2, np.zeros(2), seed=0)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, Box.cube(2))
     assert st.params.mu == 3
     xs = np.arange(12.0).reshape(6, 2) / 10.0
     # the ``fitness_keys`` order: rows 2 and 5, then NaN tied with +inf and
@@ -575,7 +607,7 @@ def test_sphere_converges_to_high_precision():
     hits = 0
     for seed in range(5):
         fn = make_function("sphere", 5, 0)
-        st = init_cma(5, np.zeros(5), seed=seed, box=fn.box)
+        st = init_cma(np.zeros(5), CmaParams.defaults(5), seed, fn.box)
         best = np.inf
         for _ in range(2000 // st.params.lambda_):
             xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
@@ -590,7 +622,7 @@ def test_sphere_converges_to_high_precision():
 
 def test_mean_drifts_up_a_linear_slope():
     box = big_box(2)
-    st = init_cma(2, np.zeros(2), seed=1, box=box)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 1, box)
     means = [st.mean[0]]
     for _ in range(20):
         xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
@@ -603,7 +635,7 @@ def test_translation_invariance_on_a_quadratic():
     box = big_box(3)
 
     def run(center, start, seed):
-        st = init_cma(3, start, seed=seed, box=box)
+        st = init_cma(start, CmaParams.defaults(3), seed, box)
         losses = []
         for _ in range(15):
             xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
@@ -625,7 +657,7 @@ def test_identical_seeds_evolve_bitwise_identically():
     fn = make_function("rastrigin_sep", 3, 0)
 
     def trace(seed):
-        st = init_cma(3, np.zeros(3), seed=seed, box=fn.box)
+        st = init_cma(np.zeros(3), CmaParams.defaults(3), seed, fn.box)
         rows = []
         for _ in range(30):
             xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
@@ -643,7 +675,7 @@ def test_identical_seeds_evolve_bitwise_identically():
 
 def test_covariance_stays_symmetric_positive_definite():
     fn = make_function("rosenbrock", 4, 1)
-    st = init_cma(4, np.zeros(4), seed=2, box=fn.box)
+    st = init_cma(np.zeros(4), CmaParams.defaults(4), 2, fn.box)
     for _ in range(50):
         xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
         tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
@@ -654,16 +686,18 @@ def test_covariance_stays_symmetric_positive_definite():
 
 
 def test_stop_reason_tolfun_on_flat_fitness():
-    st = init_cma(2, np.zeros(2), seed=0)
-    xs = np.array([ask_one(st) for _ in range(6)])
+    box = Box.cube(2)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
+    xs = np.array([ask_one(st, box) for _ in range(6)])
     tell(st, xs, np.full(6, 7.0))
     assert st.stop_reason == "tolfun"
 
 
 def test_stop_reason_tolx_with_a_loose_threshold(monkeypatch):
     monkeypatch.setattr(cma, "TOL_X", 1e9)
-    st = init_cma(2, np.zeros(2), seed=0)
-    xs = np.array([ask_one(st) for _ in range(6)])
+    box = Box.cube(2)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
+    xs = np.array([ask_one(st, box) for _ in range(6)])
     tell(st, xs, np.array([float(np.sum(x * x)) for x in xs]))
     assert st.stop_reason == "tolx"
 
@@ -671,9 +705,10 @@ def test_stop_reason_tolx_with_a_loose_threshold(monkeypatch):
 def test_stop_reason_tolfunhist_on_repeating_best():
     # per-generation spread stays 2.0 but the best value never moves, so
     # only the history criterion can fire, at the 10th entry
-    st = init_cma(2, np.zeros(2), seed=0)
+    box = Box.cube(2)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
     for gen in range(10):
-        xs = np.array([ask_one(st) for _ in range(6)])
+        xs = np.array([ask_one(st, box) for _ in range(6)])
         tell(st, xs, 5.0 + np.arange(6) % 3)
         if gen < 9:
             assert st.stop_reason is None
@@ -684,13 +719,14 @@ def test_stop_reason_tolfunhist_on_repeating_best():
 def test_an_all_nan_generation_holds_tolfunhist_back_as_an_all_inf_one_does(at):
     # the best value never moves, so tolfunhist fires when the odd
     # generation leaves the 20-entry history, whether it came first or later
+    box = Box.cube(2)
     ends = []
     for odd in (np.nan, np.inf):
-        st = init_cma(2, np.zeros(2), seed=0)
+        st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
         assert st.hist_best.maxlen == 20
         tells = 0
         while st.stop_reason is None:
-            xs = np.array([ask_one(st) for _ in range(6)])
+            xs = np.array([ask_one(st, box) for _ in range(6)])
             tell(st, xs, np.full(6, odd) if tells == at else 5.0 + np.arange(6) % 3)
             tells += 1
         ends.append((tells, st.stop_reason, st.mean.tobytes(), st.sigma))
@@ -700,7 +736,7 @@ def test_an_all_nan_generation_holds_tolfunhist_back_as_an_all_inf_one_does(at):
 
 def test_stop_reason_stagnation_with_a_short_window(monkeypatch):
     monkeypatch.setattr(cma, "TOL_STAGNATION", 3)
-    st = init_cma(2, np.zeros(2), seed=0)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, Box.cube(2))
     anchor = st.mean.copy()
     for gen in range(6):
         tell(st, np.tile(anchor, (6, 1)), 5.0 + np.arange(6) % 3)
@@ -718,7 +754,7 @@ def test_a_nan_median_lets_tolstagnation_fire_as_an_all_inf_generation_does(monk
     odd = np.array([-np.inf] * 3 + [np.inf] * 3)
     ends = []
     for fs in (odd, np.full(6, np.inf)):
-        st = init_cma(2, np.zeros(2), seed=0)
+        st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, Box.cube(2))
         anchor = st.mean.copy()
         tells = 0
         while st.stop_reason is None:
@@ -731,8 +767,8 @@ def test_a_nan_median_lets_tolstagnation_fire_as_an_all_inf_generation_does(monk
 
 def test_stop_reason_maxiter():
     params = replace(CmaParams.defaults(2), max_iter=3)
-    st = init_cma(2, np.zeros(2), params=params, seed=0)
     fn = make_function("rastrigin_sep", 2, 0)
+    st = init_cma(np.zeros(2), params, 0, fn.box)
     for _ in range(3):
         xs = np.array([ask_one(st, fn.box) for _ in range(6)])
         tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
@@ -741,7 +777,7 @@ def test_stop_reason_maxiter():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stop_reason_degenerate_on_nonfinite_population():
-    st = init_cma(2, np.zeros(2), seed=0)
+    st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, Box.cube(2))
     tell(st, np.full((6, 2), np.inf), np.arange(6.0))
     assert st.stop_reason == "degenerate"
 

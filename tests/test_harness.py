@@ -271,6 +271,9 @@ def test_a_one_instance_ds_cell_runs_with_d_min_beyond_the_box(tmp_path):
         ({"algorithms": ["ds", "random", "ds"]}, "algorithms lists 'ds' more than once", ValueError),
         ({"seeds": [0, 1, 0]}, "seeds lists 0 more than once", ValueError),
         ({"seeds": [np.int64(2), 2]}, "seeds lists 2 more than once", ValueError),
+        ({"functions": [], "dimension": 1}, "dimension must be >= 2, got 1", InvalidDimension),
+        ({"d_min": "10"}, "d_min must be a real number, got '10'", ValueError),
+        ({"d_min": True}, "d_min must be a real number, got True", ValueError),
     ],
 )
 def test_a_bad_grid_is_refused_when_its_config_is_built(tmp_path, change, message, error):

@@ -7,7 +7,8 @@ an install from the project metadata alone can import the package.  Every
 name a module imports must be used in it, be listed in its ``__all__``,
 or sit on an import marked ``# noqa: F401`` (a name kept as a module
 attribute for others to patch or wrap).  Importing the package, or running
-a command of its CLI, loads no process pool.
+a command of its CLI, loads no process pool.  Every parameter of a function
+in those files is read by its body.
 """
 
 from __future__ import annotations
@@ -95,6 +96,66 @@ def test_the_unused_import_guard_flags_a_dead_import(tmp_path):
         "print(rx)\n"
     )
     assert unused_imports(source) == ["math (line 1)", "path (line 3)"]
+
+
+def unread_parameters(source: Path) -> list[str]:
+    """Parameters of a function or lambda in ``source`` that its body never reads.
+
+    ``self``, ``cls`` and ``_`` (a parameter a caller's protocol requires)
+    are exempt; a read in a nested function counts.
+    """
+    tree = ast.parse(source.read_text(), filename=str(source))
+    dead = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for statement in body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        dead += [
+            f"{name}({arg}) (line {node.lineno})"
+            for arg in names
+            if arg not in read and arg not in ("self", "cls", "_")
+        ]
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(source):
+    assert unread_parameters(source) == []
+
+
+def test_the_unread_parameter_guard_flags_a_dead_parameter(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class C:\n"
+        "    def method(self, x, unused):\n"
+        "        return x\n"
+        "    @classmethod\n"
+        "    def build(cls, *args, **kwargs):\n"
+        "        return cls(*args)\n"
+        "def outer(a, b, *, c, _):\n"
+        "    b = 1\n"
+        "    def inner():\n"
+        "        return a\n"
+        "    return inner\n"
+        "square = lambda v, w: v * v\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>(w) (line 12)",
+        "build(kwargs) (line 5)",
+        "method(unused) (line 2)",
+        "outer(b) (line 7)",
+        "outer(c) (line 7)",
+    ]
 
 
 def test_importing_the_package_loads_no_process_pool():

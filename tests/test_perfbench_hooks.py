@@ -60,8 +60,9 @@ def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):
     from tracing import Patches, Tracer
     from workloads import install_spans
 
-    state = divbatch.init_cma(2, np.zeros(2), seed=0)
-    xs = divbatch.ask(state, None, 6)
+    box = divbatch.Box.cube(2)
+    state = divbatch.init_cma(np.zeros(2), divbatch.CmaParams.defaults(2), 0, box)
+    xs = divbatch.ask(state, box, 6)
     tracer, patches = Tracer(), Patches()
     try:
         install_spans(patches, divbatch, tracer)
