@@ -1,7 +1,10 @@
 """Reference portfolio generators: random search and plain CMA-ES.
 
-All generators spend exactly the requested evaluation budget, which must be
-an int >= 0, and produce the same trajectory for the same seed.  They
+All generators spend exactly the requested evaluation budget and produce
+the same trajectory for the same seed.  The budget and the seed are each
+a Python or numpy int of at least 0, and ``run_cma_indep``'s k one of at
+least 1; anything else, a bool included, raises ValueError naming the
+argument (``trajectory._check_int``) before a point is drawn.  They
 evaluate in blocks, so the objective must provide ``evaluate_many`` (an
 (n, D) array in, n values out), as ``divbatch.objectives.ObjectiveFunction`` does.
 """
@@ -13,7 +16,7 @@ import numpy as np
 from .boxes import Box
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import Trajectory, _is_int
+from .trajectory import Trajectory, _check_int
 
 __all__ = ["run_cma_indep", "run_cma_single", "run_random"]
 
@@ -22,14 +25,10 @@ def _box_of(fn) -> Box:
     return Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
 
 
-def _check_budget(budget) -> None:
-    if not _is_int(budget) or budget < 0:
-        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-
-
 def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
     """Evaluate ``budget`` points drawn uniformly from the box."""
-    _check_budget(budget)
+    _check_int("budget", budget, 0)
+    _check_int("seed", seed, 0)
     xs = _box_of(fn).sample_uniform(np.random.default_rng(seed), budget)
     return Trajectory(
         xs=xs,
@@ -78,11 +77,9 @@ def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
     Each run gets ``budget // k`` evaluations with the remainder assigned
     to the first; run i draws from ``np.random.default_rng([seed, i])``.
     """
-    if not _is_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_budget(budget)
+    _check_int("k", k, 1)
+    _check_int("budget", budget, 0)
+    _check_int("seed", seed, 0)
     shares = [budget // k] * k
     shares[0] += budget % k
     streams = [_cma_stream(fn, shares[i], np.random.default_rng([seed, i])) for i in range(k)]

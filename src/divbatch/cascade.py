@@ -53,7 +53,7 @@ import numpy as np
 from .boxes import Box, distances
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, CmaState, ask_clear, ask_one, init_cma, tell  # noqa: F401
-from .trajectory import EmptyPortfolio, Trajectory, _is_int, _write_rows, fitness_keys
+from .trajectory import EmptyPortfolio, Trajectory, _check_int, _write_rows, fitness_keys
 
 __all__ = [
     "CENTER_STRATEGIES",
@@ -83,10 +83,12 @@ class DsConfig:
     ``budget`` is the total number of objective evaluations; candidates
     rejected by the cascade do not count against it.  An instance that
     draws 100 * lambda rejected candidates in one generation stalls.
-    A bad request raises when it is built: ValueError for a k, budget or
-    seed that is not an int (a bool is not), a k below 1, a seed below 0,
-    a d_min that is not a real number (a bool is not) or is NaN, or an
-    unknown center strategy, and EmptyPortfolio for a budget below 1.
+    A bad request raises when it is built:
+    ValueError for an unknown center strategy, for a k, budget or seed
+    that is not a Python or numpy int (a bool is not), for a k below 1 or
+    a seed below 0 (``trajectory._check_int`` words these), and for a
+    d_min that is not a real number (a bool is not) or is NaN;
+    EmptyPortfolio for a budget below 1.
     """
 
     k: int
@@ -98,17 +100,13 @@ class DsConfig:
     def __post_init__(self) -> None:
         if self.center_strategy not in CENTER_STRATEGIES:
             raise ValueError(f"unknown center strategy {self.center_strategy!r}")
-        for name in ("k", "budget", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_int("k", self.k, 1)
+        _check_int("budget", self.budget)
         if self.budget < 1:
             # run_ds starts its first epoch inside its loop, so every run
             # draws its means at least once
             raise EmptyPortfolio(f"budget must be >= 1, got {self.budget}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_int("seed", self.seed, 0)
         if isinstance(self.d_min, bool) or not isinstance(self.d_min, numbers.Real):
             raise ValueError(f"d_min must be a real number, got {self.d_min!r}")
         if math.isnan(self.d_min):

@@ -28,7 +28,7 @@ from .harness import (
 )
 from .objectives import function_registry
 from .selection import write_batch
-from .trajectory import read_trajectory
+from .trajectory import _check_int, read_trajectory
 
 __all__ = ["main"]
 
@@ -41,8 +41,7 @@ def _check_dmin(d_min: float) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    _check_int("--runs", args.runs, 1)
     _check_dmin(args.dmin)
     cfg = ExperimentConfig(
         functions=[args.function],

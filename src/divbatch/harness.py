@@ -26,12 +26,12 @@ import numpy as np
 
 from .cascade import DsConfig, run_ds
 from .baselines import run_cma_indep, run_cma_single, run_random
-from .objectives import ObjectiveFunction, UnknownFunction, _check_dimension
+from .objectives import InvalidDimension, ObjectiveFunction, UnknownFunction
 from .objectives import function_ids, make_function
 from .selection import Batch, write_batch
 from .selection import clearing_select, exact_select, greedy_select
 # write_trajectory stays a module attribute: perfbench wraps it by name
-from .trajectory import Trajectory, _is_int, write_trajectory
+from .trajectory import Trajectory, _check_int, write_trajectory
 
 __all__ = [
     "ALGORITHMS",
@@ -113,7 +113,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"method must be one of {sorted(SELECTORS)}, got {self.method!r}"
             )
-        _check_dimension(self.dimension)
+        _check_int("dimension", self.dimension, 2, InvalidDimension)
         unknown = [fid for fid in self.functions if fid not in function_ids()]
         if unknown:
             raise UnknownFunction(f"unknown function ids {unknown!r}")
@@ -125,8 +125,7 @@ class ExperimentConfig:
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ValueError(f"{name} lists {repeats[0]!r} more than once")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
+        _check_int("workers", self.workers, 1)
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .boxes import Box
-from .trajectory import _is_int
+from .trajectory import _check_int
 
 __all__ = [
     "DimensionMismatch",
@@ -260,27 +260,19 @@ class ObjectiveFunction:
         return abs(value - self.f_opt)
 
 
-def _check_dimension(dimension) -> None:
-    """Raise ``InvalidDimension`` unless ``dimension`` is an int >= 2 (a bool is not)."""
-    if not _is_int(dimension):
-        raise InvalidDimension(f"dimension must be an int, got {dimension!r}")
-    if dimension < 2:
-        raise InvalidDimension(f"dimension must be >= 2, got {dimension}")
-
-
 def make_function(function_id: str, dimension: int, seed: int) -> ObjectiveFunction:
     """Instantiate a registered objective with seeded optimum placement.
 
     The same (function_id, dimension, seed) triple always yields an
-    identical instance.  ``dimension`` must be an int >= 2 (else
-    ``InvalidDimension``) and ``seed`` an int >= 0 (else ``ValueError``);
-    a bool is neither, and the instance stores ``dimension`` as a Python int.
+    identical instance.  ``dimension`` is a Python or numpy int of at least
+    2 (else ``InvalidDimension``) and ``seed`` one of at least 0 (else
+    ``ValueError``); a bool is neither (``trajectory._check_int``).  The
+    instance stores ``dimension`` as a Python int.
     """
     if function_id not in _REGISTRY:
         raise UnknownFunction(f"unknown function id {function_id!r}")
-    _check_dimension(dimension)
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    _check_int("dimension", dimension, 2, InvalidDimension)
+    _check_int("seed", seed, 0)
     dimension = int(dimension)
     spec = _REGISTRY[function_id]
     # mix the id into the stream so functions sharing a seed decorrelate

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import distances
-from .trajectory import EmptyPortfolio, EvaluatedPoint, Trajectory, _is_int, fitness_keys
+from .trajectory import EmptyPortfolio, EvaluatedPoint, Trajectory, _check_int, fitness_keys
 
 __all__ = [
     "Batch",
@@ -127,10 +127,7 @@ def _sweep(
     bool is not), or is below 1, which no batch with a leader can meet,
     raises ValueError.
     """
-    if not _is_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     alive = np.ones(len(xs), dtype=bool)
     for i in picked:
         alive &= distances(xs, xs[i]) >= d_min
@@ -250,9 +247,12 @@ def _smallest_fitness_sum(mask: int, need: int, fs: list[float]) -> tuple[int, i
 
 # The exact search's cap, in work, not seconds, so a capped search returns
 # the same batch on every machine: per node one unit and one more per 4096
-# points of the sub-portfolio, as its masks are that wide, and one per 256
-# distances of a mask row, each about 3-4 µs on a 2-vCPU VM at D=10.
+# points of the sub-portfolio, as its masks are that wide, one per 256
+# distances of a mask row, and one per _VALUES_PER_UNIT fitness values a
+# bound sums or an incumbent copies, so a unit costs about the same at any
+# k: each about 3-4 µs on a 2-vCPU VM at D=10.
 WORK_CAP = 10_000_000
+_VALUES_PER_UNIT = 16
 
 
 def exact_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
@@ -313,6 +313,7 @@ def exact_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
         size = len(members)
         if size > len(best) or (size == len(best) and total < best_sum):
             best, best_sum = members.copy(), total
+            work += size // _VALUES_PER_UNIT
         if size < k and b not in rows:
             work += (len(fs) - b - 1) // 256
             if work > WORK_CAP:
@@ -324,11 +325,14 @@ def exact_select(portfolio: Trajectory, k: int, d_min: float) -> Batch:
         while members:
             rem, size = rems[-1], len(members)
             reach = size + rem.bit_count()
-            if rem and reach >= len(best) and not (
-                (reach == len(best) or len(best) == k)
-                and _plus(totals[-1], _smallest_fitness_sum(rem, len(best) - size, fs)) >= best_sum
-            ):
-                break
+            if rem and reach >= len(best):
+                # a set that can still outgrow the incumbent needs no bound
+                if reach > len(best) and len(best) < k:
+                    break
+                need = len(best) - size
+                work += need // _VALUES_PER_UNIT
+                if _plus(totals[-1], _smallest_fitness_sum(rem, need, fs)) < best_sum:
+                    break
             del members[-1], totals[-1], rems[-1]
         if not members:
             break

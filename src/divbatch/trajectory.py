@@ -53,9 +53,15 @@ class EmptyPortfolio(ValueError):
     """A leader or a selection requested from a trajectory with no points."""
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy int; a bool is no count, seed or size."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_int(name: str, value, low: int | None = None, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy int of at least ``low``.
+
+    A bool is no count, size or seed, so it is refused as not an int.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
 # one row as a record: it stays only for the ``points`` views perfbench's output checks read

@@ -8,7 +8,8 @@ name a module imports must be used in it, be listed in its ``__all__``,
 or sit on an import marked ``# noqa: F401`` (a name kept as a module
 attribute for others to patch or wrap).  Importing the package, or running
 a command of its CLI, loads no process pool.  Every parameter of a function
-in those files is read by its body.
+in those files is read by its body.  Only ``_check_int`` words the "must be
+an int" refusal: every count, size and seed check goes through it.
 """
 
 from __future__ import annotations
@@ -156,6 +157,49 @@ def test_the_unread_parameter_guard_flags_a_dead_parameter(tmp_path):
         "outer(b) (line 7)",
         "outer(c) (line 7)",
     ]
+
+
+def hand_written_int_checks(source: Path) -> list[int]:
+    """Lines of ``source`` whose ``raise`` words "must be an int" outside ``_check_int``."""
+    tree = ast.parse(source.read_text(), filename=str(source))
+    helper = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == "_check_int"
+        for node in ast.walk(function)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and id(node) not in helper
+        and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str) and "must be an int" in n.value
+            for n in ast.walk(node)
+        )
+    )
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_only_the_int_rule_words_its_refusal(source):
+    assert hand_written_int_checks(source) == []
+
+
+def test_the_int_rule_guard_flags_a_hand_written_check(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def _check_int(name, value, low=None, error=ValueError):\n"
+        "    if not isinstance(value, int):\n"
+        "        raise error(f'{name} must be an int, got {value!r}')\n"
+        "def check(k, seed):\n"
+        "    if not isinstance(k, int):\n"
+        "        raise ValueError(f'k must be an int, got {k!r}')\n"
+        "    if seed < 0:\n"
+        "        raise ValueError('seed must be an int >= 0')\n"
+        "    if k < 1:\n"
+        "        raise ValueError(f'k must be >= 1, got {k}')\n"
+    )
+    assert hand_written_int_checks(source) == [6, 8]
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -292,7 +292,9 @@ def test_exact_searches_deeper_than_the_recursion_limit(monkeypatch):
 
     build = selection._compat_masks
     monkeypatch.setattr(selection, "_compat_masks", counting)
-    monkeypatch.setattr(selection, "WORK_CAP", 10_000)
+    # each set on the way down bounds the fitness sum of the members it
+    # still needs, up to 1,500 values, which come to about 70,000 units
+    monkeypatch.setattr(selection, "WORK_CAP", 100_000)
     batch = exact_select(portfolio, 1501, 1.0)
     assert batch.complete and verify_batch(batch, 1.0, portfolio)
     # one row per depth on the way down
@@ -347,6 +349,49 @@ def test_exact_charges_a_node_by_the_width_of_its_masks(monkeypatch):
         batch = exact_select(portfolio, 2, 1.0)
         assert batch.proved_optimal == proved, cap
         assert batch.eval_index.tolist() == [0, 1]
+
+
+def least_proving_cap(monkeypatch, points, k, d_min):
+    """The smallest cap under which the search is proved: the work it charges in all."""
+    low, high = 0, 1
+    while True:
+        monkeypatch.setattr(selection, "WORK_CAP", high)
+        if exact_select(points, k, d_min).proved_optimal:
+            break
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        monkeypatch.setattr(selection, "WORK_CAP", middle)
+        if exact_select(points, k, d_min).proved_optimal:
+            high = middle
+        else:
+            low = middle
+    return high
+
+
+def test_exact_charges_the_fitness_values_its_bounds_sum(monkeypatch):
+    # at k=20 a bound sums up to 19 fitness values: left uncharged, they made
+    # a unit cost about 20 times as long at k=200 as at k=5
+    points, k, d_min = sphere_instance(1, 60, 20, 1.2)
+    walked = []
+    smallest = selection._smallest_fitness_sum
+
+    def counting(mask, need, fs):
+        walked.append(need)
+        return smallest(mask, need, fs)
+
+    monkeypatch.setattr(selection, "_smallest_fitness_sum", counting)
+    assert exact_select(points, k, d_min).proved_optimal
+    needs, default = list(walked), selection._VALUES_PER_UNIT
+    assert max(needs) >= default
+    # no bound sums and no copy holds more than k values, so this charges
+    # the nodes and rows alone
+    monkeypatch.setattr(selection, "_VALUES_PER_UNIT", k + 1)
+    uncharged = least_proving_cap(monkeypatch, points, k, d_min)
+    for per_unit in (1, default):
+        monkeypatch.setattr(selection, "_VALUES_PER_UNIT", per_unit)
+        charged = least_proving_cap(monkeypatch, points, k, d_min) - uncharged
+        assert charged >= sum(need // per_unit for need in needs), per_unit
 
 
 def test_exact_leaves_no_garbage_cycle():
