@@ -4,16 +4,16 @@ All generators spend exactly the requested evaluation budget and produce
 the same trajectory for the same seed.  The budget and the seed are each
 a Python or numpy int of at least 0, and ``run_cma_indep``'s k one of at
 least 1; anything else, a bool included, raises ValueError naming the
-argument (``trajectory._check_int``) before a point is drawn.  They
-evaluate in blocks, so the objective must provide ``evaluate_many`` (an
-(n, D) array in, n values out), as ``divbatch.objectives.ObjectiveFunction`` does.
+argument (``trajectory._check_int``) before a point is drawn.  They draw
+in the objective's search ``box`` and evaluate in blocks with its
+``evaluate_many`` (an (n, D) array in, n values out); an objective needs
+no more, and ``divbatch.objectives.ObjectiveFunction`` has both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boxes import Box
 # ask_one stays a module attribute: perfbench's traced pass wraps it by name
 from .cma import CmaParams, ask, ask_one, init_cma, tell  # noqa: F401
 from .trajectory import Trajectory, _check_int
@@ -21,15 +21,11 @@ from .trajectory import Trajectory, _check_int
 __all__ = ["run_cma_indep", "run_cma_single", "run_random"]
 
 
-def _box_of(fn) -> Box:
-    return Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
-
-
 def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
     """Evaluate ``budget`` points drawn uniformly from the box."""
     _check_int("budget", budget, 0)
     _check_int("seed", seed, 0)
-    xs = _box_of(fn).sample_uniform(np.random.default_rng(seed), budget)
+    xs = fn.box.sample_uniform(np.random.default_rng(seed), budget)
     return Trajectory(
         xs=xs,
         fs=np.asarray(fn.evaluate_many(xs), dtype=float),
@@ -45,16 +41,16 @@ def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, 
     and a final partial generation is told only if it reached mu
     candidates.
     """
-    box = _box_of(fn)
-    params = CmaParams.defaults(fn.dimension)
-    xs_blocks, fs_blocks = [np.empty((0, fn.dimension))], [np.empty(0)]
+    box = fn.box
+    params = CmaParams.defaults(box.dimension)
+    xs_blocks, fs_blocks = [np.empty((0, box.dimension))], [np.empty(0)]
     evals = 0
     while evals < budget:
         mean = box.sample_uniform(rng)
         state = init_cma(mean, params, int(rng.integers(2**63)), box)
         while evals < budget and state.stop_reason is None:
             # one generation: lambda candidates, fewer when the budget ends
-            xs = ask(state, box, min(params.lambda_, budget - evals))
+            xs = ask(state, min(params.lambda_, budget - evals))
             fs = np.asarray(fn.evaluate_many(xs), dtype=float)
             xs_blocks.append(xs)
             fs_blocks.append(fs)

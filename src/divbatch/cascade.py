@@ -12,11 +12,11 @@ objective evaluations.
 Each instance takes one step per generation: ``cma.ask_clear`` draws the
 candidates that lie in the box and clear of the earlier centers, one
 ``fn.evaluate_many`` call evaluates them, and ``tell`` updates the state.
-The objective must therefore provide ``evaluate_many`` (an (n, D) array
-in, n values out).  The sampler keeps the draws past the step's stop in
-``z_spare`` for the instance's next step, so each candidate gets the
-normals it would get, and every run is bit-identical to filtering one
-candidate at a time.
+The objective must therefore provide its search ``box`` and
+``evaluate_many`` (an (n, D) array in, n values out).  The sampler keeps
+the draws past the step's stop in ``z_spare`` for the instance's next
+step, so each candidate gets the normals it would get, and every run is
+bit-identical to filtering one candidate at a time.
 
 An epoch's tabu centers are one (k, D) array.  Instance i samples clear of
 its rows ``:i`` and then writes its own center into row i: the step's best
@@ -242,8 +242,8 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
     trajectory holds exactly ``config.budget`` points unless
     initialization is infeasible, which raises.
     """
-    dim = fn.dimension
-    box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
+    box = fn.box
+    dim = box.dimension
     params = CmaParams.defaults(dim)
     lam, mu = params.lambda_, params.mu
     k, d_min, budget = config.k, config.d_min, config.budget
@@ -292,7 +292,7 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
             if state.stop_reason is None:
                 # earlier centers hold still while this instance samples
                 xs, rejections = ask_clear(
-                    state, box, min(lam, budget - evals), centers[:i], d_min, 100 * lam
+                    state, min(lam, budget - evals), centers[:i], d_min, 100 * lam
                 )
                 rejections_total += rejections
                 if len(xs):

@@ -82,6 +82,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     records = read_records_dir(args.input)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_records_csv(records, out)
     normalized = normalize_losses(records)
     normalized_path = out.with_name(out.stem + "_normalized" + out.suffix)

@@ -4,14 +4,14 @@ Implements weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates, exposed as
 ``init_cma`` / ``ask_clear`` / ``tell`` / ``should_stop``.  Every argument
 of ``init_cma(mean, params, seed, box)`` and of the samplers is required:
-D is ``params.dimension``, and no call guesses a box.  ``ask_clear`` is
-the one sampler: each round draws a block of candidates, keeps them in
-the box by resampling (clipping after 100 tries, as in Hansen's CMA-ES
-tutorial), rejects those closer than ``d_min`` to a set of centers, and
-keeps the draws past its stop in ``z_spare``, where the next call takes
-its first normals, so it returns what a one-candidate loop would and each
-candidate gets the normals that loop would give it.
-``ask(state, box, n)`` is ``ask_clear`` with no centers and ``ask_one``
+D is ``params.dimension``, and the samplers read the state's ``box``.
+``ask_clear`` is the one sampler: each round draws a block of candidates,
+keeps them in the box by resampling (clipping after 100 tries, as in
+Hansen's CMA-ES tutorial), rejects those closer than ``d_min`` to a set
+of centers, and keeps the draws past its stop in ``z_spare``, where the
+next call takes its first normals, so it returns what a one-candidate
+loop would and each candidate gets the normals that loop would give it.
+``ask(state, n)`` is ``ask_clear`` with no centers and ``ask_one``
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
 advance the distribution.  ``CmaParams`` holds what ``CmaParams.defaults``
@@ -155,6 +155,8 @@ class CmaState:
     """Mutable sampling distribution plus stop bookkeeping."""
 
     params: CmaParams
+    # the box ``init_cma`` checked the mean against; every candidate is in it
+    box: Box
     mean: np.ndarray
     sigma: float
     cov: np.ndarray
@@ -197,6 +199,7 @@ def init_cma(mean: np.ndarray, params: CmaParams, seed: int, box: Box) -> CmaSta
     hist_len = 10 + math.ceil(30.0 * dimension / params.lambda_)
     return CmaState(
         params=params,
+        box=box,
         mean=mean.copy(),
         sigma=SIGMA0,
         cov=np.eye(dimension),
@@ -213,12 +216,12 @@ def init_cma(mean: np.ndarray, params: CmaParams, seed: int, box: Box) -> CmaSta
 
 
 def ask_clear(
-    state: CmaState, box: Box, n: int, centers: np.ndarray, d_min: float, cap: int
+    state: CmaState, n: int, centers: np.ndarray, d_min: float, cap: int
 ) -> tuple[np.ndarray, int]:
     """Draw until n candidates are clear of ``centers`` or ``cap`` are not.
 
-    A candidate is the first in-box draw of up to 100 tries; after 100
-    out-of-box draws the last one is clipped.  It is clear when it lies at
+    A candidate is the first draw in ``state.box`` of up to 100 tries; after
+    100 out-of-box draws the last one is clipped.  It is clear when it lies at
     least ``d_min`` from every row of ``centers`` (closed inequality; with
     no centers every candidate is).  Returns the clear candidates, in draw
     order, and the number rejected.  The candidates and the rejections are
@@ -236,7 +239,7 @@ def ask_clear(
     """
     if state.stop_reason is not None:
         raise AlreadyStopped(f"state already stopped ({state.stop_reason})")
-    rng, dim = state.rng, state.params.dimension
+    rng, dim, box = state.rng, state.params.dimension, state.box
     spare = state.z_spare
     out = np.empty((n, dim))
     done = rejected = drawn = 0
@@ -310,18 +313,18 @@ def ask_clear(
     return out[:done], rejected
 
 
-def ask(state: CmaState, box: Box, n: int) -> np.ndarray:
+def ask(state: CmaState, n: int) -> np.ndarray:
     """Draw n candidates, each kept inside the box: ``ask_clear`` with no centers.
 
     Returns an (n, D) array, the candidates of n successive ``ask_one`` calls.
     """
     # with no centers nothing is rejected, so a cap of n never binds
-    return ask_clear(state, box, n, np.empty((0, state.params.dimension)), 0.0, n)[0]
+    return ask_clear(state, n, np.empty((0, state.params.dimension)), 0.0, n)[0]
 
 
-def ask_one(state: CmaState, box: Box) -> np.ndarray:
+def ask_one(state: CmaState) -> np.ndarray:
     """Draw one candidate: ``ask`` with n = 1."""
-    return ask(state, box, 1)[0]
+    return ask(state, 1)[0]
 
 
 def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:

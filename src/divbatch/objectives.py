@@ -230,8 +230,7 @@ class ObjectiveFunction:
             raise DimensionMismatch(
                 f"expected vector of length {self.dimension}, got shape {x.shape}"
             )
-        self.eval_count += 1
-        return float(self.f_opt + self._core((x - self.x_opt)[None, :])[0])
+        return float(self.evaluate_many(x[None, :])[0])
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         """Objective values for an (n, D) array; counts n evaluations.

@@ -36,10 +36,7 @@ class FlatFunction:
     """Constant objective; every CMA-ES instance stops after one tell."""
 
     def __init__(self, dimension=2):
-        self.dimension = dimension
-        self.lower_bounds = np.full(dimension, -5.0)
-        self.upper_bounds = np.full(dimension, 5.0)
-        self.function_id = "flat"
+        self.box = Box.cube(dimension)
         self.eval_count = 0
 
     def evaluate(self, x):
@@ -57,10 +54,7 @@ class TiedFunction:
     of the ``population_best`` center matters."""
 
     def __init__(self, dimension=2):
-        self.dimension = dimension
-        self.lower_bounds = np.full(dimension, -5.0)
-        self.upper_bounds = np.full(dimension, 5.0)
-        self.function_id = "tied"
+        self.box = Box.cube(dimension)
         self.eval_count = 0
 
     def evaluate(self, x):
@@ -135,7 +129,7 @@ def reference_init_diverse_means(k, box, d_min, rng, cap=100_000):
     return means
 
 
-def reference_ask_one(state, box):
+def reference_ask_one(state):
     """One candidate, drawn one normal vector at a time (the sampler before
     ``cma.ask`` drew blocks): up to 100 tries for an in-box draw, then clip."""
     if state.stop_reason is not None:
@@ -144,9 +138,9 @@ def reference_ask_one(state, box):
     for _ in range(100):
         z = state.rng.standard_normal(state.params.dimension)
         x = state.mean + state.sigma * (state.eig_vectors @ (state.eig_scale * z))
-        if box.contains(x):
+        if state.box.contains(x):
             return x
-    return box.clip(x)
+    return state.box.clip(x)
 
 
 def next_normals(state, rows=_MAX_BLOCK_ROWS + 1):
@@ -170,7 +164,7 @@ def same_stream_position(state, *others):
     return all(next_normals(other).tobytes() == ahead for other in others)
 
 
-def reference_ask_clear(state, box, room, centers, d_min, cap):
+def reference_ask_clear(state, room, centers, d_min, cap):
     """``cma.ask_clear`` one candidate at a time: ``reference_ask_one``, then
     the closed clearance test against every center, until ``room``
     candidates are clear or ``cap`` are not.
@@ -179,7 +173,7 @@ def reference_ask_clear(state, box, room, centers, d_min, cap):
     """
     kept, rejected = [], 0
     while len(kept) < room and rejected < cap:
-        x = reference_ask_one(state, box)
+        x = reference_ask_one(state)
         if (distances(centers, x) >= d_min).all():
             kept.append(x)
         else:
@@ -212,8 +206,8 @@ def reference_run_ds(config, fn):
     """
     if config.center_strategy not in CENTER_STRATEGIES:
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
-    dim = fn.dimension
-    box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
+    box = fn.box
+    dim = box.dimension
     params = CmaParams.defaults(dim)
     lam, mu = params.lambda_, params.mu
     k, d_min, budget = config.k, config.d_min, config.budget
@@ -264,7 +258,7 @@ def reference_run_ds(config, fn):
                         break
                     if rejections >= 100 * lam:
                         break
-                    x = reference_ask_one(inst.state, box)
+                    x = reference_ask_one(inst.state)
                     if not len(centers) or (distances(centers, x) >= d_min).all():
                         point = Point(
                             x=x, f=fn.evaluate(x), eval_index=evals, instance_id=inst.index
@@ -314,8 +308,8 @@ def reference_run_cma_single(fn, budget, seed=0):
     Returns (points, stop reasons of the restart legs, in order).
     """
     rng = np.random.default_rng([seed, 0])
-    box = Box(np.asarray(fn.lower_bounds, float), np.asarray(fn.upper_bounds, float))
-    params = CmaParams.defaults(fn.dimension)
+    box = fn.box
+    params = CmaParams.defaults(box.dimension)
     points, causes = [], []
     while len(points) < budget:
         mean = box.sample_uniform(rng)
@@ -323,7 +317,7 @@ def reference_run_cma_single(fn, budget, seed=0):
         while len(points) < budget and state.stop_reason is None:
             population = []
             while len(population) < params.lambda_ and len(points) < budget:
-                x = reference_ask_one(state, box)
+                x = reference_ask_one(state)
                 value = fn.evaluate(x)
                 points.append(Point(x=x, f=value, eval_index=len(points), instance_id=0))
                 population.append((x, value))

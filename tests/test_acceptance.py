@@ -9,7 +9,9 @@ that the measurement is broken.
 
 from __future__ import annotations
 
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,9 @@ MAIN_BUDGET = 1000
 MAIN_K = 5
 MAIN_DMIN = 10.0
 FLIP_DMIN = 1.0
+# the SHA-256 of every trajectory and batch file of the main grid, seeds 0-9,
+# as ``perfbench/rebaseline.py`` writes them
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "grid-d10.sha256"
 
 
 def _report(index: int, name: str, passed: bool, detail: str) -> bool:
@@ -59,7 +64,7 @@ def _report(index: int, name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def _grid(d_min: float, algorithms: list[str]) -> list:
+def _grid(d_min: float, algorithms: list[str], out_dir: Path | None = None) -> list:
     cfg = ExperimentConfig(
         functions=FN_IDS,
         algorithms=algorithms,
@@ -69,13 +74,19 @@ def _grid(d_min: float, algorithms: list[str]) -> list:
         k=MAIN_K,
         d_min=d_min,
         method="clearing",
+        out_dir=out_dir,
     )
     return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
-def main_grid():
-    return _grid(MAIN_DMIN, ["ds", "random", "cma"])
+def main_grid_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("main_grid")
+
+
+@pytest.fixture(scope="module")
+def main_grid(main_grid_dir):
+    return _grid(MAIN_DMIN, ["ds", "random", "cma"], main_grid_dir)
 
 
 @pytest.fixture(scope="module")
@@ -341,3 +352,20 @@ def test_10_logged_cascade_runs_replay_the_distance_discipline():
         f"{clean}/{runs} logged runs clean over {points_checked} constrained points; "
         f"{multi_epoch} runs restarted (need >= 1)",
     )
+
+
+def test_main_grid_files_keep_their_golden_digests(main_grid, main_grid_dir):
+    # not one of the ten checks: it holds every bit of the main grid's
+    # trajectories and batches, so a change that alters one must rewrite
+    # the golden file on purpose, with perfbench/rebaseline.py
+    golden = dict(line.split()[::-1] for line in GOLDEN.read_text().splitlines())
+    written = sorted(main_grid_dir.glob("trajectories/*.csv")) + sorted(
+        main_grid_dir.glob("batches/*.json")
+    )
+    assert len(written) == len(FN_IDS) * 3 * len(MAIN_SEEDS) * 2 == 300
+    changed = [
+        name
+        for name in (path.relative_to(main_grid_dir).as_posix() for path in written)
+        if hashlib.sha256((main_grid_dir / name).read_bytes()).hexdigest() != golden.get(name)
+    ]
+    assert not changed, f"{len(changed)} of {len(written)} files differ: {changed[:5]}"

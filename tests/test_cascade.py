@@ -289,10 +289,7 @@ def test_run_ds_is_deterministic():
 class HalfNan:
     """Sphere on x0 <= 0, NaN on x0 > 0."""
 
-    dimension = 2
-    lower_bounds = np.full(2, -5.0)
-    upper_bounds = np.full(2, 5.0)
-    function_id = "half_nan"
+    box = Box.cube(2)
 
     def evaluate_many(self, xs):
         return np.where(xs[:, 0] > 0, np.nan, np.add.reduce(xs * xs, axis=1))
@@ -381,7 +378,7 @@ def test_a_stalled_instance_is_a_stopped_state(monkeypatch):
     run_ds(DsConfig(k=2, d_min=9.0, budget=300, seed=0), fn)
     assert states[1].stop_reason == "stalled"
     with pytest.raises(AlreadyStopped, match="stalled"):
-        ask_clear(states[1], fn.box, 6, np.empty((0, 2)), 9.0, 600)
+        ask_clear(states[1], 6, np.empty((0, 2)), 9.0, 600)
 
 
 def test_stall_with_zero_evaluations_keeps_the_initial_center():

@@ -187,6 +187,19 @@ def test_report_emits_three_tables(tmp_path, capsys):
     assert curves[0].startswith("function,algorithm,n_complete")
 
 
+def test_report_makes_the_directory_of_its_tables(tmp_path, capsys):
+    # the README's ``report --out tables/records.csv`` runs where no tables/ is
+    assert main(run_args(tmp_path / "out")) == 0
+    report_out = tmp_path / "new" / "tables" / "records.csv"
+    with pytest.warns(UserWarning, match="no complete ds run"):
+        assert main(["report", "--in", str(tmp_path / "out"), "--out", str(report_out)]) == 0
+    assert sorted(p.name for p in report_out.parent.iterdir()) == [
+        "records.csv",
+        "records_curves.csv",
+        "records_normalized.csv",
+    ]
+
+
 def test_report_rejects_empty_directory(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "r.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")

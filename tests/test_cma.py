@@ -98,8 +98,9 @@ def test_params_hold_only_derived_fields_and_none_has_a_default():
     "function, names",
     [
         (init_cma, ["mean", "params", "seed", "box"]),
-        (ask, ["state", "box", "n"]),
-        (ask_one, ["state", "box"]),
+        (ask_clear, ["state", "n", "centers", "d_min", "cap"]),
+        (ask, ["state", "n"]),
+        (ask_one, ["state"]),
     ],
 )
 def test_state_builder_and_samplers_take_every_argument_with_no_default(function, names):
@@ -178,23 +179,32 @@ def test_ask_with_vanishing_sigma_returns_the_mean():
     box = Box.cube(2)
     st = init_cma(np.array([1.0, -2.0]), CmaParams.defaults(2), 0, box)
     st.sigma = 1e-300
-    x = ask_one(st, box)
+    x = ask_one(st)
     assert np.all(np.abs(x - st.mean) < 1e-200)
 
 
 def test_ask_moments_match_a_standard_normal():
     box = Box.cube(2)
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 8, box)
-    draws = np.asarray([ask_one(st, box) for _ in range(10_000)])
+    draws = np.asarray([ask_one(st) for _ in range(10_000)])
     assert np.all(np.abs(draws.mean(axis=0)) < 0.04)
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.1)
+
+
+def test_a_state_samples_in_the_box_it_was_built_with():
+    # sigma 1 overshoots this box on most draws, so every sampler must read it
+    box = Box.cube(3, -0.1, 0.1)
+    st = init_cma(np.zeros(3), CmaParams.defaults(3), 0, box)
+    assert st.box is box
+    xs = np.vstack([ask(st, 20), ask_clear(st, 20, np.empty((0, 3)), 0.0, 20)[0], ask_one(st)])
+    assert all(box.contains(x) for x in xs)
 
 
 def test_ask_from_corner_mean_stays_in_box():
     box = Box.cube(3)
     st = init_cma(np.full(3, 5.0), CmaParams.defaults(3), 0, box)
     for _ in range(200):
-        assert box.contains(ask_one(st, box))
+        assert box.contains(ask_one(st))
 
 
 def twin_states(dim, mean, box, sigma0=1.0, seed=3):
@@ -223,10 +233,10 @@ def test_block_ask_equals_one_candidate_draws(dim, width, where, sigma0, sizes):
     reference, _ = twin_states(dim, mean, box, sigma0)
     clipped = []
     for n in sizes:
-        xs = ask(block, box, n)
+        xs = ask(block, n)
         assert xs.shape == (n, dim)
-        assert np.array_equal(xs, np.array([ask_one(single, box) for _ in range(n)]))
-        assert np.array_equal(xs, np.array([reference_ask_one(reference, box) for _ in range(n)]))
+        assert np.array_equal(xs, np.array([ask_one(single) for _ in range(n)]))
+        assert np.array_equal(xs, np.array([reference_ask_one(reference) for _ in range(n)]))
         assert all(box.contains(x) for x in xs)
         # clipped rows sit on a box face
         clipped += list(((xs == box.lower) | (xs == box.upper)).any(axis=1))
@@ -248,7 +258,7 @@ def test_block_ask_keeps_unused_draws_for_the_next_call():
     spares = []
     for n in (1, 2, 3, 5, 8, 13):
         assert np.array_equal(
-            ask(block, box, n), np.array([reference_ask_one(reference, box) for _ in range(n)])
+            ask(block, n), np.array([reference_ask_one(reference) for _ in range(n)])
         )
         assert same_stream_position(block, reference)
         spares.append(len(block.z_spare))
@@ -294,8 +304,8 @@ def test_ask_clear_equals_the_one_candidate_loop(call):
     dim, box, mean, sigma0, seed, centers, d_min, calls = call
     block, reference = twin_states(dim, mean, box, sigma0, seed)
     for room, cap in calls:
-        xs, rejected = ask_clear(block, box, room, centers, d_min, cap)
-        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, d_min, cap)
+        xs, rejected = ask_clear(block, room, centers, d_min, cap)
+        expected, expected_rejected = reference_ask_clear(reference, room, centers, d_min, cap)
         assert xs.shape == expected.shape
         assert xs.tobytes() == expected.tobytes()
         assert rejected == expected_rejected
@@ -309,9 +319,9 @@ def test_ask_clear_rejects_clipped_candidates_inside_a_tabu_ball():
     box = Box.cube(2, -5e-4, 5e-4)
     block, reference = twin_states(2, box.upper, box, 1e4)
     corners = np.array([[a, b] for a in (-5e-4, 5e-4) for b in (-5e-4, 5e-4)])
-    xs, rejected = ask_clear(block, box, 5, corners, 1e-4, 7)
+    xs, rejected = ask_clear(block, 5, corners, 1e-4, 7)
     assert xs.shape == (0, 2) and rejected == 7
-    assert reference_ask_clear(reference, box, 5, corners, 1e-4, 7)[1] == 7
+    assert reference_ask_clear(reference, 5, corners, 1e-4, 7)[1] == 7
     assert same_stream_position(block, reference)
 
 
@@ -325,8 +335,8 @@ def test_ask_clear_on_in_box_blocks_equals_the_one_candidate_loop(with_centers):
     centers = np.zeros((1, 10)) if with_centers else np.empty((0, 10))
     total = 0
     for room, cap in [(10, 100), (1, 100), (25, 3), (10, 10)]:
-        xs, rejected = ask_clear(block, box, room, centers, 3.0, cap)
-        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, 3.0, cap)
+        xs, rejected = ask_clear(block, room, centers, 3.0, cap)
+        expected, expected_rejected = reference_ask_clear(reference, room, centers, 3.0, cap)
         assert xs.shape == expected.shape
         assert xs.tobytes() == expected.tobytes()
         assert rejected == expected_rejected
@@ -347,8 +357,8 @@ def test_ask_clear_carries_miss_runs_across_short_blocks(seed, with_centers):
     clipped = 0
     for i in range(40):
         room, cap = 1 + i % 3, (1, 2, 50, 1)[i % 4]
-        xs, rejected = ask_clear(block, box, room, centers, 0.03, cap)
-        expected, expected_rejected = reference_ask_clear(reference, box, room, centers, 0.03, cap)
+        xs, rejected = ask_clear(block, room, centers, 0.03, cap)
+        expected, expected_rejected = reference_ask_clear(reference, room, centers, 0.03, cap)
         assert xs.tobytes() == expected.tobytes()
         assert rejected == expected_rejected
         assert same_stream_position(block, reference)
@@ -363,13 +373,11 @@ def test_ask_one_interleaved_with_ask_clear_equals_the_one_candidate_loop(call, 
     block, reference = twin_states(dim, mean, box, sigma0, seed)
     for i, kind in enumerate(kinds):
         if kind == "one":
-            assert ask_one(block, box).tobytes() == reference_ask_one(reference, box).tobytes()
+            assert ask_one(block).tobytes() == reference_ask_one(reference).tobytes()
         else:
             room, cap = calls[i % len(calls)]
-            xs, rejected = ask_clear(block, box, room, centers, d_min, cap)
-            expected, expected_rejected = reference_ask_clear(
-                reference, box, room, centers, d_min, cap
-            )
+            xs, rejected = ask_clear(block, room, centers, d_min, cap)
+            expected, expected_rejected = reference_ask_clear(reference, room, centers, d_min, cap)
             assert xs.tobytes() == expected.tobytes()
             assert rejected == expected_rejected
         assert same_stream_position(block, reference)
@@ -391,7 +399,7 @@ def test_a_deep_copy_taken_mid_run_continues_bit_identically(dim, width, where, 
     centers = np.array([np.zeros(dim), np.full(dim, width / 4)])
 
     def step(st):
-        xs, rejected = ask_clear(st, box, lam, centers, d_min, 100 * lam)
+        xs, rejected = ask_clear(st, lam, centers, d_min, 100 * lam)
         if len(xs) >= st.params.mu:
             tell(st, xs, np.add.reduce(xs * xs, axis=1))
         return xs.tobytes(), rejected
@@ -411,11 +419,11 @@ def test_a_deep_copy_taken_mid_run_continues_bit_identically(dim, width, where, 
 def test_ask_after_stop_raises():
     box = Box.cube(2)
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
-    xs = np.array([ask_one(st, box) for _ in range(6)])
+    xs = np.array([ask_one(st) for _ in range(6)])
     tell(st, xs, np.ones(6))  # zero fitness range trips the function tolerance
     assert st.stop_reason is not None
     with pytest.raises(AlreadyStopped):
-        ask_one(st, box)
+        ask_one(st)
 
 
 def test_ask_does_not_mutate_the_distribution():
@@ -423,7 +431,7 @@ def test_ask_does_not_mutate_the_distribution():
     st = init_cma(np.zeros(3), CmaParams.defaults(3), 1, box)
     mean, sigma, cov = st.mean.copy(), st.sigma, st.cov.copy()
     for _ in range(50):
-        ask_one(st, box)
+        ask_one(st)
     assert np.array_equal(st.mean, mean)
     assert st.sigma == sigma
     assert np.array_equal(st.cov, cov)
@@ -439,7 +447,7 @@ def test_tell_keeps_mean_when_population_sits_on_it():
 def test_tell_population_size_limits():
     box = Box.cube(10)
     st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
-    xs = np.array([ask_one(st, box) for _ in range(11)])
+    xs = np.array([ask_one(st) for _ in range(11)])
     with pytest.raises(InsufficientPopulation):
         tell(st, np.tile(xs[0], (4, 1)), np.zeros(4))  # mu is 5
     with pytest.raises(ValueError):
@@ -449,7 +457,7 @@ def test_tell_population_size_limits():
 def test_tell_rejects_candidates_of_the_wrong_shape():
     box = Box.cube(10)
     st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
-    xs = ask(st, box, 7)
+    xs = ask(st, 7)
     with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(7, 9\)$"):
         tell(st, xs[:, :9], np.zeros(7))
     with pytest.raises(ValueError, match=r"^xs must have shape \(7, 10\), got \(70,\)$"):
@@ -461,7 +469,7 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
     box = Box.cube(3)
     st = init_cma(np.zeros(3), CmaParams.defaults(3), 0, box)
     for _ in range(2):
-        xs = ask(st, box, st.params.lambda_)
+        xs = ask(st, st.params.lambda_)
         tell(st, xs, (xs**2).sum(axis=1))
     assert st.stop_reason is None
     vectors, scale = st.eig_vectors.copy(), st.eig_scale.copy()
@@ -471,7 +479,7 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    xs = ask(st, box, st.params.lambda_)
+    xs = ask(st, st.params.lambda_)
     tell(st, xs, (xs**2).sum(axis=1))
     assert st.stop_reason == "degenerate" and st.degenerate
     assert st.iteration == 3
@@ -482,7 +490,7 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
 def test_tell_accepts_partial_populations():
     box = Box.cube(10)
     st = init_cma(np.zeros(10), CmaParams.defaults(10), 0, box)
-    xs = np.array([ask_one(st, box) for _ in range(7)])
+    xs = np.array([ask_one(st) for _ in range(7)])
     tell(st, xs, np.arange(7.0))
     assert st.iteration == 1
 
@@ -610,7 +618,7 @@ def test_sphere_converges_to_high_precision():
         st = init_cma(np.zeros(5), CmaParams.defaults(5), seed, fn.box)
         best = np.inf
         for _ in range(2000 // st.params.lambda_):
-            xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+            xs = np.array([ask_one(st) for _ in range(st.params.lambda_)])
             fs = np.array([fn.evaluate(x) for x in xs])
             tell(st, xs, fs)
             best = min(best, fs.min())
@@ -625,7 +633,7 @@ def test_mean_drifts_up_a_linear_slope():
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 1, box)
     means = [st.mean[0]]
     for _ in range(20):
-        xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
+        xs = np.array([ask_one(st) for _ in range(st.params.lambda_)])
         tell(st, xs, -xs[:, 0])
         means.append(st.mean[0])
     assert np.all(np.diff(means) > 0)
@@ -638,7 +646,7 @@ def test_translation_invariance_on_a_quadratic():
         st = init_cma(start, CmaParams.defaults(3), seed, box)
         losses = []
         for _ in range(15):
-            xs = np.array([ask_one(st, box) for _ in range(st.params.lambda_)])
+            xs = np.array([ask_one(st) for _ in range(st.params.lambda_)])
             fs = np.array([float(np.sum((x - center) ** 2)) for x in xs])
             tell(st, xs, fs)
             losses.extend(fs)
@@ -660,7 +668,7 @@ def test_identical_seeds_evolve_bitwise_identically():
         st = init_cma(np.zeros(3), CmaParams.defaults(3), seed, fn.box)
         rows = []
         for _ in range(30):
-            xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+            xs = np.array([ask_one(st) for _ in range(st.params.lambda_)])
             tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
             rows.append((st.mean.copy(), st.sigma, st.cov.copy()))
             if st.stop_reason is not None:
@@ -677,7 +685,7 @@ def test_covariance_stays_symmetric_positive_definite():
     fn = make_function("rosenbrock", 4, 1)
     st = init_cma(np.zeros(4), CmaParams.defaults(4), 2, fn.box)
     for _ in range(50):
-        xs = np.array([ask_one(st, fn.box) for _ in range(st.params.lambda_)])
+        xs = np.array([ask_one(st) for _ in range(st.params.lambda_)])
         tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
         assert np.array_equal(st.cov, st.cov.T)
         assert np.linalg.eigvalsh(st.cov)[0] > 0
@@ -688,7 +696,7 @@ def test_covariance_stays_symmetric_positive_definite():
 def test_stop_reason_tolfun_on_flat_fitness():
     box = Box.cube(2)
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
-    xs = np.array([ask_one(st, box) for _ in range(6)])
+    xs = np.array([ask_one(st) for _ in range(6)])
     tell(st, xs, np.full(6, 7.0))
     assert st.stop_reason == "tolfun"
 
@@ -697,7 +705,7 @@ def test_stop_reason_tolx_with_a_loose_threshold(monkeypatch):
     monkeypatch.setattr(cma, "TOL_X", 1e9)
     box = Box.cube(2)
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
-    xs = np.array([ask_one(st, box) for _ in range(6)])
+    xs = np.array([ask_one(st) for _ in range(6)])
     tell(st, xs, np.array([float(np.sum(x * x)) for x in xs]))
     assert st.stop_reason == "tolx"
 
@@ -708,7 +716,7 @@ def test_stop_reason_tolfunhist_on_repeating_best():
     box = Box.cube(2)
     st = init_cma(np.zeros(2), CmaParams.defaults(2), 0, box)
     for gen in range(10):
-        xs = np.array([ask_one(st, box) for _ in range(6)])
+        xs = np.array([ask_one(st) for _ in range(6)])
         tell(st, xs, 5.0 + np.arange(6) % 3)
         if gen < 9:
             assert st.stop_reason is None
@@ -726,7 +734,7 @@ def test_an_all_nan_generation_holds_tolfunhist_back_as_an_all_inf_one_does(at):
         assert st.hist_best.maxlen == 20
         tells = 0
         while st.stop_reason is None:
-            xs = np.array([ask_one(st, box) for _ in range(6)])
+            xs = np.array([ask_one(st) for _ in range(6)])
             tell(st, xs, np.full(6, odd) if tells == at else 5.0 + np.arange(6) % 3)
             tells += 1
         ends.append((tells, st.stop_reason, st.mean.tobytes(), st.sigma))
@@ -770,7 +778,7 @@ def test_stop_reason_maxiter():
     fn = make_function("rastrigin_sep", 2, 0)
     st = init_cma(np.zeros(2), params, 0, fn.box)
     for _ in range(3):
-        xs = np.array([ask_one(st, fn.box) for _ in range(6)])
+        xs = np.array([ask_one(st) for _ in range(6)])
         tell(st, xs, np.array([fn.evaluate(x) for x in xs]))
     assert st.stop_reason == "maxiter"
 

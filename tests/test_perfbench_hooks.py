@@ -62,7 +62,7 @@ def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):
 
     box = divbatch.Box.cube(2)
     state = divbatch.init_cma(np.zeros(2), divbatch.CmaParams.defaults(2), 0, box)
-    xs = divbatch.ask(state, box, 6)
+    xs = divbatch.ask(state, 6)
     tracer, patches = Tracer(), Patches()
     try:
         install_spans(patches, divbatch, tracer)
