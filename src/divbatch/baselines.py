@@ -42,12 +42,12 @@ def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, 
     candidates.
     """
     box = fn.box
-    params = CmaParams.defaults(box.dimension)
+    params = CmaParams(box.dimension)
     xs_blocks, fs_blocks = [np.empty((0, box.dimension))], [np.empty(0)]
     evals = 0
     while evals < budget:
         mean = box.sample_uniform(rng)
-        state = init_cma(mean, params, int(rng.integers(2**63)), box)
+        state = init_cma(mean, int(rng.integers(2**63)), box)
         while evals < budget and state.stop_reason is None:
             # one generation: lambda candidates, fewer when the budget ends
             xs = ask(state, min(params.lambda_, budget - evals))

@@ -244,7 +244,7 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
     """
     box = fn.box
     dim = box.dimension
-    params = CmaParams.defaults(dim)
+    params = CmaParams(dim)
     lam, mu = params.lambda_, params.mu
     k, d_min, budget = config.k, config.d_min, config.budget
     if budget < k * lam:
@@ -281,7 +281,7 @@ def run_ds(config: DsConfig, fn) -> tuple[Trajectory, CascadeLog]:
             centers = init_diverse_means(k, box, d_min, init_rng)
             epoch_starts.append(generation)
             epoch_means.append(centers.copy())
-            states = [init_cma(c, params, int(seed_rng.integers(2**63)), box) for c in centers]
+            states = [init_cma(c, int(seed_rng.integers(2**63)), box) for c in centers]
             # each instance's best evaluated point and its fitness_keys value
             best_xs: list[np.ndarray | None] = [None] * k
             best_keys = [math.inf] * k

@@ -3,8 +3,8 @@
 Implements weighted-recombination CMA-ES with cumulative step-size
 adaptation and rank-one plus rank-mu covariance updates, exposed as
 ``init_cma`` / ``ask_clear`` / ``tell`` / ``should_stop``.  Every argument
-of ``init_cma(mean, params, seed, box)`` and of the samplers is required:
-D is ``params.dimension``, and the samplers read the state's ``box``.
+of ``init_cma(mean, seed, box)`` and of the samplers is required: D is
+``box.dimension``, and the samplers read the state's ``box``.
 ``ask_clear`` is the one sampler: each round draws a block of candidates,
 keeps them in the box by resampling (clipping after 100 tries, as in
 Hansen's CMA-ES tutorial), rejects those closer than ``d_min`` to a set
@@ -14,9 +14,9 @@ loop would and each candidate gets the normals that loop would give it.
 ``ask(state, n)`` is ``ask_clear`` with no centers and ``ask_one``
 is ``ask`` with n = 1.  ``tell(state, xs, fs)`` accepts any population of
 size between mu and lambda, so callers that drop candidates can still
-advance the distribution.  ``CmaParams`` holds what ``CmaParams.defaults``
-derives from the dimension; the step size ``SIGMA0`` and the stop
-tolerances ``TOL_*`` do not depend on it and are module constants.
+advance the distribution.  ``CmaParams(D)`` holds what D fixes; the step
+size ``SIGMA0`` and the stop tolerances ``TOL_*`` do not depend on it and
+are module constants.
 ``tell`` and the sampler's rounds are cut to their arithmetic while
 giving the bits of the plain NumPy forms: the median comes from
 ``tell``'s own sort, and a block maps and box-tests every draw but clips,
@@ -26,15 +26,16 @@ only when its misses can reach 100.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .boxes import Box, distances
-from .trajectory import fitness_keys
+from .trajectory import _check_int, fitness_keys
 
 __all__ = [
     "AlreadyStopped",
@@ -98,16 +99,16 @@ class InsufficientPopulation(ValueError):
     """tell called with fewer than mu candidates."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CmaParams:
-    """Strategy parameters, frozen at initialization; every one derives from D.
+    """The strategy parameters ``CmaParams(D)``: D, an int of at least 1, fixes every one.
 
-    ``defaults`` follows the standard parameterization: population size
-    ``lambda = 4 + floor(3 ln D)``, ``mu = floor(lambda / 2)`` parents with
-    positive log-rank weights, the usual CSA / rank-one / rank-mu learning
-    rates derived from ``mu_eff``, and ``max_iter = 1000 D^2``.  The step
-    size and stop tolerances are the module constants ``SIGMA0``,
-    ``TOL_X``, ``TOL_FUN``, ``TOL_FUN_HIST`` and ``TOL_STAGNATION``.
+    They follow the standard parameterization: ``lambda = 4 + floor(3 ln D)``,
+    ``mu = floor(lambda / 2)`` parents with positive log-rank weights, the
+    usual CSA / rank-one / rank-mu learning rates derived from ``mu_eff``,
+    ``chi_n``, about E||N(0, I)||, and ``max_iter = 1000 D^2``.  They are built
+    once per D and shared: ``CmaParams(D)``, a copy and a pickle are that
+    one frozen object, and its ``weights`` are read-only.
     """
 
     dimension: int
@@ -120,34 +121,37 @@ class CmaParams:
     c_c: float
     c_1: float
     c_mu: float
+    chi_n: float
     max_iter: int
 
-    @classmethod
-    def defaults(cls, dimension: int) -> "CmaParams":
-        d = float(dimension)
-        lambda_ = 4 + int(math.floor(3.0 * math.log(dimension)))
-        mu = lambda_ // 2
-        raw = np.log((lambda_ + 1) / 2.0) - np.log(np.arange(1, mu + 1))
-        weights = raw / raw.sum()
-        mu_eff = 1.0 / float(np.sum(weights**2))
-        c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
-        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma
-        c_c = (4.0 + mu_eff / d) / (d + 4.0 + 2.0 * mu_eff / d)
-        c_1 = 2.0 / ((d + 1.3) ** 2 + mu_eff)
-        c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((d + 2.0) ** 2 + mu_eff))
-        return cls(
-            dimension=dimension,
-            lambda_=lambda_,
-            mu=mu,
-            weights=weights,
-            mu_eff=mu_eff,
-            c_sigma=c_sigma,
-            d_sigma=d_sigma,
-            c_c=c_c,
-            c_1=c_1,
-            c_mu=c_mu,
-            max_iter=1000 * dimension**2,
-        )
+    def __new__(cls, dimension: int) -> CmaParams:
+        _check_int("dimension", dimension, 1)
+        return _params_of(int(dimension))
+
+    def __reduce__(self):
+        return CmaParams, (self.dimension,)
+
+
+@functools.cache
+def _params_of(dimension: int) -> CmaParams:
+    d = float(dimension)
+    lambda_ = 4 + int(math.floor(3.0 * math.log(dimension)))
+    mu = lambda_ // 2
+    raw = np.log((lambda_ + 1) / 2.0) - np.log(np.arange(1, mu + 1))
+    weights = raw / raw.sum()
+    weights.flags.writeable = False
+    mu_eff = 1.0 / float(np.sum(weights**2))
+    c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma
+    c_c = (4.0 + mu_eff / d) / (d + 4.0 + 2.0 * mu_eff / d)
+    c_1 = 2.0 / ((d + 1.3) ** 2 + mu_eff)
+    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((d + 2.0) ** 2 + mu_eff))
+    chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+    params = object.__new__(CmaParams)
+    # the fields are frozen, so they are set past the dataclass's __setattr__, in field order
+    values = (dimension, lambda_, mu, weights, mu_eff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n)
+    vars(params).update(zip((f.name for f in fields(CmaParams)), (*values, 1000 * dimension**2)))
+    return params
 
 
 @dataclass(eq=False)
@@ -179,18 +183,15 @@ class CmaState:
     # draws per clear candidate in the last ``ask_clear`` call
     draws_per_clear: float = field(default=1.0, repr=False)
 
-    @property
-    def chi_n(self) -> float:
-        d = self.params.dimension
-        return math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
-
-def init_cma(mean: np.ndarray, params: CmaParams, seed: int, box: Box) -> CmaState:
+def init_cma(mean: np.ndarray, seed: int, box: Box) -> CmaState:
     """Fresh state centered at ``mean`` with step size ``SIGMA0`` and identity covariance.
 
-    D is ``params.dimension``; a mean of another length or outside ``box`` is ``InvalidMean``.
+    D is ``box.dimension``, and the state's ``params`` are ``CmaParams(D)``;
+    a mean of another length or outside ``box`` is ``InvalidMean``.
     """
-    dimension = params.dimension
+    dimension = box.dimension
+    params = CmaParams(dimension)
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (dimension,):
         raise InvalidMean(f"mean must have shape ({dimension},), got {mean.shape}")
@@ -363,15 +364,13 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
 
     c_s, d_s = params.c_sigma, params.d_sigma
     c_c, c_1, c_mu = params.c_c, params.c_1, params.c_mu
-    mu_eff = params.mu_eff
-    dim = params.dimension
+    mu_eff, dim, chi_n = params.mu_eff, params.dimension, params.chi_n
 
     # CSA path in the whitened coordinate system
     cov_inv_half_yw = state.eig_vectors @ ((state.eig_vectors.T @ y_w) / state.eig_scale)
     p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(c_s * (2.0 - c_s) * mu_eff) * cov_inv_half_yw
     # the formula of ``np.linalg.norm`` for a vector
     norm_ps = math.sqrt(p_sigma.dot(p_sigma))
-    chi_n = state.chi_n
     expected = math.sqrt(1.0 - (1.0 - c_s) ** (2 * (state.iteration + 1)))
     h_sigma = 1.0 if norm_ps / expected / chi_n < 1.4 + 2.0 / (dim + 1.0) else 0.0
 

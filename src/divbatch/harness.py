@@ -37,6 +37,7 @@ __all__ = [
     "ALGORITHMS",
     "EmptyBatch",
     "ExperimentConfig",
+    "MixedProtocols",
     "RunRecord",
     "SELECTORS",
     "compute_metrics",
@@ -58,6 +59,14 @@ SELECTORS = {
 
 class EmptyBatch(ValueError):
     """Metrics requested for a batch with no points."""
+
+
+class MixedProtocols(ValueError):
+    """Records read together that were run under different protocols."""
+
+
+# the settings every record of one directory shares; the cells vary the rest
+_PROTOCOL_FIELDS = ("dimension", "budget", "k", "d_min", "method")
 
 
 @dataclass
@@ -260,13 +269,27 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
 
 def read_records_dir(path: str | Path) -> list[RunRecord]:
-    """Load every records/<cell>.json under an experiment output directory."""
+    """Load every records/<cell>.json under an experiment output directory.
+
+    The records must share one protocol: a record whose dimension, budget,
+    k, ``d_min`` or selection method differs from the first file's raises
+    ``MixedProtocols``, naming the field and both files.
+    """
     root = Path(path)
     records_dir = root / "records" if (root / "records").is_dir() else root
     files = sorted(records_dir.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no record files under {records_dir}")
-    return [RunRecord(**json.loads(f.read_text())) for f in files]
+    records = [RunRecord(**json.loads(f.read_text())) for f in files]
+    for name in _PROTOCOL_FIELDS:
+        first = getattr(records[0], name)
+        for file, record in zip(files, records):
+            if getattr(record, name) != first:
+                raise MixedProtocols(
+                    f"records disagree on {name}: {first!r} in {files[0].name}, "
+                    f"{getattr(record, name)!r} in {file.name}"
+                )
+    return records
 
 
 def normalize_losses(records: list[RunRecord]) -> list[dict]:

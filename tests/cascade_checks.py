@@ -208,7 +208,7 @@ def reference_run_ds(config, fn):
         raise ValueError(f"unknown center strategy {config.center_strategy!r}")
     box = fn.box
     dim = box.dimension
-    params = CmaParams.defaults(dim)
+    params = CmaParams(dim)
     lam, mu = params.lambda_, params.mu
     k, d_min, budget = config.k, config.d_min, config.budget
     if budget < k * lam:
@@ -227,7 +227,7 @@ def reference_run_ds(config, fn):
         fresh = [
             ReferenceInstance(
                 index=i,
-                state=init_cma(means[i], params, int(seed_rng.integers(2**63)), box),
+                state=init_cma(means[i], int(seed_rng.integers(2**63)), box),
                 center=means[i].copy(),
             )
             for i in range(k)
@@ -309,11 +309,11 @@ def reference_run_cma_single(fn, budget, seed=0):
     """
     rng = np.random.default_rng([seed, 0])
     box = fn.box
-    params = CmaParams.defaults(box.dimension)
+    params = CmaParams(box.dimension)
     points, causes = [], []
     while len(points) < budget:
         mean = box.sample_uniform(rng)
-        state = init_cma(mean, params, int(rng.integers(2**63)), box)
+        state = init_cma(mean, int(rng.integers(2**63)), box)
         while len(points) < budget and state.stop_reason is None:
             population = []
             while len(population) < params.lambda_ and len(points) < budget:
@@ -377,7 +377,8 @@ def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     cov_inv_half_yw = state.eig_vectors @ ((state.eig_vectors.T @ y_w) / state.eig_scale)
     p_sigma = (1.0 - c_s) * state.p_sigma + math.sqrt(c_s * (2.0 - c_s) * mu_eff) * cov_inv_half_yw
     norm_ps = float(np.linalg.norm(p_sigma))
-    chi_n = state.chi_n
+    # the expected length of a D-dimensional standard normal vector
+    chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim * dim))
     expected = math.sqrt(1.0 - (1.0 - c_s) ** (2 * (state.iteration + 1)))
     h_sigma = 1.0 if norm_ps / expected / chi_n < 1.4 + 2.0 / (dim + 1.0) else 0.0
 

@@ -254,8 +254,8 @@ def test_07_small_distance_requirement_flips_dominance(flip_grid):
 
 
 def test_08_population_and_stopping_constants_are_pinned():
-    p10 = CmaParams.defaults(10)
-    p2 = CmaParams.defaults(2)
+    p10 = CmaParams(10)
+    p2 = CmaParams(2)
     checks = [
         p10.lambda_ == 10,
         p10.mu == 5,

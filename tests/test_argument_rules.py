@@ -15,6 +15,7 @@ import pytest
 from divbatch import cli
 from divbatch.baselines import run_cma_indep, run_cma_single, run_random
 from divbatch.cascade import DsConfig
+from divbatch.cma import CmaParams
 from divbatch.harness import ExperimentConfig
 from divbatch.objectives import InvalidDimension, make_function
 from divbatch.selection import clearing_select, exact_select, greedy_select
@@ -51,6 +52,7 @@ ENTRY_POINTS = [
         InvalidDimension,
         InvalidDimension,
     ),
+    ("CmaParams-dimension", lambda v, _: CmaParams(v), "dimension", 1, ValueError, ValueError),
     ("make_function-seed", lambda v, _: make_function("sphere", 2, v), "seed", 0, ValueError, ValueError),
     ("run_random-budget", lambda v, _: run_random(sphere(), v), "budget", 0, ValueError, ValueError),
     ("run_random-seed", lambda v, _: run_random(sphere(), 5, v), "seed", 0, ValueError, ValueError),

@@ -487,11 +487,14 @@ def _cascade_log():
     )
 
 
+# ``CmaParams(D)`` is one shared object per D: each build takes the next D
+_PARAM_DIMENSIONS = itertools.count(2)
+
 ARRAY_HOLDERS = {
     "Box": lambda: Box.cube(3),
     "CascadeLog": _cascade_log,
-    "CmaParams": lambda: CmaParams.defaults(3),
-    "CmaState": lambda: init_cma(np.zeros(3), CmaParams.defaults(3), 0, Box.cube(3)),
+    "CmaParams": lambda: CmaParams(next(_PARAM_DIMENSIONS)),
+    "CmaState": lambda: init_cma(np.zeros(3), 0, Box.cube(3)),
     "ObjectiveFunction": lambda: make_function("sphere", 3, 0),
 }
 

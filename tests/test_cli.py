@@ -205,6 +205,41 @@ def test_report_rejects_empty_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_report_refuses_a_directory_of_two_protocols_and_writes_no_table(tmp_path, capsys):
+    # ds at D=3, then random at D=2 with another k, then ds at D=2 over seed
+    # 0's files: each run adds or overwrites cells of one directory
+    mix = tmp_path / "mix"
+    assert main(run_args(mix, **{"--algo": "ds", "--dim": 3, "--budget": 60})) == 0
+    assert main(run_args(mix, **{"--budget": 50, "--k": 3})) == 0
+    assert main(run_args(mix, **{"--algo": "ds", "--runs": 1})) == 0
+    capsys.readouterr()
+    tables = tmp_path / "tables" / "records.csv"
+    assert main(["report", "--in", str(mix), "--out", str(tables)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: records disagree on dimension: 2 in sphere__ds__s0.json, ")
+    assert "3 in sphere__ds__s1.json" in err
+    assert not tables.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dimension", 3), ("budget", 61), ("k", 3), ("d_min", 1.5), ("method", "exact")]
+)
+def test_report_names_the_protocol_field_that_disagrees(tmp_path, capsys, field, value):
+    assert main(run_args(tmp_path / "out")) == 0
+    record = tmp_path / "out" / "records" / "sphere__random__s1.json"
+    fields = json.loads(record.read_text())
+    assert fields[field] != value
+    record.write_text(json.dumps({**fields, field: value}))
+    capsys.readouterr()
+    tables = tmp_path / "out" / "records.csv"
+    assert main(["report", "--in", str(tmp_path / "out"), "--out", str(tables)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: records disagree on {field}: {fields[field]!r} in sphere__random__s0.json, "
+        f"{value!r} in sphere__random__s1.json\n"
+    )
+    assert not tables.exists()
+
+
 def test_functions_lists_whole_suite(capsys):
     assert main(["functions"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -61,7 +61,7 @@ def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):
     from workloads import install_spans
 
     box = divbatch.Box.cube(2)
-    state = divbatch.init_cma(np.zeros(2), divbatch.CmaParams.defaults(2), 0, box)
+    state = divbatch.init_cma(np.zeros(2), 0, box)
     xs = divbatch.ask(state, 6)
     tracer, patches = Tracer(), Patches()
     try:
