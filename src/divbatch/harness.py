@@ -9,8 +9,9 @@ the process that ran it.  A record holds no timings, so rerunning a grid
 rewrites every persisted file byte for byte.  The process pool, and the
 ``multiprocessing`` modules it needs, load only when a grid runs with
 ``workers > 1``.
-``export_plot_data`` writes the seed-mean curves of a list of records; a
-cascade's region log is written by ``CascadeLog.write``.
+A record keeps its sorted batch losses and nothing derived from them;
+``export_plot_data`` derives the seed-mean curves.  Every table goes through one CSV writer,
+and a cascade's region log is written by ``CascadeLog.write``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class MixedProtocols(ValueError):
 
 
 # the settings every record of one directory shares; the cells vary the rest
-_PROTOCOL_FIELDS = ("dimension", "budget", "k", "d_min", "method")
+_PROTOCOL_FIELDS = ("dimension", "budget", "k", "d_min", "method", "center_strategy")
 
 
 @dataclass
@@ -81,11 +82,11 @@ class RunRecord:
     k: int
     d_min: float
     method: str
+    center_strategy: str
     complete: bool
     error: bool
     leader_loss: float
     batch_losses: list[float]
-    cum_avg: list[float]
 
     def batch_average(self) -> float:
         return float(np.mean(self.batch_losses)) if self.batch_losses else float("nan")
@@ -138,19 +139,13 @@ class ExperimentConfig:
 
 
 def compute_metrics(batch: Batch, fn: ObjectiveFunction):
-    """(leader_loss, batch_losses, cum_avg) for a batch.
-
-    ``batch_losses`` are sorted ascending; ``cum_avg[i]`` averages the
-    best i+1 of them.
-    """
+    """(leader_loss, batch_losses) for a batch; ``batch_losses`` are sorted ascending."""
     if not len(batch):
         raise EmptyBatch("cannot compute metrics for an empty batch")
     # Python floats, so the records CSV holds their repr, not np.float64(...)
     fs = batch.fs.tolist()
     losses = sorted(fn.loss(f) for f in fs)
-    leader_loss = fn.loss(fs[0])
-    cum_avg = [float(v) for v in np.cumsum(losses) / np.arange(1, len(losses) + 1)]
-    return leader_loss, losses, cum_avg
+    return fn.loss(fs[0]), losses
 
 
 def _generate(algorithm: str, fn: ObjectiveFunction, cfg: ExperimentConfig, seed: int) -> Trajectory:
@@ -186,31 +181,26 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
         k=int(cfg.k),
         d_min=cfg.d_min,
         method=cfg.method,
+        center_strategy=cfg.center_strategy,
     )
     try:
         trajectory = _generate(algorithm, fn, cfg, seed)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the grid
         warnings.warn(f"{function_id}/{algorithm}/seed {seed} failed: {exc}", stacklevel=2)
         record = RunRecord(
-            **base,
-            complete=False,
-            error=True,
-            leader_loss=float("nan"),
-            batch_losses=[],
-            cum_avg=[],
+            **base, complete=False, error=True, leader_loss=float("nan"), batch_losses=[]
         )
         return record, None, None
 
     batch = SELECTORS[cfg.method](trajectory, cfg.k, cfg.d_min)
 
-    leader_loss, batch_losses, cum_avg = compute_metrics(batch, fn)
+    leader_loss, batch_losses = compute_metrics(batch, fn)
     record = RunRecord(
         **base,
         complete=batch.complete,
         error=False,
         leader_loss=leader_loss,
         batch_losses=batch_losses,
-        cum_avg=cum_avg,
     )
     return record, trajectory, batch
 
@@ -272,8 +262,10 @@ def read_records_dir(path: str | Path) -> list[RunRecord]:
     """Load every records/<cell>.json under an experiment output directory.
 
     The records must share one protocol: a record whose dimension, budget,
-    k, ``d_min`` or selection method differs from the first file's raises
-    ``MixedProtocols``, naming the field and both files.
+    k, ``d_min``, selection method or center strategy differs from the
+    first file's raises ``MixedProtocols``, naming the field and both
+    files.  A file whose fields are not ``RunRecord``'s, such as one that
+    still holds a curve, raises ``TypeError``.
     """
     root = Path(path)
     records_dir = root / "records" if (root / "records").is_dir() else root
@@ -357,23 +349,23 @@ def write_normalized_csv(rows: list[dict], path: str | Path) -> None:
 
 def export_plot_data(records: list[RunRecord], path: str | Path) -> None:
     """Write plot-ready curves: one row per (function, algorithm) with the
-    seed-mean cumulative-average curve and the count of complete seeds.
+    count of complete seeds and the seed mean of their cumulative averages,
+    ``avg_i`` averaging the best i batch losses; the cells stay empty when
+    no seed is complete.
 
     Region centers of a cascade run are written by ``CascadeLog.write``.
     """
     records = list(records)
     k = max((r.k for r in records), default=0)
-    pairs = sorted({(r.function_id, r.algorithm) for r in records})
-    lines = ["function,algorithm,n_complete," + ",".join(f"avg_{i + 1}" for i in range(k))]
-    for fid, algo in pairs:
+    columns = [f"avg_{i + 1}" for i in range(k)]
+    rows = []
+    for fid, algo in sorted({(r.function_id, r.algorithm) for r in records}):
         group = [r for r in records if r.function_id == fid and r.algorithm == algo]
-        curves = [r.cum_avg for r in group if r.complete and len(r.cum_avg) == k]
-        n_complete = len(curves)
-        if n_complete:
-            mean_curve = np.mean(np.asarray(curves), axis=0)
-            tail = ",".join(repr(float(v)) for v in mean_curve)
-        else:
-            tail = ",".join([""] * k)
-        lines.append(f"{fid},{algo},{n_complete},{tail}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
+        losses = [r.batch_losses for r in group if r.complete and len(r.batch_losses) == k]
+        curve = [""] * k
+        if losses:
+            # Python floats, so each cell holds its repr, not np.float64(...)
+            curve = (np.cumsum(losses, axis=1) / np.arange(1, k + 1)).mean(axis=0).tolist()
+        row = {"function": fid, "algorithm": algo, "n_complete": len(losses)}
+        rows.append({**row, **dict(zip(columns, curve))})
+    _write_csv(["function", "algorithm", "n_complete", *columns], rows, path)

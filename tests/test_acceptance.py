@@ -32,6 +32,7 @@ from divbatch import (
     greedy_select,
     make_function,
     normalize_losses,
+    read_records_dir,
     run_cma_indep,
     run_cma_single,
     run_ds,
@@ -56,6 +57,12 @@ FLIP_DMIN = 1.0
 # the SHA-256 of every trajectory and batch file of the main grid, seeds 0-9,
 # as ``perfbench/rebaseline.py`` writes them
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "grid-d10.sha256"
+# the SHA-256 of the tables ``divbatch report`` derives from the main grid's
+# record files, seeds 0-4
+REPORT_DIGESTS = {
+    "normalized.csv": "22e945225c9f3a3ba78c9b1054201128f5c8f52a1f3768734af218db378fec4f",
+    "curves.csv": "3591f18e3e1e7c3beaf27fc5777385da7e46b4cdbe1fe9c8d24983e48afe73c7",
+}
 
 
 def _report(index: int, name: str, passed: bool, detail: str) -> bool:
@@ -369,3 +376,17 @@ def test_main_grid_files_keep_their_golden_digests(main_grid, main_grid_dir):
         if hashlib.sha256((main_grid_dir / name).read_bytes()).hexdigest() != golden.get(name)
     ]
     assert not changed, f"{len(changed)} of {len(written)} files differ: {changed[:5]}"
+
+
+def test_main_grid_report_tables_keep_their_digests(main_grid, main_grid_dir, tmp_path):
+    # the normalized and curves tables as report writes them from the record
+    # files, so a change to the records, the curves or the CSV writer that
+    # alters one byte of them shows here
+    records = read_records_dir(main_grid_dir)
+    assert len(records) == len(main_grid) == 150
+    write_normalized_csv(normalize_losses(records), tmp_path / "normalized.csv")
+    export_plot_data(records, tmp_path / "curves.csv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REPORT_DIGESTS
+    }
+    assert digests == REPORT_DIGESTS

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import divbatch.baselines
@@ -69,7 +69,8 @@ def cascade_runs(draw):
 
 
 @pytest.mark.filterwarnings("ignore:budget .* is below one full round")
-@settings(max_examples=200, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None)
 @given(cascade_runs())
 def test_run_ds_spends_the_budget_keeps_clear_and_reruns_equal(run):
     function_id, dim, config = run
@@ -147,7 +148,8 @@ def init_outcome(init, *args):
     return means.shape, means.tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=300, deadline=None, database=None)
 @given(init_problems())
 def test_init_diverse_means_equals_the_one_draw_loop(problem):
     k, box, d_min, seed, cap, block = problem
@@ -189,7 +191,8 @@ def edge_runs(draw):
 
 
 @pytest.mark.filterwarnings("ignore:budget .* is below one full round")
-@settings(max_examples=150, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
 @given(edge_runs())
 def test_block_step_equals_the_one_candidate_loop(run):
     function_id, dim, config = run

@@ -222,7 +222,15 @@ def test_report_refuses_a_directory_of_two_protocols_and_writes_no_table(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "field, value", [("dimension", 3), ("budget", 61), ("k", 3), ("d_min", 1.5), ("method", "exact")]
+    "field, value",
+    [
+        ("dimension", 3),
+        ("budget", 61),
+        ("k", 3),
+        ("d_min", 1.5),
+        ("method", "exact"),
+        ("center_strategy", "best_so_far"),
+    ],
 )
 def test_report_names_the_protocol_field_that_disagrees(tmp_path, capsys, field, value):
     assert main(run_args(tmp_path / "out")) == 0

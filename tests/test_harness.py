@@ -60,7 +60,6 @@ def small_batch(fs, leader_index=0):
 
 def record(function_id, algorithm, seed, batch_losses, complete=True):
     losses = sorted(batch_losses)
-    cum = list(np.cumsum(losses) / np.arange(1, len(losses) + 1))
     return RunRecord(
         function_id=function_id,
         algorithm=algorithm,
@@ -70,27 +69,27 @@ def record(function_id, algorithm, seed, batch_losses, complete=True):
         k=len(losses),
         d_min=1.0,
         method="clearing",
+        center_strategy="population_best",
         complete=complete,
         error=False,
         leader_loss=losses[0] if losses else float("nan"),
         batch_losses=losses,
-        cum_avg=cum,
     )
 
 
 def test_metrics_hand_example(tmp_path):
     fn = make_function("sphere", 2, 0)
     batch = small_batch([fn.f_opt + 1, fn.f_opt + 2, fn.f_opt + 3])
-    leader, losses, cum_avg = compute_metrics(batch, fn)
+    leader, losses = compute_metrics(batch, fn)
     assert leader == pytest.approx(1.0)
     assert losses == pytest.approx([1.0, 2.0, 3.0])
-    assert cum_avg == pytest.approx([1.0, 1.5, 2.0])
     # plain floats: the records CSV holds each value's repr
-    assert all(type(v) is float for v in [leader, *losses, *cum_avg])
-    rec = replace(record("sphere", "ds", 0, losses), leader_loss=leader, cum_avg=cum_avg)
-    path = tmp_path / "records.csv"
-    write_records_csv([rec], path)
-    assert "np." not in path.read_text()
+    assert all(type(v) is float for v in [leader, *losses])
+    rec = replace(record("sphere", "ds", 0, losses), leader_loss=leader)
+    write_records_csv([rec], tmp_path / "records.csv")
+    export_plot_data([rec], tmp_path / "curves.csv")
+    assert "np." not in (tmp_path / "records.csv").read_text()
+    assert (tmp_path / "curves.csv").read_text().splitlines()[1] == "sphere,ds,1,1.0,1.5,2.0"
 
 
 def test_metrics_leader_is_first_point_not_best():
@@ -98,24 +97,36 @@ def test_metrics_leader_is_first_point_not_best():
     # another member happens to score better
     fn = make_function("sphere", 2, 0)
     batch = small_batch([fn.f_opt + 5, fn.f_opt + 1], leader_index=0)
-    leader, losses, _ = compute_metrics(batch, fn)
+    leader, losses = compute_metrics(batch, fn)
     assert leader == pytest.approx(5.0)
     assert losses == pytest.approx([1.0, 5.0])
 
 
 def test_metrics_single_point():
     fn = make_function("sphere", 2, 0)
-    leader, losses, cum_avg = compute_metrics(small_batch([fn.f_opt + 4]), fn)
-    assert (leader, losses, cum_avg) == (pytest.approx(4.0), pytest.approx([4.0]), pytest.approx([4.0]))
+    leader, losses = compute_metrics(small_batch([fn.f_opt + 4]), fn)
+    assert (leader, losses) == (pytest.approx(4.0), pytest.approx([4.0]))
 
 
-def test_metrics_cum_avg_is_nondecreasing():
+def test_exported_curves_are_nondecreasing(tmp_path):
+    # each seed's losses are sorted, so its running average, and the seed
+    # mean of those averages, never falls as the batch grows
     fn = make_function("sphere", 3, 1)
     rng = np.random.default_rng(0)
+    path = tmp_path / "curves.csv"
     for _ in range(20):
-        fs = fn.f_opt + rng.uniform(0, 50, size=rng.integers(1, 8))
-        _, _, cum_avg = compute_metrics(small_batch(fs), fn)
-        assert all(a <= b + 1e-12 for a, b in zip(cum_avg, cum_avg[1:]))
+        k = int(rng.integers(1, 8))
+        records = []
+        for seed in range(int(rng.integers(1, 4))):
+            fs = fn.f_opt + rng.uniform(0, 50, size=k)
+            leader, losses = compute_metrics(small_batch(fs), fn)
+            records.append(replace(record("sphere", "ds", seed, losses), leader_loss=leader))
+        export_plot_data(records, path)
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[:3] == ["sphere", "ds", str(len(records))]
+        curve = [float(v) for v in row[3:]]
+        assert len(curve) == k
+        assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
 def test_metrics_reject_empty_batch():
@@ -200,7 +211,7 @@ def test_grid_shape_and_record_stamps():
     for r in records:
         assert r.dimension == 2 and r.budget == 80 and r.k == 2
         assert not r.error
-        assert len(r.batch_losses) == 2 and len(r.cum_avg) == 2
+        assert len(r.batch_losses) == 2 and r.center_strategy == "population_best"
         assert r.leader_loss >= 0
 
 
@@ -407,6 +418,18 @@ def test_records_round_trip_through_directory(tmp_path):
         read_records_dir(tmp_path / "nowhere")
 
 
+def test_a_record_file_holding_cum_avg_is_refused(tmp_path):
+    # a record holds no curve, since report derives it from the losses; a
+    # record file that holds one is refused, not read with the field dropped
+    run_experiment(small_config(tmp_path, functions=["sphere"], algorithms=["ds"], seeds=[0]))
+    path = tmp_path / "out" / "records" / "sphere__ds__s0.json"
+    fields = json.loads(path.read_text())
+    assert "cum_avg" not in fields
+    path.write_text(json.dumps({**fields, "cum_avg": [1.0, 1.5]}))
+    with pytest.raises(TypeError, match="cum_avg"):
+        read_records_dir(tmp_path / "out")
+
+
 def test_records_csv_layout(tmp_path):
     records = [record("sphere", "ds", 0, [1.0, 2.5])]
     path = tmp_path / "records.csv"
@@ -414,8 +437,10 @@ def test_records_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "function_id"
-    # records hold no timings, so reruns write the same bytes
-    assert header[-3:] == ["leader_loss", "batch_losses", "cum_avg"]
+    # records hold no timings and no curves (report derives them), so
+    # reruns write the same bytes
+    assert header[-2:] == ["leader_loss", "batch_losses"]
+    assert header[header.index("method") + 1] == "center_strategy"
     row = lines[1].split(",")
     assert row[:3] == ["sphere", "ds", "0"]
     assert row[header.index("complete")] == "1"
@@ -455,8 +480,13 @@ def test_curve_export_counts_zero_complete(tmp_path):
     records = [record("sphere", "random", 0, [1.0, 2.0], complete=False)]
     path = tmp_path / "curves.csv"
     export_plot_data(records, path)
-    line = path.read_text().splitlines()[1]
-    assert line.startswith("sphere,random,0,")
+    assert path.read_text().splitlines()[1] == "sphere,random,0,,"
+
+
+def test_curve_export_of_no_records_is_the_bare_header(tmp_path):
+    path = tmp_path / "curves.csv"
+    export_plot_data([], path)
+    assert path.read_text() == "function,algorithm,n_complete\n"
 
 
 def test_selection_method_flows_into_batches(tmp_path):
