@@ -33,35 +33,6 @@ def run_random(fn, budget: int, seed: int = 0) -> Trajectory:
     )
 
 
-def _cma_stream(fn, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One CMA-ES run with full restarts, spending exactly ``budget`` evals.
-
-    Returns the evaluated (xs, fs) in evaluation order.  Each leg starts
-    from a fresh uniform mean; a leg ends when a stopping criterion fires,
-    and a final partial generation is told only if it reached mu
-    candidates.
-    """
-    box = fn.box
-    params = CmaParams(box.dimension)
-    xs_blocks, fs_blocks = [np.empty((0, box.dimension))], [np.empty(0)]
-    evals = 0
-    while evals < budget:
-        mean = box.sample_uniform(rng)
-        state = init_cma(mean, int(rng.integers(2**63)), box)
-        while evals < budget and state.stop_reason is None:
-            # one generation: lambda candidates, fewer when the budget ends
-            xs = ask(state, min(params.lambda_, budget - evals))
-            fs = np.asarray(fn.evaluate_many(xs), dtype=float)
-            xs_blocks.append(xs)
-            fs_blocks.append(fs)
-            evals += len(xs)
-            if len(xs) >= params.mu:
-                tell(state, xs, fs)
-            else:
-                break
-    return np.concatenate(xs_blocks), np.concatenate(fs_blocks)
-
-
 def run_cma_single(fn, budget: int, seed: int = 0) -> Trajectory:
     """A single restarted CMA-ES run over the whole budget: ``run_cma_indep`` with k = 1."""
     return run_cma_indep(fn, budget, 1, seed)
@@ -72,15 +43,33 @@ def run_cma_indep(fn, budget: int, k: int, seed: int = 0) -> Trajectory:
 
     Each run gets ``budget // k`` evaluations with the remainder assigned
     to the first; run i draws from ``np.random.default_rng([seed, i])``.
+    A stopped run restarts; a last generation short of mu is not told.
     """
     _check_int("k", k, 1)
     _check_int("budget", budget, 0)
     _check_int("seed", seed, 0)
+    box = fn.box
+    params = CmaParams(box.dimension)
     shares = [budget // k] * k
     shares[0] += budget % k
-    streams = [_cma_stream(fn, shares[i], np.random.default_rng([seed, i])) for i in range(k)]
+    xs_blocks, fs_blocks = [np.empty((0, box.dimension))], [np.empty(0)]
+    for i, share in enumerate(shares):
+        rng = np.random.default_rng([seed, i])
+        state, evals = None, 0
+        while evals < share:
+            if state is None or state.stop_reason is not None:
+                # a full restart: a fresh uniform mean, then a seed
+                state = init_cma(box.sample_uniform(rng), int(rng.integers(2**63)), box)
+            # one generation: lambda candidates, fewer when the share ends
+            xs = ask(state, min(params.lambda_, share - evals))
+            fs = np.asarray(fn.evaluate_many(xs), dtype=float)
+            xs_blocks.append(xs)
+            fs_blocks.append(fs)
+            evals += len(xs)
+            if len(xs) >= params.mu:
+                tell(state, xs, fs)
     return Trajectory(
-        xs=np.concatenate([xs for xs, _ in streams]),
-        fs=np.concatenate([fs for _, fs in streams]),
+        xs=np.concatenate(xs_blocks),
+        fs=np.concatenate(fs_blocks),
         instance_id=np.repeat(np.arange(k, dtype=np.int64), shares),
     )

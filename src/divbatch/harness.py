@@ -32,12 +32,13 @@ from .objectives import function_ids, make_function
 from .selection import Batch, write_batch
 from .selection import clearing_select, exact_select, greedy_select
 # write_trajectory stays a module attribute: perfbench wraps it by name
-from .trajectory import Trajectory, _check_int, write_trajectory
+from .trajectory import _check_int, write_trajectory
 
 __all__ = [
     "ALGORITHMS",
     "EmptyBatch",
     "ExperimentConfig",
+    "GENERATORS",
     "MixedProtocols",
     "RunRecord",
     "SELECTORS",
@@ -50,7 +51,16 @@ __all__ = [
     "write_records_csv",
 ]
 
-ALGORITHMS = ("ds", "random", "cma", "cma-indep")
+# (fn, cfg, seed) -> Trajectory; names resolve per call, so patched wrappers see it
+GENERATORS = {
+    "ds": lambda fn, cfg, seed: run_ds(
+        DsConfig(cfg.k, cfg.d_min, cfg.budget, cfg.center_strategy, seed), fn
+    )[0],
+    "random": lambda fn, cfg, seed: run_random(fn, cfg.budget, seed),
+    "cma": lambda fn, cfg, seed: run_cma_single(fn, cfg.budget, seed),
+    "cma-indep": lambda fn, cfg, seed: run_cma_indep(fn, cfg.budget, cfg.k, seed),
+}
+ALGORITHMS = tuple(GENERATORS)
 SELECTORS = {
     "clearing": clearing_select,
     "greedy": greedy_select,
@@ -66,7 +76,7 @@ class MixedProtocols(ValueError):
     """Records read together that were run under different protocols."""
 
 
-# the settings every record of one directory shares; the cells vary the rest
+# the settings every record of one directory shares where it holds them
 _PROTOCOL_FIELDS = ("dimension", "budget", "k", "d_min", "method", "center_strategy")
 
 
@@ -82,7 +92,7 @@ class RunRecord:
     k: int
     d_min: float
     method: str
-    center_strategy: str
+    center_strategy: str | None
     complete: bool
     error: bool
     leader_loss: float
@@ -148,31 +158,10 @@ def compute_metrics(batch: Batch, fn: ObjectiveFunction):
     return fn.loss(fs[0]), losses
 
 
-def _generate(algorithm: str, fn: ObjectiveFunction, cfg: ExperimentConfig, seed: int) -> Trajectory:
-    if algorithm == "ds":
-        ds = DsConfig(
-            k=cfg.k,
-            d_min=cfg.d_min,
-            budget=cfg.budget,
-            center_strategy=cfg.center_strategy,
-            seed=seed,
-        )
-        return run_ds(ds, fn)[0]
-    if algorithm == "random":
-        return run_random(fn, cfg.budget, seed)
-    if algorithm == "cma":
-        return run_cma_single(fn, cfg.budget, seed)
-    if algorithm == "cma-indep":
-        return run_cma_indep(fn, cfg.budget, cfg.k, seed)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int):
-    """Returns (record, trajectory, batch); trajectory/batch are None on error."""
-    # objective instances stay fixed while run seeds vary
-    fn = make_function(function_id, cfg.dimension, 0)
+def _stamps(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int) -> dict:
+    """The fields a cell's record takes from the grid, known before the cell runs."""
     # Python ints, which the record file can hold where numpy ones cannot
-    base = dict(
+    return dict(
         function_id=function_id,
         algorithm=algorithm,
         seed=int(seed),
@@ -181,10 +170,17 @@ def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int
         k=int(cfg.k),
         d_min=cfg.d_min,
         method=cfg.method,
-        center_strategy=cfg.center_strategy,
+        center_strategy=cfg.center_strategy if algorithm == "ds" else None,
     )
+
+
+def _run_cell(cfg: ExperimentConfig, function_id: str, algorithm: str, seed: int):
+    """Returns (record, trajectory, batch); trajectory/batch are None on error."""
+    # objective instances stay fixed while run seeds vary
+    fn = make_function(function_id, cfg.dimension, 0)
+    base = _stamps(cfg, function_id, algorithm, seed)
     try:
-        trajectory = _generate(algorithm, fn, cfg, seed)
+        trajectory = GENERATORS[algorithm](fn, cfg, seed)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the grid
         warnings.warn(f"{function_id}/{algorithm}/seed {seed} failed: {exc}", stacklevel=2)
         record = RunRecord(
@@ -237,11 +233,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     cell order either way.  The process pool is imported only when
     ``workers > 1``.  Each cell's warnings are re-issued here as its
     record arrives, so a grid that raises still shows the earlier ones.
+    Before a directory is made or a cell runs, a grid whose records would
+    mix protocols with those under ``out_dir`` raises ``MixedProtocols``.
     """
+    cells = list(product(cfg.functions, cfg.algorithms, cfg.seeds))
     if cfg.out_dir is not None:
+        stamps = {f"{f}__{a}__s{s}.json": _stamps(cfg, f, a, s) for f, a, s in cells}
+        _check_protocol(Path(cfg.out_dir) / "records", stamps)
         for sub in ("trajectories", "batches", "records"):
             (Path(cfg.out_dir) / sub).mkdir(parents=True, exist_ok=True)
-    cells = list(product(cfg.functions, cfg.algorithms, cfg.seeds))
     # one column per argument; an empty grid leaves only the empty cfg column
     columns = ([cfg] * len(cells), *zip(*cells))
     parallel = cfg.workers > 1
@@ -264,22 +264,30 @@ def read_records_dir(path: str | Path) -> list[RunRecord]:
     The records must share one protocol: a record whose dimension, budget,
     k, ``d_min``, selection method or center strategy differs from the
     first file's raises ``MixedProtocols``, naming the field and both
-    files.  A file whose fields are not ``RunRecord``'s, such as one that
-    still holds a curve, raises ``TypeError``.
+    files; only ``ds`` records hold a center strategy.  A file whose fields
+    are not ``RunRecord``'s, such as one holding a curve, raises ``TypeError``.
     """
     root = Path(path)
     records_dir = root / "records" if (root / "records").is_dir() else root
-    files = sorted(records_dir.glob("*.json"))
-    if not files:
+    records = _check_protocol(records_dir, {})
+    if not records:
         raise FileNotFoundError(f"no record files under {records_dir}")
+    return records
+
+
+def _check_protocol(records_dir: Path, cells: dict[str, dict]) -> list[RunRecord]:
+    """The records under ``records_dir``, in file name order, once they and ``cells``
+    (record file name -> stamps) agree on every protocol field that holds a value."""
+    files = sorted(records_dir.glob("*.json"))
     records = [RunRecord(**json.loads(f.read_text())) for f in files]
+    stamped = [*zip([f.name for f in files], map(vars, records)), *cells.items()]
     for name in _PROTOCOL_FIELDS:
-        first = getattr(records[0], name)
-        for file, record in zip(files, records):
-            if getattr(record, name) != first:
+        held = [(file, stamps[name]) for file, stamps in stamped if stamps[name] is not None]
+        for file, value in held[1:]:
+            if value != held[0][1]:
                 raise MixedProtocols(
-                    f"records disagree on {name}: {first!r} in {files[0].name}, "
-                    f"{getattr(record, name)!r} in {file.name}"
+                    f"records disagree on {name}: {held[0][1]!r} in {held[0][0]}, "
+                    f"{value!r} in {file}"
                 )
     return records
 
@@ -324,6 +332,8 @@ _RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):

@@ -205,19 +205,73 @@ def test_report_rejects_empty_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_report_refuses_a_directory_of_two_protocols_and_writes_no_table(tmp_path, capsys):
+def files_of(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_refuses_a_second_protocol_and_changes_no_file(tmp_path, capsys):
     # ds at D=3, then random at D=2 with another k, then ds at D=2 over seed
-    # 0's files: each run adds or overwrites cells of one directory
+    # 0's cell: the records already in a directory fix its protocol
     mix = tmp_path / "mix"
     assert main(run_args(mix, **{"--algo": "ds", "--dim": 3, "--budget": 60})) == 0
-    assert main(run_args(mix, **{"--budget": 50, "--k": 3})) == 0
-    assert main(run_args(mix, **{"--algo": "ds", "--runs": 1})) == 0
+    before = files_of(mix)
+    capsys.readouterr()
+    assert main(run_args(mix, **{"--budget": 50, "--k": 3})) == 1
+    assert capsys.readouterr().err == (
+        "error: records disagree on dimension: 3 in sphere__ds__s0.json, "
+        "2 in sphere__random__s0.json\n"
+    )
+    assert main(run_args(mix, **{"--algo": "ds", "--runs": 1})) == 1
+    assert capsys.readouterr().err.startswith("error: records disagree on dimension: 3 in ")
+    assert files_of(mix) == before
+    # the same protocol may rerun a cell or add one
+    assert main(run_args(mix, **{"--algo": "ds", "--dim": 3, "--budget": 60, "--runs": 3})) == 0
+    assert {name: files_of(mix)[name] for name in before} == before
+    assert len(files_of(mix)) == len(before) + 3
+
+
+def test_run_refuses_a_second_ds_center_strategy(tmp_path, capsys):
+    out = tmp_path / "out"
+    ds = {"--algo": "ds", "--runs": 1}
+    assert main(run_args(out, **ds)) == 0
+    capsys.readouterr()
+    assert main(run_args(out, **ds, **{"--seed": 1, "--center-strategy": "best_so_far"})) == 1
+    assert capsys.readouterr().err == (
+        "error: records disagree on center_strategy: 'population_best' in sphere__ds__s0.json, "
+        "'best_so_far' in sphere__ds__s1.json\n"
+    )
+    assert sorted(p.name for p in (out / "records").iterdir()) == ["sphere__ds__s0.json"]
+
+
+def test_report_takes_other_algorithms_run_under_two_center_strategies(tmp_path, capsys):
+    # only ds reads the strategy, so the other algorithms' records hold none
+    out = tmp_path / "out"
+    assert main(run_args(out, **{"--runs": 1})) == 0
+    other = {"--seed": 1, "--runs": 1, "--center-strategy": "best_so_far"}
+    assert main(run_args(out, **other)) == 0
+    tables = tmp_path / "records.csv"
+    with pytest.warns(UserWarning, match="no complete ds run"):
+        assert main(["report", "--in", str(out), "--out", str(tables)]) == 0
+    lines = tables.read_text().splitlines()
+    column = lines[0].split(",").index("center_strategy")
+    assert [line.split(",")[column] for line in lines[1:]] == ["", ""]
+
+
+def test_report_refuses_a_directory_of_two_protocols_and_writes_no_table(tmp_path, capsys):
+    # a record of another protocol, copied in by hand: run would refuse it
+    mix = tmp_path / "mix"
+    assert main(run_args(mix, **{"--algo": "ds", "--dim": 3, "--budget": 60})) == 0
+    assert main(run_args(tmp_path / "other", **{"--runs": 1, "--budget": 50, "--k": 3})) == 0
+    record = "sphere__random__s0.json"
+    (mix / "records" / record).write_bytes((tmp_path / "other" / "records" / record).read_bytes())
     capsys.readouterr()
     tables = tmp_path / "tables" / "records.csv"
     assert main(["report", "--in", str(mix), "--out", str(tables)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: records disagree on dimension: 2 in sphere__ds__s0.json, ")
-    assert "3 in sphere__ds__s1.json" in err
+    assert err == (
+        "error: records disagree on dimension: 3 in sphere__ds__s0.json, "
+        "2 in sphere__random__s0.json\n"
+    )
     assert not tables.parent.exists()
 
 
@@ -233,8 +287,9 @@ def test_report_refuses_a_directory_of_two_protocols_and_writes_no_table(tmp_pat
     ],
 )
 def test_report_names_the_protocol_field_that_disagrees(tmp_path, capsys, field, value):
-    assert main(run_args(tmp_path / "out")) == 0
-    record = tmp_path / "out" / "records" / "sphere__random__s1.json"
+    # ds records, the only ones that hold a center strategy
+    assert main(run_args(tmp_path / "out", **{"--algo": "ds"})) == 0
+    record = tmp_path / "out" / "records" / "sphere__ds__s1.json"
     fields = json.loads(record.read_text())
     assert fields[field] != value
     record.write_text(json.dumps({**fields, field: value}))
@@ -242,8 +297,8 @@ def test_report_names_the_protocol_field_that_disagrees(tmp_path, capsys, field,
     tables = tmp_path / "out" / "records.csv"
     assert main(["report", "--in", str(tmp_path / "out"), "--out", str(tables)]) == 1
     assert capsys.readouterr().err == (
-        f"error: records disagree on {field}: {fields[field]!r} in sphere__random__s0.json, "
-        f"{value!r} in sphere__random__s1.json\n"
+        f"error: records disagree on {field}: {fields[field]!r} in sphere__ds__s0.json, "
+        f"{value!r} in sphere__ds__s1.json\n"
     )
     assert not tables.exists()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import shutil
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -17,6 +18,7 @@ from divbatch import (
     EmptyPortfolio,
     ExperimentConfig,
     InvalidDimension,
+    MixedProtocols,
     RunRecord,
     UnknownFunction,
     clearing_select,
@@ -211,7 +213,9 @@ def test_grid_shape_and_record_stamps():
     for r in records:
         assert r.dimension == 2 and r.budget == 80 and r.k == 2
         assert not r.error
-        assert len(r.batch_losses) == 2 and r.center_strategy == "population_best"
+        assert len(r.batch_losses) == 2
+        # only ds reads the center strategy, so only its records hold one
+        assert r.center_strategy == ("population_best" if r.algorithm == "ds" else None)
         assert r.leader_loss >= 0
 
 
@@ -418,6 +422,18 @@ def test_records_round_trip_through_directory(tmp_path):
         read_records_dir(tmp_path / "nowhere")
 
 
+def test_a_grid_of_another_protocol_is_refused_before_it_makes_a_directory(tmp_path):
+    held = small_config(tmp_path, functions=["sphere"], algorithms=["random"], seeds=[0])
+    run_experiment(held)
+    for sub in ("trajectories", "batches"):
+        shutil.rmtree(tmp_path / "out" / sub)
+    with pytest.raises(MixedProtocols, match="on k: 2 in sphere__random__s0.json, 3 in "):
+        run_experiment(replace(held, k=3, seeds=[1]))
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["records"]
+    # another center strategy is the same protocol where only ds would read it
+    run_experiment(replace(held, center_strategy="best_so_far", seeds=[1]))
+
+
 def test_a_record_file_holding_cum_avg_is_refused(tmp_path):
     # a record holds no curve, since report derives it from the losses; a
     # record file that holds one is refused, not read with the field dropped
@@ -432,6 +448,7 @@ def test_a_record_file_holding_cum_avg_is_refused(tmp_path):
 
 def test_records_csv_layout(tmp_path):
     records = [record("sphere", "ds", 0, [1.0, 2.5])]
+    records.append(replace(records[0], algorithm="random", center_strategy=None))
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     lines = path.read_text().splitlines()
@@ -447,6 +464,9 @@ def test_records_csv_layout(tmp_path):
     assert row[header.index("error")] == "0"
     assert "failure" not in header
     assert row[header.index("batch_losses")] == "1.0;2.5"
+    assert row[header.index("center_strategy")] == "population_best"
+    # a record without a center strategy leaves its cell empty
+    assert lines[2].split(",")[header.index("center_strategy")] == ""
 
 
 def test_normalized_csv_layout(tmp_path):

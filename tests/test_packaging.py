@@ -9,7 +9,9 @@ or sit on an import marked ``# noqa: F401`` (a name kept as a module
 attribute for others to patch or wrap).  Importing the package, or running
 a command of its CLI, loads no process pool.  Every parameter of a function
 in those files is read by its body.  Only ``_check_int`` words the "must be
-an int" refusal: every count, size and seed check goes through it.
+an int" refusal: every count, size and seed check goes through it.  Every
+module-level function and class is read somewhere in those files or listed
+in an ``__all__``.
 """
 
 from __future__ import annotations
@@ -217,3 +219,66 @@ def test_importing_the_package_loads_no_process_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# perfbench's traced pass wraps it by name (ROADMAP item 1)
+UNREFERENCED_ALLOWED = {"cascade._clear_of"}
+
+
+def unreferenced_definitions(sources: list[Path]) -> list[str]:
+    """Module-level functions and classes of ``sources`` that no source reads or exports.
+
+    A read is a name or an attribute of that name anywhere in the sources,
+    outside the definition's own body; an export is an entry of an ``__all__``.
+    """
+    defined, referenced = [], set()
+    for source in sources:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((source.stem, own, node.lineno))
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and n.id != own:
+                    referenced.add(n.id)
+                elif isinstance(n, ast.Attribute) and n.attr != own:
+                    referenced.add(n.attr)
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                referenced.update(e.value for e in getattr(node.value, "elts", []))
+    return [
+        f"{module}.{name} (line {line})"
+        for module, name, line in defined
+        if name not in referenced and f"{module}.{name}" not in UNREFERENCED_ALLOWED
+    ]
+
+
+def test_every_definition_is_referenced_or_exported():
+    assert unreferenced_definitions(SOURCES) == []
+
+
+def test_the_unreferenced_definition_guard_flags_a_dead_definition(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "__all__ = ['Public']\n"
+        "class Public:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Dead:\n"
+        "    pass\n"
+    )
+    second.write_text(
+        "from . import first\n"
+        "def _used_elsewhere():\n"
+        "    return 2\n"
+        "def main():\n"
+        "    return first._helper() + _used_elsewhere()\n"
+        "__all__ = ['main']\n"
+    )
+    assert unreferenced_definitions([first, second]) == [
+        "first._recursive (line 6)",
+        "first._Dead (line 8)",
+    ]

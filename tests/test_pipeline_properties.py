@@ -5,8 +5,8 @@ from 1 to the budget, ``d_min`` from 0 to just past the box diameter (the
 diameter itself included), one function, one center strategy, one
 selector and all four algorithms.  The objective returns NaN, +inf or
 -inf on a drawn share of its points.  ``run_experiment`` writes the grid
-twice, into two directories, and each cell is then read back from its
-files alone:
+twice into one directory, and each cell is then read back from its files
+alone:
 
 - a failed cell is a ``ds`` cell whose k means could not be placed
   ``d_min`` apart, and its warning names that cause;
@@ -14,7 +14,11 @@ files alone:
   batch holds rows of that trajectory, led by its best point (NaN ranked
   as +inf, the first row among ties), every pair at least ``d_min``
   apart as ``verify_batch`` tests it;
-- the second run wrote the same files, byte for byte.
+- the second run, under the same protocol, was accepted and rewrote
+  every file byte for byte.
+
+The directory is then read as ``report`` reads it, and its three tables
+are written.
 
 ``exact`` runs under a small ``WORK_CAP``, and the examples come from a
 fixed seed, so the test is deterministic and takes about 10 s.
@@ -26,6 +30,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest.mock import patch
 
@@ -40,12 +45,17 @@ from divbatch import (
     Batch,
     Box,
     ExperimentConfig,
+    export_plot_data,
     function_ids,
     harness,
+    normalize_losses,
+    read_records_dir,
     read_trajectory,
     run_experiment,
     selection,
     verify_batch,
+    write_normalized_csv,
+    write_records_csv,
 )
 
 NON_FINITE = np.array([np.nan, np.inf, -np.inf])
@@ -175,10 +185,29 @@ def files_of(root):
 def test_hostile_grids_keep_every_invariant_in_their_files(grid):
     config, share = grid
     with tempfile.TemporaryDirectory() as tmp, patch.object(selection, "WORK_CAP", 2_000):
-        first, second = Path(tmp) / "first", Path(tmp) / "second"
-        records, messages = run_grid(config, share, first)
+        out, tables = Path(tmp) / "out", Path(tmp) / "tables"
+        records, messages = run_grid(config, share, out)
         assert len(records) == len(ALGORITHMS)
-        problems = [p for a in ALGORITHMS for p in cell_problems(config, first, a, messages)]
+        problems = [p for a in ALGORITHMS for p in cell_problems(config, out, a, messages)]
         assert problems == []
-        assert run_grid(config, share, second)[1] == messages
-        assert files_of(first) == files_of(second)
+        files = files_of(out)
+        assert run_grid(config, share, out)[1] == messages
+        assert files_of(out) == files
+        read = read_records_dir(out)
+        # NaN-safe: a record's losses may be NaN
+        assert sorted(json.dumps(asdict(r)) for r in read) == sorted(
+            json.dumps(asdict(r)) for r in records
+        )
+        tables.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write_records_csv(read, tables / "records.csv")
+            write_normalized_csv(normalize_losses(read), tables / "normalized.csv")
+            export_plot_data(read, tables / "curves.csv")
+        ds_complete = any(r.algorithm == "ds" and r.complete for r in read)
+        skipped = f"no complete ds run for function {config.functions[0]}; group skipped"
+        assert [str(w.message) for w in caught] == ([] if ds_complete else [skipped])
+        assert len((tables / "records.csv").read_text().splitlines()) == 1 + len(ALGORITHMS)
+        normalized = (tables / "normalized.csv").read_text().splitlines()[1:]
+        assert len(normalized) == (sum(r.complete for r in read) if ds_complete else 0)
+        assert len((tables / "curves.csv").read_text().splitlines()) == 1 + len(ALGORITHMS)
