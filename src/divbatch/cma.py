@@ -169,10 +169,9 @@ class CmaState:
     rng: np.random.Generator
     iteration: int = 0
     stop_reason: str | None = None
-    # eigendecomposition cache, refreshed after every covariance update
+    # eigendecomposition of ``cov`` at the last ``tell`` that left the state running
     eig_vectors: np.ndarray = field(default=None, repr=False)
     eig_scale: np.ndarray = field(default=None, repr=False)
-    degenerate: bool = field(default=False, repr=False)
     last_range: float | None = field(default=None, repr=False)
     hist_best: deque = field(default=None, repr=False)
     stagn_best: deque = field(default=None, repr=False)
@@ -336,7 +335,9 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     are recombined with the standard weights.  The parents and the stop
     statistics (best, median, range) rank NaN as +inf, as
     ``trajectory.fitness_keys`` does, ties broken by row; a median between
-    -inf and +inf ranks as +inf too.
+    -inf and +inf ranks as +inf too.  The stop is ``should_stop``'s, else
+    ``degenerate`` if the new covariance will not decompose: only a running
+    state is decomposed, and a stopped one keeps its last eigensystem.
     """
     params = state.params
     xs, fs = np.asarray(xs, dtype=float), np.asarray(fs, dtype=float)
@@ -409,29 +410,28 @@ def tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.stagn_best.append(best)
     state.stagn_median.append(med)
 
-    _refresh_eigensystem(state)
-    state.stop_reason = should_stop(state)
+    state.stop_reason = should_stop(state) or _refresh_eigensystem(state)
 
 
-def _refresh_eigensystem(state: CmaState) -> None:
+def _refresh_eigensystem(state: CmaState) -> str | None:
+    """Store the covariance's eigensystem, or keep the last and return ``STOP_DEGENERATE``."""
     if not (np.isfinite(state.cov).all() and math.isfinite(state.sigma) and state.sigma > 0):
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     try:
         vals, vecs = np.linalg.eigh(state.cov)
     except np.linalg.LinAlgError:
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     low, high = float(vals[0]), float(vals[-1])
     if not np.isfinite(vals).all() or low <= 0.0 or high / low > _MAX_CONDITION:
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     state.eig_vectors = vecs
     state.eig_scale = np.sqrt(vals)
+    return None
 
 
 def should_stop(state: CmaState) -> str | None:
-    """First triggered stopping criterion, or None while the run may continue."""
+    """First triggered criterion of tolx, tolfun, tolfunhist, tolstagnation and
+    maxiter, in that order, or None; ``tell`` adds ``degenerate`` after them."""
     sigma = state.sigma
 
     scales = sigma * np.sqrt(state.cov.diagonal())
@@ -458,8 +458,5 @@ def should_stop(state: CmaState) -> str | None:
 
     if state.iteration >= state.params.max_iter:
         return STOP_MAXITER
-
-    if state.degenerate:
-        return STOP_DEGENERATE
 
     return None

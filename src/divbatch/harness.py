@@ -295,19 +295,19 @@ def _check_protocol(records_dir: Path, cells: dict[str, dict]) -> list[RunRecord
 def normalize_losses(records: list[RunRecord]) -> list[dict]:
     """Batch-average losses scaled by the best diversity-search run per function.
 
-    Within each function group the denominator is the smallest complete
-    ``ds`` batch-average; groups without one are skipped with a warning.
-    Only complete runs are normalized.
+    Within each function group the denominator is the smallest complete,
+    non-NaN ``ds`` batch-average; groups without one are skipped with a
+    warning.  Only complete runs are normalized; NaN normalizes to NaN.
     """
     rows: list[dict] = []
     functions = sorted({r.function_id for r in records})
     for fid in functions:
         group = [r for r in records if r.function_id == fid]
         ds_avgs = [r.batch_average() for r in group if r.algorithm == "ds" and r.complete]
-        if not ds_avgs:
+        denom = min((avg for avg in ds_avgs if avg == avg), default=None)
+        if denom is None:
             warnings.warn(f"no complete ds run for function {fid}; group skipped", stacklevel=2)
             continue
-        denom = min(ds_avgs)
         for r in group:
             if not r.complete:
                 continue
@@ -315,7 +315,8 @@ def normalize_losses(records: list[RunRecord]) -> list[dict]:
             if denom > 0:
                 normalized = avg / denom
             else:
-                normalized = 1.0 if avg == 0 else float("inf")
+                # a loss over a zero denominator reads inf, and NaN stays NaN
+                normalized = 1.0 if avg == 0 else avg * float("inf")
             rows.append(
                 {
                     "function": fid,

@@ -336,10 +336,12 @@ def reference_run_cma_single(fn, budget, seed=0):
 # it comes (``np.median`` and the range give NaN, and ``max``/``min`` over
 # the history skip a NaN unless it comes first), so they are compared with
 # ``tell`` only on NaN-free fitness, or on fitness with NaN put to +inf and
-# rows in ``fitness_keys`` order.  One rule is newer than the rest: a median
-# between -inf and +inf ranks as +inf, as in ``tell``.  The stop tolerances
-# are read from ``divbatch.cma`` at each call, so a test that patches one
-# patches both sides.
+# rows in ``fitness_keys`` order.  Two rules are newer than the rest: a
+# median between -inf and +inf ranks as +inf, as in ``tell``, and the stop
+# tests run before the decomposition, which a stopping generation skips; a
+# failed decomposition returns ``degenerate``, still the last criterion.
+# The stop tolerances are read from ``divbatch.cma`` at each call, so a
+# test that patches one patches both sides.
 
 
 def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
@@ -413,24 +415,21 @@ def reference_tell(state: CmaState, xs: np.ndarray, fs: np.ndarray) -> None:
     state.stagn_best.append(best)
     state.stagn_median.append(med)
 
-    reference_refresh_eigensystem(state)
-    state.stop_reason = reference_should_stop(state)
+    state.stop_reason = reference_should_stop(state) or reference_refresh_eigensystem(state)
 
 
-def reference_refresh_eigensystem(state: CmaState) -> None:
+def reference_refresh_eigensystem(state: CmaState) -> str | None:
     if not (np.all(np.isfinite(state.cov)) and math.isfinite(state.sigma) and state.sigma > 0):
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     try:
         vals, vecs = np.linalg.eigh(state.cov)
     except np.linalg.LinAlgError:
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     if not np.all(np.isfinite(vals)) or vals[0] <= 0.0 or vals[-1] / vals[0] > _MAX_CONDITION:
-        state.degenerate = True
-        return
+        return STOP_DEGENERATE
     state.eig_vectors = vecs
     state.eig_scale = np.sqrt(vals)
+    return None
 
 
 def reference_should_stop(state: CmaState) -> str | None:
@@ -463,8 +462,5 @@ def reference_should_stop(state: CmaState) -> str | None:
 
     if state.iteration >= params.max_iter:
         return STOP_MAXITER
-
-    if state.degenerate:
-        return STOP_DEGENERATE
 
     return None

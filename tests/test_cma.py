@@ -24,6 +24,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_checks import (
+    FlatFunction,
     reference_ask_clear,
     reference_ask_one,
     reference_tell,
@@ -33,6 +34,7 @@ from divbatch import (
     AlreadyStopped,
     Box,
     CmaParams,
+    DsConfig,
     InsufficientPopulation,
     InvalidMean,
     ask,
@@ -43,7 +45,7 @@ from divbatch import (
     should_stop,
     tell,
 )
-from divbatch import cma
+from divbatch import baselines, cascade, cma
 from divbatch.cma import _MAX_BLOCK_ROWS
 from divbatch.trajectory import fitness_keys
 
@@ -498,7 +500,7 @@ def test_a_failing_eigh_stops_as_degenerate_and_keeps_the_last_eigensystem(monke
     monkeypatch.setattr(np.linalg, "eigh", failing)
     xs = ask(st, st.params.lambda_)
     tell(st, xs, (xs**2).sum(axis=1))
-    assert st.stop_reason == "degenerate" and st.degenerate
+    assert st.stop_reason == "degenerate"
     assert st.iteration == 3
     assert st.eig_vectors.tobytes() == vectors.tobytes()
     assert st.eig_scale.tobytes() == scale.tobytes()
@@ -524,7 +526,6 @@ def state_bits(state):
         [(a.shape, a.tobytes()) for a in arrays],
         bits(state.sigma),
         state.iteration,
-        state.degenerate,
         state.stop_reason,
         bits(state.last_range),
         [(h.maxlen, [bits(v) for v in h]) for h in history],
@@ -810,3 +811,42 @@ def test_stop_reason_degenerate_on_nonfinite_population():
     tell(st, np.full((6, 2), np.inf), np.arange(6.0))
     assert st.stop_reason == "degenerate"
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stop_reason_tolfun_ranks_before_degenerate():
+    # the same non-finite population, with equal fitness values: degenerate
+    # is the last criterion, so tolfun fires
+    st = init_cma(np.zeros(2), 0, Box.cube(2))
+    tell(st, np.full((6, 2), np.inf), np.full(6, 7.0))
+    assert st.stop_reason == "tolfun"
+
+
+@pytest.mark.parametrize("function", ["flat", "sphere"])
+@pytest.mark.parametrize("algorithm", ["ds", "cma"])
+def test_only_a_tell_that_leaves_the_state_running_decomposes(monkeypatch, function, algorithm):
+    # flat stops every generation by tolfun, sphere runs on; both runs tell
+    # through their module's ``tell`` name, and ``tell`` reaches ``eigh``
+    # through ``np.linalg``
+    fn = FlatFunction(3) if function == "flat" else make_function("sphere", 3, 0)
+    counts = {"running": 0, "stopped": 0, "eigh": 0}
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        counts["eigh"] += 1
+        return eigh(a)
+
+    def counted_tell(state, xs, fs):
+        tell(state, xs, fs)
+        counts["stopped" if state.stop_reason else "running"] += 1
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(cascade if algorithm == "ds" else baselines, "tell", counted_tell)
+    if algorithm == "ds":
+        cascade.run_ds(DsConfig(k=2, d_min=0.5, budget=300), fn)
+    else:
+        baselines.run_cma_single(fn, 300, 0)
+    assert counts["eigh"] == counts["running"]
+    if function == "flat":
+        assert counts["running"] == 0 and counts["stopped"] > 1
+    else:
+        assert counts["running"] > 10

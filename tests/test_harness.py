@@ -191,6 +191,37 @@ def test_normalize_with_a_zero_ds_denominator():
     }
 
 
+def normalized_rows(records):
+    """(algorithm, seed, repr of normalized) per row, sorted, so NaN compares equal."""
+    rows = normalize_losses(records)
+    return sorted((r["algorithm"], r["seed"], repr(r["normalized"])) for r in rows)
+
+
+def test_normalize_ignores_record_order_when_a_ds_average_is_nan():
+    # a ds batch that a NaN-fitness point fills holds a NaN loss, so its
+    # average is NaN: it normalizes to NaN and is never the denominator,
+    # whichever record comes first
+    nan_ds = record("sphere", "ds", 0, [1.0, math.nan])
+    ds = record("sphere", "ds", 1, [2.0, 4.0])
+    rand = record("sphere", "random", 0, [3.0, 5.0])
+    expected = [("ds", 0, "nan"), ("ds", 1, "1.0"), ("random", 0, repr(4.0 / 3.0))]
+    assert normalized_rows([nan_ds, ds, rand]) == expected
+    assert normalized_rows([ds, nan_ds, rand]) == expected
+
+
+def test_normalize_skips_a_group_whose_ds_averages_are_all_nan():
+    records = [
+        record("sphere", "ds", 0, [math.nan]),
+        record("sphere", "random", 0, [1.0]),
+        record("ellipsoid", "ds", 0, [0.0]),
+        record("ellipsoid", "ds", 1, [math.nan, 1.0]),
+    ]
+    with pytest.warns(UserWarning, match="sphere"):
+        rows = normalized_rows(records)
+    # over a zero denominator a NaN average stays NaN
+    assert rows == [("ds", 0, "1.0"), ("ds", 1, "nan")]
+
+
 def small_config(tmp_path=None, **overrides):
     base = ExperimentConfig(
         functions=["sphere", "rastrigin_sep"],

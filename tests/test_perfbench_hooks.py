@@ -6,8 +6,10 @@
 ``selection._compat_masks``, the exact search's row builder, and more).  A
 simplification that deletes or renames one of them fails here instead of
 breaking ``perfbench/run.py --trace 1``.  ``tell`` must also keep calling
-``_refresh_eigensystem`` and ``should_stop`` through the module's names,
-or the traced pass's ``cma.eigh`` and ``cma.stop`` counters read 0.
+``should_stop`` and, on a generation that does not stop,
+``_refresh_eigensystem`` through the module's names, or the traced pass's
+``cma.stop`` and ``cma.eigh`` counters read 0.  A stopping generation is
+not decomposed, so it records a ``cma.stop`` span and no ``cma.eigh`` span.
 
 The traced pass counts ``cascade.init`` spans as the run's epochs, so
 ``run_ds`` must start every epoch through the module's
@@ -61,16 +63,20 @@ def test_one_tell_records_one_eigh_span_and_one_stop_span(monkeypatch):
     from workloads import install_spans
 
     box = divbatch.Box.cube(2)
-    state = divbatch.init_cma(np.zeros(2), 0, box)
-    xs = divbatch.ask(state, 6)
-    tracer, patches = Tracer(), Patches()
-    try:
-        install_spans(patches, divbatch, tracer)
-        divbatch.cascade.tell(state, xs, np.arange(6.0))
-    finally:
-        patches.restore()
-    calls = {name: layer["calls"] for name, layer in tracer.layers().items()}
-    assert calls["cma.tell"] == calls["cma.eigh"] == calls["cma.stop"] == 1
+    # a running tell, then one whose flat fitness stops it by tolfun
+    names, spans = ("cma.tell", "cma.stop", "cma.eigh"), []
+    for fs in (np.arange(6.0), np.full(6, 7.0)):
+        state = divbatch.init_cma(np.zeros(2), 0, box)
+        xs = divbatch.ask(state, 6)
+        tracer, patches = Tracer(), Patches()
+        try:
+            install_spans(patches, divbatch, tracer)
+            divbatch.cascade.tell(state, xs, fs)
+        finally:
+            patches.restore()
+        calls = {name: layer["calls"] for name, layer in tracer.layers().items()}
+        spans.append((state.stop_reason, *(calls.get(name, 0) for name in names)))
+    assert spans == [(None, 1, 1, 1), ("tolfun", 1, 1, 0)]
 
 
 def test_a_traced_run_records_one_init_span_per_epoch(monkeypatch):
